@@ -9,9 +9,17 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use arm2gc_circuit::sim::PartyData;
-use arm2gc_circuit::{CircuitBuilder, DffInit, Op, RamConfig, Role};
-use arm2gc_core::{run_two_party_with, SkipGateOptions};
+use arm2gc_circuit::{Circuit, CircuitBuilder, DffInit, Op, RamConfig, Role};
+use arm2gc_core::{run_two_party_opts, SessionOptions};
 use arm2gc_crypto::{Delta, GarbleHash, Label, Prg};
+
+/// Garbled tables of one single-cycle, single-lane session under `opts`.
+fn tables(circuit: &Circuit, alice: &PartyData, bob: &PartyData, opts: &SessionOptions) -> u64 {
+    let lane = |p: &PartyData| [p.clone()];
+    let none = lane(&PartyData::default());
+    let (out, _) = run_two_party_opts(circuit, &lane(alice), &lane(bob), &none, 1, opts);
+    out.lanes[0].stats.garbled_tables
+}
 
 fn bench_garbling_schemes(c: &mut Criterion) {
     let mut prg = Prg::from_seed([5; 16]);
@@ -56,46 +64,22 @@ fn bench_dead_gate_filter(c: &mut Criterion) {
     let circuit = build();
     let alice = PartyData::from_stream(vec![vec![true; 64]]);
     let bob = PartyData::from_stream(vec![vec![false; 64]]);
-    let none = PartyData::default();
 
     let mut g = c.benchmark_group("ablation_dead_gate_filter");
     g.sample_size(20);
     for (name, filter) in [("filter_on", true), ("filter_off", false)] {
-        let opts = SkipGateOptions {
-            filter_dead_gates: filter,
-        };
-        g.bench_function(name, |b| {
-            b.iter(|| run_two_party_with(&circuit, &alice, &bob, &none, 1, opts))
-        });
+        let opts = SessionOptions::new().filter_dead_gates(filter);
+        g.bench_function(name, |b| b.iter(|| tables(&circuit, &alice, &bob, &opts)));
     }
     g.finish();
 
-    let on = run_two_party_with(
+    let on = tables(&circuit, &alice, &bob, &SessionOptions::new());
+    let off = tables(
         &circuit,
         &alice,
         &bob,
-        &none,
-        1,
-        SkipGateOptions {
-            filter_dead_gates: true,
-        },
-    )
-    .0
-    .stats
-    .garbled_tables;
-    let off = run_two_party_with(
-        &circuit,
-        &alice,
-        &bob,
-        &none,
-        1,
-        SkipGateOptions {
-            filter_dead_gates: false,
-        },
-    )
-    .0
-    .stats
-    .garbled_tables;
+        &SessionOptions::new().filter_dead_gates(false),
+    );
     println!("dead-gate filter: {on} tables with Alg.4-l18 filtering, {off} without");
 }
 
@@ -132,17 +116,13 @@ fn bench_regfile_subset(c: &mut Criterion) {
             init: vec![],
             stream: vec![vec![true; secret_bits]],
         };
-        let none = PartyData::default();
-        let (out, _) =
-            run_two_party_with(&circuit, &alice, &bob, &none, 1, SkipGateOptions::default());
+        let opts = SessionOptions::new();
         println!(
             "oblivious regfile read, subset 2^{secret_bits}: {} tables",
-            out.stats.garbled_tables
+            tables(&circuit, &alice, &bob, &opts)
         );
         g.bench_function(format!("subset_2pow{secret_bits}"), |bch| {
-            bch.iter(|| {
-                run_two_party_with(&circuit, &alice, &bob, &none, 1, SkipGateOptions::default())
-            })
+            bch.iter(|| tables(&circuit, &alice, &bob, &opts))
         });
     }
     g.finish();

@@ -8,7 +8,9 @@
 //! * Fig. 6 — a secret branch makes the PC secret and the cost explode.
 
 use arm2gc_circuit::{CircuitBuilder, Role};
-use arm2gc_core::{run_two_party, DecideContext, GateDecision, TagAllocator, WireVal};
+use arm2gc_core::{
+    run_two_party_opts, DecideContext, GateDecision, SessionOptions, TagAllocator, WireVal,
+};
 use arm2gc_cpu::asm::assemble;
 use arm2gc_cpu::machine::{CpuConfig, GcMachine};
 
@@ -130,10 +132,13 @@ fn figures_5_and_6() {
     )
     .expect("branch program");
 
-    let (run_a, stats_a) = machine.run_skipgate(&cond_exec, &[123], &[456], 24);
+    let opts = SessionOptions::new();
+    let (runs_a, outcome_a) = machine.run(&cond_exec, &[vec![123]], &[vec![456]], 24, &opts);
+    let (run_a, stats_a) = (&runs_a[0], outcome_a.lanes[0].stats);
     // The secret-PC variant cannot detect HALT publicly; bound the cycles.
     let (a, bdata, p) = machine.party_data(&secret_branch, &[123], &[456]);
-    let (alice_out, _) = run_two_party(machine.circuit(), &a, &bdata, &p, 8);
+    let (alice_out, _) = run_two_party_opts(machine.circuit(), &[a], &[bdata], &[p], 8, &opts);
+    let alice_out = &alice_out.lanes[0];
     let iss = machine.run_iss(&secret_branch, &[123], &[456], 8);
     let max_from_secret = &alice_out.final_output()[..32];
     let got: u32 = max_from_secret

@@ -46,9 +46,7 @@ fn main() {
         ]);
     }
     table.print();
-    println!(
-        "note: shapes track the paper; absolute deltas are explained per-row in EXPERIMENTS.md"
-    );
+    println!("note: shapes track the paper; absolute deltas are explained per-row in DESIGN.md");
 }
 
 fn normalise(name: &str) -> String {

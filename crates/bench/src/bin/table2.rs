@@ -3,10 +3,10 @@
 //!
 //! AES-128 and SHA3-256 rows reuse the direct-circuit measurements: the
 //! paper's C sources for those are bitsliced gate-by-gate translations
-//! of the same netlists (see EXPERIMENTS.md), which we do not re-author
+//! of the same netlists (see DESIGN.md, "Substitutions"), which we do not re-author
 //! in assembly. Pass `--quick` for the small matrix sizes only.
 
-use arm2gc_bench::runner::{cpu_workloads, machine_for, run_skipgate, table1_circuits};
+use arm2gc_bench::runner::{cpu_workloads, machine_for, skipgate_stats, table1_circuits};
 use arm2gc_bench::{fmt_count, paper, Table};
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     // HDL column: direct circuits under SkipGate.
     let mut hdl: Vec<(String, u64)> = Vec::new();
     for bc in table1_circuits(quick) {
-        let stats = run_skipgate(&bc);
+        let stats = skipgate_stats(&bc);
         hdl.push((bc.circuit.name().to_string(), stats.garbled_tables));
     }
 
@@ -85,7 +85,7 @@ fn main() {
         }
     }
     table.print();
-    println!("† bitsliced-C substitution: measured on the direct circuit (EXPERIMENTS.md)");
+    println!("† bitsliced-C substitution: measured on the direct circuit (DESIGN.md)");
 }
 
 fn normalise(name: &str) -> String {

@@ -10,13 +10,10 @@
 //! The report deliberately omits the shard count it was produced with:
 //! sharding is transport-only, so the gate doubles as a CI-enforced
 //! proof that counts are shard-invariant (the workflow runs it sharded
-//! against the unsharded baseline). Since v2 it also runs every
-//! circuit under both execution schedules: the cost counters come from
-//! the *layer-scheduled* runs (so any layered/netlist divergence shows
-//! up as cost drift against the historic values), and the per-circuit
-//! `schedule` object pins batching occupancy — level count, batch
-//! counts, widths — for both modes, so scheduling regressions are
-//! caught alongside cost regressions. Since v4 every circuit also runs
+//! against the unsharded baseline). Since v2 the per-circuit `schedule`
+//! object pins batching occupancy — level count, batch counts, widths —
+//! so scheduling regressions are caught alongside cost regressions.
+//! Since v4 every circuit also runs
 //! through one *instanced* N=8 session (eight lanes, identical inputs)
 //! and the report pins the per-instance amortized counters: per-lane
 //! protocol costs must equal the sequential run exactly, while the
@@ -38,24 +35,26 @@
 //! after the first session is served by extending the cached columns —
 //! plus the deterministic extension count and a `matches_fresh` bit
 //! asserting resumed sessions compute byte-identically to fresh ones.
+//! Since v8 the schedule is a function of the lane count — a
+//! single-lane session always walks the netlist — so the cost counters
+//! come from the netlist runs, the single-lane `*_layered` occupancy
+//! objects are gone, and the level schedule is pinned by the instanced
+//! runs alone.
 
 use std::fmt::Write as _;
 
-use arm2gc_circuit::{LayerSchedule, ScheduleMode};
+use arm2gc_circuit::LayerSchedule;
 use arm2gc_comm::{Channel, TcpChannel};
 use arm2gc_core::{
-    run_two_party_opts, OtBackend, OtConfig, SessionOptions, ShardConfig, StreamConfig,
-    TwoPartyConfig,
+    run_two_party_opts, EngineKind, OtBackend, OtConfig, SessionOptions, ShardConfig,
 };
 use arm2gc_garble::WavefrontStats;
 use arm2gc_server::{client, workload, GarblerService, ServiceConfig};
 
-use crate::runner::{
-    run_baseline_outcome, run_skipgate_instanced_outcome, run_skipgate_outcome, table1_circuits,
-};
+use crate::runner::{run_session, table1_circuits};
 
 /// Identifies the report layout; bump when fields change.
-pub const SCHEMA: &str = "arm2gc-bench-ci/v7";
+pub const SCHEMA: &str = "arm2gc-bench-ci/v8";
 
 /// Lanes in the report's instanced runs.
 pub const INSTANCES: usize = 8;
@@ -74,8 +73,7 @@ fn occupancy(w: &WavefrontStats) -> String {
 }
 
 /// Builds the deterministic cost report for the small (quick) Table 1
-/// circuits, running both engines at the given shard count under both
-/// execution schedules.
+/// circuits, running both engines at the given shard count.
 ///
 /// The returned string is complete JSON, newline-terminated, with a
 /// stable field order — suitable for byte-exact diffing.
@@ -88,38 +86,13 @@ pub fn report(shards: ShardConfig) -> String {
     );
     out.push_str("  \"circuits\": [\n");
     let circuits = table1_circuits(true);
+    let opts = SessionOptions::new().shards(shards.shards);
     for (i, bc) in circuits.iter().enumerate() {
-        let skip_netlist = run_skipgate_outcome(
-            bc,
-            TwoPartyConfig::new()
-                .shards(shards)
-                .schedule(ScheduleMode::Netlist),
-        );
-        let skip_layered = run_skipgate_outcome(
-            bc,
-            TwoPartyConfig::new()
-                .shards(shards)
-                .schedule(ScheduleMode::Layered),
-        );
-        let base_netlist = run_baseline_outcome(
-            bc,
-            OtBackend::Insecure,
-            StreamConfig::default(),
-            shards,
-            ScheduleMode::Netlist,
-        );
-        let base_layered = run_baseline_outcome(
-            bc,
-            OtBackend::Insecure,
-            StreamConfig::default(),
-            shards,
-            ScheduleMode::Layered,
-        );
-        // The cost counters are reported from the layer-scheduled runs:
-        // they carry the same historic values as the netlist walk, so
-        // any divergence between the two modes becomes cost drift.
-        let base = base_layered.stats;
-        let skip = skip_layered.stats;
+        let skip_run = run_session(bc, &opts);
+        let base_run = run_session(bc, &opts.engine(EngineKind::Baseline));
+        let (skip_netlist, base_netlist) = (&skip_run.lanes[0], &base_run.lanes[0]);
+        let base = base_netlist.stats;
+        let skip = skip_netlist.stats;
         let sched = LayerSchedule::of(&bc.circuit);
         out.push_str("    {\n");
         let _ = writeln!(out, "      \"name\": \"{}\",", bc.circuit.name());
@@ -155,21 +128,10 @@ pub fn report(shards: ShardConfig) -> String {
         );
         let _ = writeln!(
             out,
-            "        \"baseline_layered\": {},",
-            occupancy(&base_layered.batching)
-        );
-        let _ = writeln!(
-            out,
-            "        \"skipgate_netlist\": {},",
+            "        \"skipgate_netlist\": {} }},",
             occupancy(&skip_netlist.batching)
         );
-        let _ = writeln!(
-            out,
-            "        \"skipgate_layered\": {} }},",
-            occupancy(&skip_layered.batching)
-        );
-        let inst =
-            run_skipgate_instanced_outcome(bc, TwoPartyConfig::new().shards(shards), INSTANCES);
+        let inst = run_session(bc, &opts.instances(INSTANCES));
         // Identical inputs in every lane, so lane 0 *is* the
         // per-instance cost (the runner asserts all lanes agree with
         // the sequential expectation).
@@ -449,8 +411,9 @@ fn failures_section() -> String {
     out
 }
 
-/// Scans a report for circuits whose layered runs fell back to the
-/// netlist walk; returns one line per violation (empty = gate passes).
+/// Scans a report for circuits whose layer-scheduled (instanced) runs
+/// fell back to the netlist walk; returns one line per violation
+/// (empty = gate passes).
 ///
 /// Per-cycle re-leveling made the fallback unreachable, and the bench
 /// gate fails on any nonzero `fallback_cycles` — independently of
@@ -521,17 +484,17 @@ mod tests {
     fn fallback_violations_flag_nonzero_counts_with_circuit_names() {
         let clean = concat!(
             "      \"name\": \"aes_128\",\n",
-            "        \"skipgate_layered\": { \"batches\": 5, \"fallback_cycles\": 0, ",
+            "        \"occupancy\": { \"batches\": 5, \"fallback_cycles\": 0, ",
             "\"releveled_cycles\": 10 }\n",
         );
         assert!(fallback_violations(clean).is_empty());
 
         let dirty = concat!(
             "      \"name\": \"sum_32\",\n",
-            "        \"skipgate_layered\": { \"fallback_cycles\": 0 }\n",
+            "        \"occupancy\": { \"fallback_cycles\": 0 }\n",
             "      \"name\": \"aes_128\",\n",
-            "        \"baseline_layered\": { \"fallback_cycles\": 0 },\n",
-            "        \"skipgate_layered\": { \"fallback_cycles\": 10 }\n",
+            "        \"skipgate_netlist\": { \"fallback_cycles\": 0 },\n",
+            "        \"occupancy\": { \"fallback_cycles\": 10 }\n",
         );
         let v = fallback_violations(dirty);
         assert_eq!(v.len(), 1);

@@ -3,19 +3,12 @@
 use arm2gc_circuit::bench_circuits::{self, BenchCircuit};
 use arm2gc_circuit::random::TestRng;
 use arm2gc_circuit::sim::PartyData;
-use arm2gc_comm::duplex;
 use arm2gc_core::{
-    run_two_party, run_two_party_cfg, run_two_party_instanced_cfg, shard_duplexes,
-    InstancedOutcome, OtBackend, OtConfig, ScheduleMode, ShardConfig, SkipGateOutcome,
-    SkipGateStats, TwoPartyConfig,
+    run_two_party_opts, EngineKind, InstancedOutcome, SessionOptions, SkipGateStats,
 };
 use arm2gc_cpu::asm::{assemble, Program};
 use arm2gc_cpu::machine::{CpuConfig, GcMachine};
 use arm2gc_cpu::programs;
-use arm2gc_crypto::Prg;
-use arm2gc_garble::{
-    run_evaluator_scheduled, run_garbler_scheduled, GarbleOutcome, GarbleStats, StreamConfig,
-};
 
 /// Measured circuit-level result: baseline vs SkipGate.
 #[derive(Clone, Copy, Debug)]
@@ -27,140 +20,54 @@ pub struct CircuitMeasurement {
     pub skipgate: u64,
 }
 
-/// Runs a benchmark circuit under the classic engine (real garbling)
-/// with the default session configuration.
-pub fn run_baseline(bc: &BenchCircuit) -> GarbleStats {
-    run_baseline_with(bc, OtBackend::Insecure, StreamConfig::default())
-}
-
-/// [`run_baseline`] with an explicit OT backend and table-streaming
-/// configuration.
-pub fn run_baseline_with(bc: &BenchCircuit, ot: OtBackend, stream: StreamConfig) -> GarbleStats {
-    run_baseline_sharded(bc, ot, stream, ShardConfig::single())
-}
-
-/// [`run_baseline_with`] over a sharded table stream: one in-memory
-/// channel pair per shard, mirroring [`run_two_party_cfg`]'s setup.
-pub fn run_baseline_sharded(
-    bc: &BenchCircuit,
-    ot: OtBackend,
-    stream: StreamConfig,
-    shards: ShardConfig,
-) -> GarbleStats {
-    run_baseline_outcome(bc, ot, stream, shards, ScheduleMode::Netlist).stats
-}
-
-/// [`run_baseline_sharded`] with an explicit execution schedule,
-/// returning the garbler's full outcome (cost stats plus batching
-/// occupancy). Both parties' outputs are verified against the semantic
-/// expectation inside.
-pub fn run_baseline_outcome(
-    bc: &BenchCircuit,
-    ot: OtBackend,
-    stream: StreamConfig,
-    shards: ShardConfig,
-    schedule: ScheduleMode,
-) -> GarbleOutcome {
-    let (mut ca, mut cb) = duplex();
-    let (g_shards, e_shards) = shard_duplexes(shards);
-    crossbeam::thread::scope(|s| {
-        let g = s.spawn(move |_| {
-            let mut prg = Prg::from_seed([91; 16]);
-            let mut ot = ot.sender(OtConfig::TEST, &mut prg);
-            run_garbler_scheduled(
-                &bc.circuit,
-                &bc.alice,
-                &bc.public,
-                bc.cycles,
-                &mut ca,
-                g_shards,
-                ot.as_mut(),
-                &mut prg,
-                stream,
-                shards,
-                schedule,
-            )
-            .expect("baseline garbler")
-        });
-        let mut prg = Prg::from_seed([92; 16]);
-        let mut ot = ot.receiver(OtConfig::TEST, &mut prg);
-        let b = run_evaluator_scheduled(
-            &bc.circuit,
-            &bc.bob,
-            bc.cycles,
-            &mut cb,
-            e_shards,
-            ot.as_mut(),
-            shards,
-            schedule,
-        )
-        .expect("baseline evaluator");
-        let a = g.join().expect("garbler thread");
-        assert_eq!(a.outputs, b.outputs);
-        let got: Vec<bool> = a.outputs.concat();
-        assert_eq!(got, bc.expected, "baseline output mismatch");
-        a
-    })
-    // Re-raise with the original payload so assertion messages from
-    // either party survive the scope's catch_unwind.
-    .unwrap_or_else(|e| std::panic::resume_unwind(e))
-}
-
-/// Runs a benchmark circuit under SkipGate (real two-party run) and
-/// verifies the output against the semantic expectation.
-pub fn run_skipgate(bc: &BenchCircuit) -> SkipGateStats {
-    run_skipgate_with(bc, TwoPartyConfig::default())
-}
-
-/// [`run_skipgate`] with an explicit session configuration (OT backend,
-/// table streaming, sharding, execution schedule, SkipGate options).
-pub fn run_skipgate_with(bc: &BenchCircuit, cfg: TwoPartyConfig) -> SkipGateStats {
-    run_skipgate_outcome(bc, cfg).stats
-}
-
-/// [`run_skipgate_with`] returning the garbler's full outcome (cost
-/// stats plus batching occupancy). Both parties' outputs are verified
-/// against the semantic expectation inside.
-pub fn run_skipgate_outcome(bc: &BenchCircuit, cfg: TwoPartyConfig) -> SkipGateOutcome {
-    let (a, b) = run_two_party_cfg(&bc.circuit, &bc.alice, &bc.bob, &bc.public, bc.cycles, cfg);
-    assert_eq!(a.outputs, b.outputs);
-    let got: Vec<bool> = a.outputs.concat();
-    assert_eq!(got, bc.expected, "skipgate output mismatch");
-    a
-}
-
-/// Runs `instances` lanes of a benchmark circuit — the same inputs in
-/// every lane — through one instanced session
-/// ([`run_two_party_instanced_cfg`]) and verifies every lane's outputs
-/// against the semantic expectation. Returns the garbler's
-/// [`InstancedOutcome`]: per-lane cost counters plus the session-wide
-/// batching occupancy (per-instance amortized via
-/// [`arm2gc_garble::WavefrontStats::mean_batch_per_instance`]).
-pub fn run_skipgate_instanced_outcome(
-    bc: &BenchCircuit,
-    cfg: TwoPartyConfig,
-    instances: usize,
-) -> InstancedOutcome {
-    let alices = vec![bc.alice.clone(); instances];
-    let bobs = vec![bc.bob.clone(); instances];
-    let publics = vec![bc.public.clone(); instances];
-    let (a, b) = run_two_party_instanced_cfg(&bc.circuit, &alices, &bobs, &publics, bc.cycles, cfg);
-    assert_eq!(a.batching, b.batching, "instanced batching stats differ");
+/// Runs one session of a benchmark circuit under `opts` — the same
+/// inputs in each of the `opts.instances` lanes — and verifies that
+/// both parties agree and every lane's output matches the semantic
+/// expectation. Returns the garbler's [`InstancedOutcome`]: per-lane
+/// cost counters plus the session-wide batching occupancy.
+pub fn run_session(bc: &BenchCircuit, opts: &SessionOptions) -> InstancedOutcome {
+    let lanes = |p: &PartyData| vec![p.clone(); opts.instances];
+    let (a, b) = run_two_party_opts(
+        &bc.circuit,
+        &lanes(&bc.alice),
+        &lanes(&bc.bob),
+        &lanes(&bc.public),
+        bc.cycles,
+        opts,
+    );
+    assert_eq!(a.batching, b.batching, "parties disagree on batching stats");
     for (lane, (la, lb)) in a.lanes.iter().zip(&b.lanes).enumerate() {
         assert_eq!(la.outputs, lb.outputs, "lane {lane}: party outputs differ");
         let got: Vec<bool> = la.outputs.concat();
-        assert_eq!(got, bc.expected, "lane {lane}: instanced output mismatch");
+        assert_eq!(got, bc.expected, "lane {lane}: output mismatch");
     }
     a
+}
+
+/// [`run_session`]'s first-lane cost counters.
+pub fn run_stats(bc: &BenchCircuit, opts: &SessionOptions) -> SkipGateStats {
+    run_session(bc, opts).lanes[0].stats
+}
+
+/// Runs a benchmark circuit under SkipGate (real two-party run) with
+/// the default session configuration.
+pub fn skipgate_stats(bc: &BenchCircuit) -> SkipGateStats {
+    run_stats(bc, &SessionOptions::new())
+}
+
+/// Runs a benchmark circuit under the classic engine (real garbling)
+/// with the default session configuration.
+pub fn baseline_stats(bc: &BenchCircuit) -> SkipGateStats {
+    run_stats(bc, &SessionOptions::new().engine(EngineKind::Baseline))
 }
 
 /// Measures one circuit both ways. `garble_baseline` controls whether
 /// the baseline is actually executed (large circuits use the static
 /// count, like the paper's processor rows).
 pub fn measure_circuit(bc: &BenchCircuit, garble_baseline: bool) -> CircuitMeasurement {
-    let skip = run_skipgate(bc);
+    let skip = skipgate_stats(bc);
     let baseline = if garble_baseline {
-        let stats = run_baseline(bc);
+        let stats = baseline_stats(bc);
         stats.garbled_tables as u128
     } else {
         arm2gc_garble::static_non_xor_cost(&bc.circuit, bc.cycles)
@@ -241,10 +148,19 @@ impl CpuWorkload {
     pub fn measure(&self, machine: &GcMachine) -> (usize, SkipGateStats) {
         let iss = machine.run_iss(&self.program, &self.alice, &self.bob, self.max_cycles);
         assert!(iss.halted, "{}: program did not halt", self.name);
-        let (run, stats) =
-            machine.run_skipgate(&self.program, &self.alice, &self.bob, self.max_cycles);
-        assert_eq!(run.output, iss.output, "{}: protocol diverged", self.name);
-        (run.cycles, stats)
+        let (runs, outcome) = machine.run(
+            &self.program,
+            std::slice::from_ref(&self.alice),
+            std::slice::from_ref(&self.bob),
+            self.max_cycles,
+            &SessionOptions::new(),
+        );
+        assert_eq!(
+            runs[0].output, iss.output,
+            "{}: protocol diverged",
+            self.name
+        );
+        (runs[0].cycles, outcome.lanes[0].stats)
     }
 }
 
@@ -429,7 +345,8 @@ pub fn a_op_a_measurement() -> u64 {
     let o: Vec<_> = a.iter().map(|&w| b.and(w, w)).collect();
     b.outputs(&o);
     let c = b.build();
-    let data = PartyData::from_stream(vec![vec![true; 32]]);
-    let (out, _) = run_two_party(&c, &data, &PartyData::default(), &PartyData::default(), 1);
-    out.stats.garbled_tables
+    let data = [PartyData::from_stream(vec![vec![true; 32]])];
+    let none = [PartyData::default()];
+    let (out, _) = run_two_party_opts(&c, &data, &none, &none, 1, &SessionOptions::new());
+    out.lanes[0].stats.garbled_tables
 }

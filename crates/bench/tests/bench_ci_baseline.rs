@@ -22,7 +22,9 @@ fn checked_in_baseline_is_current() {
 
 /// The instanced acceptance claim, pinned on the checked-in baseline:
 /// matmul_3x3's N=8 session-wide mean batch width must be at least 5x
-/// the single-instance layered width.
+/// the width of a single-lane session (the netlist-order wavefront
+/// walk, `skipgate_netlist`), and its per-instance amortized width must
+/// not fall below it.
 #[test]
 fn baseline_pins_instanced_matmul_amortization() {
     let block = BASELINE
@@ -44,12 +46,16 @@ fn baseline_pins_instanced_matmul_amortization() {
             .collect();
         digits.parse().expect("numeric field")
     };
-    let single = field("skipgate_layered", "batched_gates") / field("skipgate_layered", "batches");
+    let single = field("skipgate_netlist", "batched_gates") / field("skipgate_netlist", "batches");
     let inst = field("occupancy", "batched_gates") / field("occupancy", "batches");
     assert_eq!(field("instanced", "instances"), 8.0);
     assert!(
         inst >= 5.0 * single,
-        "instanced N=8 mean batch {inst:.1} not 5x the single-instance {single:.1}"
+        "instanced N=8 mean batch {inst:.1} not 5x the single-lane {single:.1}"
+    );
+    assert!(
+        field("instanced", "mean_batch_per_instance") >= single,
+        "amortized width fell below the single-lane width {single:.1}"
     );
 }
 

@@ -2,9 +2,9 @@
 //! Naor–Pinkas + IKNP stack must produce the same outputs and the same
 //! cost stats as over the insecure reference OT.
 
-use arm2gc_bench::runner::{run_baseline_with, run_skipgate_with};
+use arm2gc_bench::runner::{baseline_stats, run_stats, skipgate_stats};
 use arm2gc_circuit::bench_circuits;
-use arm2gc_core::{OtBackend, StreamConfig, TwoPartyConfig};
+use arm2gc_core::{EngineKind, OtBackend, OtConfig, SessionOptions, StreamConfig};
 use arm2gc_cpu::asm::assemble;
 use arm2gc_cpu::machine::{CpuConfig, GcMachine};
 use arm2gc_cpu::programs;
@@ -12,8 +12,8 @@ use arm2gc_cpu::programs;
 #[test]
 fn skipgate_circuit_over_naor_pinkas_iknp() {
     let bc = bench_circuits::compare(32, 123_456, 654_321);
-    let insecure = run_skipgate_with(&bc, TwoPartyConfig::default());
-    let real = run_skipgate_with(&bc, TwoPartyConfig::new().ot(OtBackend::NaorPinkasIknp));
+    let insecure = skipgate_stats(&bc);
+    let real = run_stats(&bc, &SessionOptions::new().ot(OtBackend::NaorPinkasIknp));
     // The OT backend is transparent to the cost model: same number of
     // logical OTs, same tables, same bytes.
     assert_eq!(insecure, real);
@@ -22,8 +22,15 @@ fn skipgate_circuit_over_naor_pinkas_iknp() {
 #[test]
 fn baseline_circuit_over_naor_pinkas_iknp() {
     let bc = bench_circuits::sum(32, 777, 888);
-    let insecure = run_baseline_with(&bc, OtBackend::Insecure, StreamConfig::default());
-    let real = run_baseline_with(&bc, OtBackend::NaorPinkasIknp, StreamConfig::lockstep());
+    let insecure = baseline_stats(&bc);
+    let real = run_stats(
+        &bc,
+        &SessionOptions::new()
+            .engine(EngineKind::Baseline)
+            .ot(OtBackend::NaorPinkasIknp)
+            .ot_config(OtConfig::TEST)
+            .stream(StreamConfig::lockstep()),
+    );
     assert_eq!(insecure, real);
 }
 
@@ -40,14 +47,18 @@ fn cpu_program_over_naor_pinkas_iknp() {
     let iss = machine.run_iss(&program, alice, bob, 100);
     assert!(iss.halted);
 
-    let cfg = TwoPartyConfig::new().ot(OtBackend::NaorPinkasIknp);
-    let (run, stats) = machine.run_skipgate_with(&program, alice, bob, 100, cfg);
-    assert_eq!(run.output, iss.output);
-    assert_eq!(run.cycles, iss.cycles);
-    assert_eq!(run.output[0], 42);
+    let run = |opts: &SessionOptions| {
+        let (mut runs, outcome) =
+            machine.run(&program, &[alice.to_vec()], &[bob.to_vec()], 100, opts);
+        (runs.remove(0), outcome.lanes[0].stats)
+    };
+    let (real, stats) = run(&SessionOptions::new().ot(OtBackend::NaorPinkasIknp));
+    assert_eq!(real.output, iss.output);
+    assert_eq!(real.cycles, iss.cycles);
+    assert_eq!(real.output[0], 42);
 
     // Same cost as the insecure-OT run: the backend changes only *how*
     // labels transfer, not how many.
-    let (_, insecure_stats) = machine.run_skipgate(&program, alice, bob, 100);
+    let (_, insecure_stats) = run(&SessionOptions::new());
     assert_eq!(stats, insecure_stats);
 }

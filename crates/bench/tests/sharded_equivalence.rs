@@ -6,22 +6,19 @@
 //! Every seed Table 1 benchmark circuit is run at shard counts 2 and 4
 //! and compared field-for-field against the unsharded run.
 
-use arm2gc_bench::runner::{
-    run_baseline_sharded, run_baseline_with, run_skipgate_with, table1_circuits,
-};
-use arm2gc_core::{OtBackend, ShardConfig, StreamConfig, TwoPartyConfig};
+use arm2gc_bench::runner::{baseline_stats, run_stats, skipgate_stats, table1_circuits};
+use arm2gc_core::{EngineKind, OtBackend, SessionOptions, StreamConfig};
 
 #[test]
 fn skipgate_sharding_preserves_outputs_and_stats() {
     for bc in &table1_circuits(true) {
         let name = bc.circuit.name().to_string();
-        // `run_skipgate_with` asserts both parties' outputs match the
-        // semantic expectation, so output equivalence is checked inside
-        // every run below; here we pin the stats.
-        let unsharded = run_skipgate_with(bc, TwoPartyConfig::default());
+        // The runner asserts both parties' outputs match the semantic
+        // expectation, so output equivalence is checked inside every run
+        // below; here we pin the stats.
+        let unsharded = skipgate_stats(bc);
         for shards in [2, 4] {
-            let sharded =
-                run_skipgate_with(bc, TwoPartyConfig::new().shards(ShardConfig::new(shards)));
+            let sharded = run_stats(bc, &SessionOptions::new().shards(shards));
             assert_eq!(
                 unsharded, sharded,
                 "{name}: skipgate stats at {shards} shards"
@@ -34,14 +31,10 @@ fn skipgate_sharding_preserves_outputs_and_stats() {
 fn baseline_sharding_preserves_outputs_and_stats() {
     for bc in &table1_circuits(true) {
         let name = bc.circuit.name().to_string();
-        let unsharded = run_baseline_with(bc, OtBackend::Insecure, StreamConfig::default());
+        let unsharded = baseline_stats(bc);
         for shards in [2, 4] {
-            let sharded = run_baseline_sharded(
-                bc,
-                OtBackend::Insecure,
-                StreamConfig::default(),
-                ShardConfig::new(shards),
-            );
+            let baseline = SessionOptions::new().engine(EngineKind::Baseline);
+            let sharded = run_stats(bc, &baseline.shards(shards));
             assert_eq!(
                 unsharded, sharded,
                 "{name}: baseline stats at {shards} shards"
@@ -57,22 +50,14 @@ fn sharding_composes_with_streaming_and_ot_backends() {
     let circuits = table1_circuits(true);
     for bc in &circuits[..3] {
         let name = bc.circuit.name().to_string();
-        let base = run_skipgate_with(bc, TwoPartyConfig::new().stream(StreamConfig::lockstep()));
-        let sharded = run_skipgate_with(
-            bc,
-            TwoPartyConfig::new()
-                .stream(StreamConfig::lockstep())
-                .shards(ShardConfig::new(3)),
-        );
+        let lockstep = SessionOptions::new().stream(StreamConfig::lockstep());
+        let base = run_stats(bc, &lockstep);
+        let sharded = run_stats(bc, &lockstep.shards(3));
         assert_eq!(base, sharded, "{name}: lockstep sharding");
     }
     let bc = &circuits[2]; // compare_32: small enough for real OT
-    let base = run_skipgate_with(bc, TwoPartyConfig::new().ot(OtBackend::NaorPinkasIknp));
-    let sharded = run_skipgate_with(
-        bc,
-        TwoPartyConfig::new()
-            .ot(OtBackend::NaorPinkasIknp)
-            .shards(ShardConfig::new(2)),
-    );
+    let real_ot = SessionOptions::new().ot(OtBackend::NaorPinkasIknp);
+    let base = run_stats(bc, &real_ot);
+    let sharded = run_stats(bc, &real_ot.shards(2));
     assert_eq!(base, sharded, "sharding with the Naor-Pinkas + IKNP stack");
 }

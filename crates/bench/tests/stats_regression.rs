@@ -6,8 +6,8 @@
 //! `table_bytes`, OT counts and cycle counts must stay *exactly* these,
 //! whatever the framing, chunking or OT backend underneath.
 
-use arm2gc_bench::runner::{run_baseline_with, run_skipgate_with, table1_circuits};
-use arm2gc_core::{OtBackend, StreamConfig, TwoPartyConfig};
+use arm2gc_bench::runner::{baseline_stats, run_stats, skipgate_stats, table1_circuits};
+use arm2gc_core::{EngineKind, SessionOptions, StreamConfig};
 
 /// (name, tables, table_bytes, ots, cycles, skipped, public, pass, free_xor)
 #[allow(clippy::type_complexity)]
@@ -60,7 +60,7 @@ fn skipgate_stats_match_pre_refactor_values() {
             .iter()
             .find(|r| r.0 == name)
             .unwrap_or_else(|| panic!("no expected row for {name}"));
-        let s = run_skipgate_with(bc, TwoPartyConfig::default());
+        let s = skipgate_stats(bc);
         assert_eq!(s.garbled_tables, row.1, "{name}: garbled_tables");
         assert_eq!(s.table_bytes, row.2, "{name}: table_bytes");
         assert_eq!(s.ots, row.3, "{name}: ots");
@@ -80,7 +80,7 @@ fn baseline_stats_match_pre_refactor_values() {
             .iter()
             .find(|r| r.0 == name)
             .unwrap_or_else(|| panic!("no expected row for {name}"));
-        let s = run_baseline_with(bc, OtBackend::Insecure, StreamConfig::default());
+        let s = baseline_stats(bc);
         assert_eq!(s.garbled_tables, row.1, "{name}: garbled_tables");
         assert_eq!(s.table_bytes, row.2, "{name}: table_bytes");
         assert_eq!(s.ots, row.3, "{name}: ots");
@@ -94,17 +94,17 @@ fn baseline_stats_match_pre_refactor_values() {
 fn stream_chunking_does_not_change_stats() {
     for bc in &table1_circuits(true)[..5] {
         let name = bc.circuit.name().to_string();
-        let lockstep = run_baseline_with(bc, OtBackend::Insecure, StreamConfig::lockstep());
-        let chunked = run_baseline_with(bc, OtBackend::Insecure, StreamConfig::chunked(1024));
-        let default = run_baseline_with(bc, OtBackend::Insecure, StreamConfig::default());
+        let baseline = SessionOptions::new().engine(EngineKind::Baseline);
+        let lockstep = run_stats(bc, &baseline.stream(StreamConfig::lockstep()));
+        let chunked = run_stats(bc, &baseline.stream(StreamConfig::chunked(1024)));
+        let default = baseline_stats(bc);
         assert_eq!(lockstep, chunked, "{name}: lockstep vs chunked");
         assert_eq!(lockstep, default, "{name}: lockstep vs default");
 
-        let skip_lockstep =
-            run_skipgate_with(bc, TwoPartyConfig::new().stream(StreamConfig::lockstep()));
-        let skip_chunked = run_skipgate_with(
+        let skip_lockstep = run_stats(bc, &SessionOptions::new().stream(StreamConfig::lockstep()));
+        let skip_chunked = run_stats(
             bc,
-            TwoPartyConfig::new().stream(StreamConfig::chunked(1024)),
+            &SessionOptions::new().stream(StreamConfig::chunked(1024)),
         );
         assert_eq!(skip_lockstep, skip_chunked, "{name}: skipgate streaming");
     }

@@ -1,56 +1,58 @@
-//! Cross-engine differential harness: every execution strategy must be
-//! *indistinguishable on the wire*.
+//! Cross-strategy differential harness: every way a session can run
+//! must be *indistinguishable* in what it computes and costs.
 //!
-//! The engines can walk a cycle in netlist order (wavefront batching)
-//! or execute a precomputed topological layer schedule
-//! ([`ScheduleMode::Layered`]), over any shard count. All of it is
-//! transport/compute-only: outputs, every cost counter and the exact
-//! bytes of the garbler's table stream must match the netlist-order
-//! unsharded run — on every pinned Table 1 circuit and on
-//! proptest-random circuits.
+//! The lane count picks the schedule: a single-lane session walks each
+//! cycle in netlist order (wavefront batching), an instanced session
+//! executes a precomputed topological layer schedule across its lanes
+//! and re-levels cycles whose alias edges cross static levels. Either
+//! runs over any shard count. Outputs and every per-lane cost counter
+//! must match the unsharded single-lane run — on every pinned Table 1
+//! circuit and on proptest-random circuits — and an instanced lane's
+//! garbled tables must be byte-identical to a single-lane session's.
 
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
-use arm2gc_bench::runner::{
-    run_baseline_outcome, run_skipgate_instanced_outcome, run_skipgate_outcome, run_skipgate_with,
-    table1_circuits,
-};
+use arm2gc_bench::runner::{run_session, run_stats, table1_circuits};
 use arm2gc_circuit::random::{random_circuit, random_inputs, RandomCircuitParams, TestRng};
 use arm2gc_circuit::sim::{PartyData, Simulator};
-use arm2gc_circuit::{Circuit, CircuitBuilder, OutputMode, Role, ScheduleMode};
+use arm2gc_circuit::{Circuit, CircuitBuilder, OutputMode, Role};
 use arm2gc_comm::{duplex, Channel, ChannelError};
 use arm2gc_core::{
-    run_skipgate_evaluator_instanced, run_skipgate_evaluator_scheduled,
-    run_skipgate_garbler_instanced, run_skipgate_garbler_scheduled, run_two_party_cfg,
-    run_two_party_instanced_cfg, shard_duplexes, OtBackend, OtConfig, ShardConfig, SkipGateOptions,
-    StreamConfig, TwoPartyConfig,
+    drive_evaluator, drive_garbler, run_two_party_opts, EngineKind, InstancedOutcome, OtBackend,
+    OtConfig, SessionOptions,
 };
 use arm2gc_crypto::Prg;
+use arm2gc_proto::Message;
 
-const MODES: [ScheduleMode; 2] = [ScheduleMode::Netlist, ScheduleMode::Layered];
 const SHARDS: [usize; 3] = [1, 2, 4];
 
-fn cfg(mode: ScheduleMode, shards: usize) -> TwoPartyConfig {
-    TwoPartyConfig::new()
-        .schedule(mode)
-        .shards(ShardConfig::new(shards))
+/// Runs one session of `circuit` with per-lane inputs; returns both
+/// parties' outcomes.
+fn two_party(
+    circuit: &Circuit,
+    lanes: &[(PartyData, PartyData, PartyData)],
+    cycles: usize,
+    opts: &SessionOptions,
+) -> (InstancedOutcome, InstancedOutcome) {
+    let alices: Vec<PartyData> = lanes.iter().map(|l| l.0.clone()).collect();
+    let bobs: Vec<PartyData> = lanes.iter().map(|l| l.1.clone()).collect();
+    let publics: Vec<PartyData> = lanes.iter().map(|l| l.2.clone()).collect();
+    run_two_party_opts(circuit, &alices, &bobs, &publics, cycles, opts)
 }
 
-/// SkipGate: all strategies agree with the netlist-order unsharded run
-/// on every cost counter (outputs are checked against the semantic
+/// SkipGate: every shard count agrees with the unsharded single-lane
+/// run on every cost counter (outputs are checked against the semantic
 /// expectation inside every run).
 #[test]
 fn skipgate_strategies_agree_on_table1() {
     for bc in &table1_circuits(true) {
         let name = bc.circuit.name().to_string();
-        let baseline = run_skipgate_with(bc, cfg(ScheduleMode::Netlist, 1));
-        for mode in MODES {
-            for shards in SHARDS {
-                let got = run_skipgate_with(bc, cfg(mode, shards));
-                assert_eq!(baseline, got, "{name}: skipgate {mode:?} x {shards} shards");
-            }
+        let reference = run_stats(bc, &SessionOptions::new());
+        for shards in SHARDS {
+            let got = run_stats(bc, &SessionOptions::new().shards(shards));
+            assert_eq!(reference, got, "{name}: skipgate x {shards} shards");
         }
     }
 }
@@ -58,52 +60,21 @@ fn skipgate_strategies_agree_on_table1() {
 /// Classic baseline engine: same invariant.
 #[test]
 fn baseline_strategies_agree_on_table1() {
+    let baseline = SessionOptions::new().engine(EngineKind::Baseline);
     for bc in &table1_circuits(true) {
         let name = bc.circuit.name().to_string();
-        let reference = run_baseline_outcome(
-            bc,
-            OtBackend::Insecure,
-            StreamConfig::default(),
-            ShardConfig::single(),
-            ScheduleMode::Netlist,
-        );
-        for mode in MODES {
-            for shards in SHARDS {
-                let got = run_baseline_outcome(
-                    bc,
-                    OtBackend::Insecure,
-                    StreamConfig::default(),
-                    ShardConfig::new(shards),
-                    mode,
-                );
-                assert_eq!(
-                    reference.stats, got.stats,
-                    "{name}: baseline {mode:?} x {shards} shards"
-                );
-                assert_eq!(reference.outputs, got.outputs, "{name}: outputs");
-            }
+        let reference = run_stats(bc, &baseline);
+        for shards in SHARDS {
+            let got = run_stats(bc, &baseline.shards(shards));
+            assert_eq!(reference, got, "{name}: baseline x {shards} shards");
         }
     }
 }
 
-/// A [`Channel`] wrapper recording every frame sent through it, so the
-/// garbler's exact wire transcript can be compared across strategies.
+/// A [`Channel`] wrapper recording every frame sent through it.
 struct Recording<C> {
     inner: C,
     sent: Arc<Mutex<Vec<Vec<u8>>>>,
-}
-
-impl<C> Recording<C> {
-    fn new(inner: C) -> (Self, Arc<Mutex<Vec<Vec<u8>>>>) {
-        let sent = Arc::new(Mutex::new(Vec::new()));
-        (
-            Self {
-                inner,
-                sent: Arc::clone(&sent),
-            },
-            sent,
-        )
-    }
 }
 
 impl<C: Channel> Channel for Recording<C> {
@@ -120,127 +91,80 @@ impl<C: Channel> Channel for Recording<C> {
     }
 }
 
-/// Runs the SkipGate protocol with deterministic PRG seeds and records
-/// the garbler's transcript: the frames of the main channel plus each
-/// shard sub-channel. Returns `(outputs, per-channel transcripts)`.
-#[allow(clippy::type_complexity)]
-fn skipgate_transcript(
+/// Runs one unsharded session through `drive_garbler`/`drive_evaluator`
+/// with fixed PRG seeds and returns the garbler's outcome plus every
+/// garbled table it sent, in wire order.
+fn garbled_tables(
     circuit: &Circuit,
-    alice: &PartyData,
-    bob: &PartyData,
-    public: &PartyData,
+    lanes: &[(PartyData, PartyData, PartyData)],
     cycles: usize,
-    mode: ScheduleMode,
-    shards: usize,
-) -> (Vec<Vec<bool>>, Vec<Vec<Vec<u8>>>) {
-    let shards = ShardConfig::new(shards);
+    opts: &SessionOptions,
+) -> (InstancedOutcome, Vec<Vec<u8>>) {
+    let alices: Vec<PartyData> = lanes.iter().map(|l| l.0.clone()).collect();
+    let bobs: Vec<PartyData> = lanes.iter().map(|l| l.1.clone()).collect();
+    let publics: Vec<PartyData> = lanes.iter().map(|l| l.2.clone()).collect();
     let (ca, mut cb) = duplex();
-    let (mut ca, main_rec) = Recording::new(ca);
-    let (g_shards, e_shards) = shard_duplexes(shards);
-    let mut recorders = vec![main_rec];
-    let g_shards: Vec<Box<dyn Channel>> = g_shards
-        .into_iter()
-        .map(|ch| {
-            let (rec, log) = Recording::new(ch);
-            recorders.push(log);
-            Box::new(rec) as Box<dyn Channel>
-        })
-        .collect();
-
-    let outputs = crossbeam::thread::scope(|s| {
-        let garbler = s.spawn(move |_| {
+    let sent = Arc::new(Mutex::new(Vec::new()));
+    let mut ca = Recording {
+        inner: ca,
+        sent: Arc::clone(&sent),
+    };
+    let outcome = std::thread::scope(|s| {
+        let garbler = s.spawn(|| {
             let mut prg = Prg::from_seed([71; 16]);
             let mut ot = OtBackend::Insecure.sender(OtConfig::TEST, &mut prg);
-            run_skipgate_garbler_scheduled(
-                circuit,
-                alice,
-                public,
+            let (c, ch) = (circuit, &mut ca);
+            drive_garbler(
+                c,
+                &alices,
+                &publics,
                 cycles,
-                &mut ca,
-                g_shards,
+                ch,
+                Vec::new(),
                 ot.as_mut(),
                 &mut prg,
-                SkipGateOptions::default(),
-                StreamConfig::default(),
-                shards,
-                mode,
+                opts,
             )
             .expect("garbler")
         });
         let mut prg = Prg::from_seed([72; 16]);
         let mut ot = OtBackend::Insecure.receiver(OtConfig::TEST, &mut prg);
-        let bob_out = run_skipgate_evaluator_scheduled(
+        let bob = drive_evaluator(
             circuit,
-            bob,
-            public,
+            &bobs,
+            &publics,
             cycles,
             &mut cb,
-            e_shards,
+            Vec::new(),
             ot.as_mut(),
-            SkipGateOptions::default(),
-            shards,
-            mode,
+            opts,
         )
         .expect("evaluator");
-        let alice_out = garbler.join().expect("garbler thread");
-        assert_eq!(alice_out.outputs, bob_out.outputs);
-        alice_out.outputs
-    })
-    .unwrap_or_else(|e| std::panic::resume_unwind(e));
-
-    let transcripts = recorders
+        let alice = garbler.join().expect("garbler thread");
+        for (a, b) in alice.lanes.iter().zip(&bob.lanes) {
+            assert_eq!(a.outputs, b.outputs, "parties agree on outputs");
+        }
+        alice
+    });
+    let bytes: Vec<u8> = sent
+        .lock()
+        .expect("transcript lock")
         .iter()
-        .map(|r| r.lock().expect("transcript lock").clone())
+        .filter_map(|frame| match Message::decode(frame) {
+            Ok(Message::Tables(bytes)) => Some(bytes),
+            _ => None,
+        })
+        .flatten()
         .collect();
-    (outputs, transcripts)
+    let tables = bytes.chunks(32).map(<[u8]>::to_vec).collect();
+    (outcome, tables)
 }
 
-/// The headline guarantee: the layer-scheduled garbler emits the
-/// byte-identical frame sequence on every channel — main and shard
-/// sub-channels — as the netlist-order walk, at 1 and 2 shards, with
-/// identical PRG seeds.
-#[test]
-fn layered_transcript_is_byte_identical() {
-    let circuits = table1_circuits(true);
-    // The seven cheap circuits, plus aes_128 — the circuit whose every
-    // cycle re-levels, so the byte-identity guarantee covers patched
-    // schedules too.
-    let aes = circuits.iter().filter(|bc| bc.circuit.name() == "aes_128");
-    for bc in circuits[..7].iter().chain(aes) {
-        let name = bc.circuit.name().to_string();
-        for shards in [1usize, 2] {
-            let (out_n, tx_n) = skipgate_transcript(
-                &bc.circuit,
-                &bc.alice,
-                &bc.bob,
-                &bc.public,
-                bc.cycles,
-                ScheduleMode::Netlist,
-                shards,
-            );
-            let (out_l, tx_l) = skipgate_transcript(
-                &bc.circuit,
-                &bc.alice,
-                &bc.bob,
-                &bc.public,
-                bc.cycles,
-                ScheduleMode::Layered,
-                shards,
-            );
-            assert_eq!(out_n, out_l, "{name}: outputs at {shards} shards");
-            assert_eq!(
-                tx_n.len(),
-                tx_l.len(),
-                "{name}: channel count at {shards} shards"
-            );
-            for (ch, (n, l)) in tx_n.iter().zip(&tx_l).enumerate() {
-                assert_eq!(
-                    n, l,
-                    "{name}: channel {ch} transcript differs at {shards} shards"
-                );
-            }
-        }
-    }
+/// Lane 0's tables out of a two-lane session whose lanes share every
+/// decision: the merged stream interleaves gate-major/lane-minor, so
+/// lane 0 owns every even slot.
+fn lane0(tables: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    tables.iter().step_by(2).cloned().collect()
 }
 
 /// Builds a circuit engineered to make the SkipGate decision pass emit
@@ -279,84 +203,88 @@ fn alias_cross_circuit(gadgets: usize, depth: usize, mode: OutputMode) -> Circui
     b.build()
 }
 
-/// Alias-heavy circuits whose alias edges cross static levels: layered
-/// runs must re-level (never fall back), agree with the simulator and
-/// the netlist walk on outputs and every cost counter, and emit the
-/// byte-identical transcript at every shard count.
+/// Alias-heavy circuits whose alias edges cross static levels: a
+/// two-lane session must re-level (never fall back) on every lane,
+/// agree with the simulator and the single-lane netlist walk on outputs
+/// and every cost counter at every shard count, and send lane 0's
+/// tables byte-identical to the single-lane session's.
 #[test]
 fn releveled_cycles_are_wire_identical_on_alias_crossing_circuits() {
+    const N: usize = 2;
     let gadgets = 3usize;
     for (cycles, mode) in [(1usize, OutputMode::FinalOnly), (3, OutputMode::PerCycle)] {
         let c = alias_cross_circuit(gadgets, 2, mode);
         let mut rng = TestRng::new(4242 + cycles as u64);
-        let (a, b, p) = random_inputs(&mut rng, &c, cycles);
-        let sim = Simulator::new(&c).run(&a, &b, &p, cycles);
-        let (ref_a, ref_b) =
-            run_two_party_cfg(&c, &a, &b, &p, cycles, cfg(ScheduleMode::Netlist, 1));
+        let inputs = random_inputs(&mut rng, &c, cycles);
+        let (a, b, p) = &inputs;
+        let sim = Simulator::new(&c).run(a, b, p, cycles);
+        let single = [inputs.clone()];
+        let (ref_a, ref_b) = two_party(&c, &single, cycles, &SessionOptions::new());
+        let (ref_a, ref_b) = (&ref_a.lanes[0], &ref_b.lanes[0]);
         assert_eq!(ref_a.outputs, sim.outputs, "netlist outputs vs simulator");
         assert_eq!(
             ref_a.batching.releveled_cycles, 0,
-            "netlist mode never re-levels"
+            "netlist never re-levels"
         );
+        let lanes = vec![inputs.clone(); N];
         for shards in SHARDS {
-            let (ga, gb) =
-                run_two_party_cfg(&c, &a, &b, &p, cycles, cfg(ScheduleMode::Layered, shards));
-            assert_eq!(
-                ga.outputs, sim.outputs,
-                "layered outputs at {shards} shards"
-            );
-            assert_eq!(gb.outputs, sim.outputs);
-            assert_eq!(ga.stats, ref_a.stats, "cost counters at {shards} shards");
-            assert_eq!(gb.stats, ref_b.stats);
-            assert_eq!(
-                ga.batching, gb.batching,
-                "parties agree on re-leveling stats"
-            );
+            let opts = SessionOptions::new().shards(shards).instances(N);
+            let (ga, gb) = two_party(&c, &lanes, cycles, &opts);
+            assert_eq!(ga.batching, gb.batching, "parties agree on re-leveling");
             assert_eq!(ga.batching.fallback_cycles, 0, "re-leveling, not fallback");
             assert_eq!(
-                ga.batching.releveled_cycles, cycles as u64,
-                "every cycle carries a crossing alias"
+                ga.batching.releveled_cycles,
+                (N * cycles) as u64,
+                "every cycle of every lane carries a crossing alias"
             );
             assert_eq!(
                 ga.batching.patched_gates,
-                (2 * gadgets * cycles) as u64,
-                "alias + its consumer move, per gadget per cycle"
+                (N * 2 * gadgets * cycles) as u64,
+                "alias + its consumer move, per gadget per cycle per lane"
             );
+            for (la, lb) in ga.lanes.iter().zip(&gb.lanes) {
+                assert_eq!(la.outputs, sim.outputs, "lane outputs at {shards} shards");
+                assert_eq!(lb.outputs, sim.outputs);
+                assert_eq!(la.stats, ref_a.stats, "cost counters at {shards} shards");
+                assert_eq!(lb.stats, ref_b.stats);
+            }
         }
-        // The headline wire guarantee, now covering re-leveled cycles.
-        for shards in SHARDS {
-            let (out_n, tx_n) =
-                skipgate_transcript(&c, &a, &b, &p, cycles, ScheduleMode::Netlist, shards);
-            let (out_l, tx_l) =
-                skipgate_transcript(&c, &a, &b, &p, cycles, ScheduleMode::Layered, shards);
-            assert_eq!(out_n, out_l);
-            assert_eq!(out_n, sim.outputs);
-            assert_eq!(tx_n, tx_l, "transcripts at {shards} shards");
-        }
+        // The wire guarantee, covering re-leveled cycles.
+        let (_, tx_single) = garbled_tables(&c, &single, cycles, &SessionOptions::new());
+        let (_, tx_inst) = garbled_tables(&c, &lanes, cycles, &SessionOptions::new().instances(N));
+        assert_eq!(tx_inst.len(), N * tx_single.len());
+        assert_eq!(
+            lane0(&tx_inst),
+            tx_single,
+            "lane 0 tables at {cycles} cycles"
+        );
     }
 }
 
 /// The fix this harness exists to pin: aes_128 used to fall back on
 /// all 10 cycles (610 netlist-shaped batches); re-leveling must keep
-/// it layered with strictly better occupancy and zero fallbacks.
+/// the instanced walk layered with strictly better per-lane occupancy
+/// than the netlist wavefronts and zero fallbacks.
 #[test]
 fn aes128_relevels_instead_of_falling_back() {
+    const N: usize = 2;
     let circuits = table1_circuits(true);
     let bc = circuits
         .iter()
         .find(|bc| bc.circuit.name() == "aes_128")
         .expect("aes_128 in the Table 1 quick set");
-    let netlist = run_skipgate_outcome(bc, cfg(ScheduleMode::Netlist, 1)).batching;
-    let layered = run_skipgate_outcome(bc, cfg(ScheduleMode::Layered, 1)).batching;
+    let netlist = run_session(bc, &SessionOptions::new()).batching;
+    let layered = run_session(bc, &SessionOptions::new().instances(N)).batching;
     assert_eq!(layered.fallback_cycles, 0, "no cycle falls back any more");
     assert_eq!(
-        layered.releveled_cycles, bc.cycles as u64,
-        "every aes cycle carries a crossing alias and re-levels"
+        layered.releveled_cycles,
+        (N * bc.cycles) as u64,
+        "every aes cycle of every lane carries a crossing alias and re-levels"
     );
     assert!(layered.patched_gates > 0);
     assert_eq!(netlist.releveled_cycles, 0);
     assert_eq!(netlist.fallback_cycles, 0);
-    assert_eq!(layered.batched_gates, netlist.batched_gates);
+    assert_eq!(layered.batched_gates, N as u64 * netlist.batched_gates);
     assert!(
         layered.batches < 610,
         "pre-fix fallback shape was 610 batches, got {}",
@@ -369,16 +297,16 @@ fn aes128_relevels_instead_of_falling_back() {
         netlist.batches
     );
     assert!(
-        layered.mean_batch() > netlist.mean_batch(),
-        "layered occupancy {:.2} not above wavefront {:.2}",
-        layered.mean_batch(),
+        layered.mean_batch_per_instance() > netlist.mean_batch(),
+        "layered per-lane occupancy {:.2} not above wavefront {:.2}",
+        layered.mean_batch_per_instance(),
         netlist.mean_batch()
     );
 }
 
 /// An all-public circuit: SkipGate resolves every gate locally, so the
 /// run forms zero batches — occupancy reporting must stay clean (0.0,
-/// never NaN/garbage) end to end.
+/// never NaN/garbage) end to end, under both schedules.
 #[test]
 fn all_public_run_reports_zero_batches_cleanly() {
     let mut b = CircuitBuilder::new("all_public");
@@ -389,92 +317,37 @@ fn all_public_run_reports_zero_batches_cleanly() {
     b.outputs(&[a0, a1, a2]);
     let c = b.build();
     let mut rng = TestRng::new(7);
-    let (a, bo, p) = random_inputs(&mut rng, &c, 1);
-    let sim = Simulator::new(&c).run(&a, &bo, &p, 1);
-    for mode in MODES {
-        let (ga, gb) = run_two_party_cfg(&c, &a, &bo, &p, 1, cfg(mode, 1));
-        assert_eq!(ga.outputs, sim.outputs, "{mode:?}");
-        assert_eq!(gb.outputs, sim.outputs);
-        assert_eq!(ga.stats.garbled_tables, 0);
-        assert_eq!(ga.batching.batches, 0, "{mode:?}: nothing to batch");
+    let inputs = random_inputs(&mut rng, &c, 1);
+    let sim = Simulator::new(&c).run(&inputs.0, &inputs.1, &inputs.2, 1);
+    for instances in [1, 2] {
+        let lanes = vec![inputs.clone(); instances];
+        let opts = SessionOptions::new().instances(instances);
+        let (ga, gb) = two_party(&c, &lanes, 1, &opts);
+        for lane in &ga.lanes {
+            assert_eq!(lane.outputs, sim.outputs, "{instances} lanes");
+            assert_eq!(lane.stats.garbled_tables, 0);
+        }
+        assert_eq!(gb.lanes[0].outputs, sim.outputs);
+        assert_eq!(
+            ga.batching.batches, 0,
+            "{instances} lanes: nothing to batch"
+        );
         assert_eq!(ga.batching.batched_gates, 0);
         assert_eq!(ga.batching.mean_batch(), 0.0);
         assert!(!ga.batching.mean_batch().is_nan());
+        assert_eq!(ga.batching.mean_batch_per_instance(), 0.0);
         assert_eq!(gb.batching.batches, 0);
         assert_eq!(gb.batching.mean_batch(), 0.0);
     }
 }
 
-/// Mixed-mode runs work: the schedule is a per-party compute detail, so
-/// a layered garbler interoperates with a netlist evaluator (and the
-/// transcript matches the all-netlist one).
-#[test]
-fn mixed_modes_interoperate() {
-    let bc = &table1_circuits(true)[4]; // hamming_32: pass + garble mix
-    let shards = ShardConfig::single();
-    let (ca, mut cb) = duplex();
-    let (mut ca, rec) = Recording::new(ca);
-    let outputs = crossbeam::thread::scope(|s| {
-        let garbler = s.spawn(move |_| {
-            let mut prg = Prg::from_seed([71; 16]);
-            let mut ot = OtBackend::Insecure.sender(OtConfig::TEST, &mut prg);
-            run_skipgate_garbler_scheduled(
-                &bc.circuit,
-                &bc.alice,
-                &bc.public,
-                bc.cycles,
-                &mut ca,
-                Vec::new(),
-                ot.as_mut(),
-                &mut prg,
-                SkipGateOptions::default(),
-                StreamConfig::default(),
-                shards,
-                ScheduleMode::Layered,
-            )
-            .expect("garbler")
-        });
-        let mut prg = Prg::from_seed([72; 16]);
-        let mut ot = OtBackend::Insecure.receiver(OtConfig::TEST, &mut prg);
-        let bob_out = run_skipgate_evaluator_scheduled(
-            &bc.circuit,
-            &bc.bob,
-            &bc.public,
-            bc.cycles,
-            &mut cb,
-            Vec::new(),
-            ot.as_mut(),
-            SkipGateOptions::default(),
-            shards,
-            ScheduleMode::Netlist,
-        )
-        .expect("evaluator");
-        let alice_out = garbler.join().expect("garbler thread");
-        assert_eq!(alice_out.outputs, bob_out.outputs);
-        alice_out.outputs
-    })
-    .unwrap_or_else(|e| std::panic::resume_unwind(e));
-    let got: Vec<bool> = outputs.concat();
-    assert_eq!(got, bc.expected, "mixed-mode output");
-
-    // And the layered garbler's transcript equals the all-netlist one.
-    let (_, tx_netlist) = skipgate_transcript(
-        &bc.circuit,
-        &bc.alice,
-        &bc.bob,
-        &bc.public,
-        bc.cycles,
-        ScheduleMode::Netlist,
-        1,
-    );
-    assert_eq!(*rec.lock().expect("lock"), tx_netlist[0]);
-}
-
 /// Layered batching is never worse than a cycle-per-batch floor, and on
-/// the chain-heavy Table 1 circuits it forms *wider* batches than the
-/// netlist-order wavefront — the whole point of the schedule.
+/// the chain-heavy Table 1 circuits each lane of the level schedule
+/// forms *wider* batches than the netlist-order wavefront — the whole
+/// point of the schedule.
 #[test]
 fn layered_beats_wavefront_on_chain_heavy_circuits() {
+    const N: u64 = 2;
     // mult_32 (shift-add chains) and matmul_3x3_32 interleave long
     // dependency chains in netlist order; the wavefront keeps breaking
     // at chain boundaries while the level schedule regroups them.
@@ -485,71 +358,70 @@ fn layered_beats_wavefront_on_chain_heavy_circuits() {
             .find(|bc| bc.circuit.name() == wanted)
             .unwrap_or_else(|| panic!("{wanted} missing from the Table 1 quick set"));
         let name = bc.circuit.name().to_string();
-        let netlist = run_skipgate_outcome(bc, cfg(ScheduleMode::Netlist, 1)).batching;
-        let layered = run_skipgate_outcome(bc, cfg(ScheduleMode::Layered, 1)).batching;
+        let netlist = run_session(bc, &SessionOptions::new()).batching;
+        let layered = run_session(bc, &SessionOptions::new().instances(N as usize)).batching;
         assert_eq!(
-            netlist.batched_gates, layered.batched_gates,
-            "{name}: same gates hashed"
+            N * netlist.batched_gates,
+            layered.batched_gates,
+            "{name}: same gates hashed per lane"
         );
         assert!(layered.levels > 0, "{name}: layered run reports levels");
+        assert_eq!(netlist.levels, 0, "{name}: the netlist walk has no levels");
         assert!(
-            layered.largest_batch >= netlist.largest_batch,
-            "{name}: layered largest batch {} < wavefront {}",
+            layered.largest_batch as u64 >= N * netlist.largest_batch as u64,
+            "{name}: layered largest batch {} < {N} x wavefront {}",
             layered.largest_batch,
             netlist.largest_batch
         );
         assert!(
-            layered.mean_batch() > netlist.mean_batch(),
-            "{name}: layered mean batch {:.2} not above wavefront {:.2}",
-            layered.mean_batch(),
+            layered.mean_batch_per_instance() > netlist.mean_batch(),
+            "{name}: layered per-lane mean batch {:.2} not above wavefront {:.2}",
+            layered.mean_batch_per_instance(),
             netlist.mean_batch()
         );
     }
 }
 
 /// Instanced runs on the Table 1 circuits: every lane's outputs and
-/// cost counters must equal a sequential run on the same inputs, under
-/// every sequential reference mode and at every shard count.
+/// cost counters must equal a single-lane session on the same inputs,
+/// at every shard count.
 #[test]
 fn instanced_lanes_match_sequential_on_table1() {
     const N: usize = 2;
     for bc in &table1_circuits(true) {
         let name = bc.circuit.name().to_string();
-        for mode in MODES {
-            let seq = run_skipgate_outcome(bc, cfg(mode, 1));
-            for shards in SHARDS {
-                let inst = run_skipgate_instanced_outcome(bc, cfg(mode, shards), N);
-                assert_eq!(inst.lanes.len(), N);
+        let seq = &run_session(bc, &SessionOptions::new()).lanes[0];
+        for shards in SHARDS {
+            let inst = run_session(bc, &SessionOptions::new().shards(shards).instances(N));
+            assert_eq!(inst.lanes.len(), N);
+            assert_eq!(
+                inst.batching.instances, N as u64,
+                "{name}: instanced stats carry the lane count"
+            );
+            for (lane, got) in inst.lanes.iter().enumerate() {
                 assert_eq!(
-                    inst.batching.instances, N as u64,
-                    "{name}: instanced stats carry the lane count"
+                    got.outputs, seq.outputs,
+                    "{name}: lane {lane} outputs at {shards} shards"
                 );
-                for (lane, got) in inst.lanes.iter().enumerate() {
-                    assert_eq!(
-                        got.outputs, seq.outputs,
-                        "{name}: lane {lane} outputs vs sequential {mode:?} x {shards} shards"
-                    );
-                    assert_eq!(
-                        got.stats, seq.stats,
-                        "{name}: lane {lane} stats vs sequential {mode:?} x {shards} shards"
-                    );
-                }
-                // Identical lanes share every decision, so the whole
-                // session hashes exactly one lane's gates N times.
                 assert_eq!(
-                    inst.batching.batched_gates,
-                    seq.batching.batched_gates * N as u64,
-                    "{name}: instanced hashes N lanes' gates"
+                    got.stats, seq.stats,
+                    "{name}: lane {lane} stats at {shards} shards"
                 );
             }
+            // Identical lanes share every decision, so the whole
+            // session hashes exactly one lane's gates N times.
+            assert_eq!(
+                inst.batching.batched_gates,
+                seq.batching.batched_gates * N as u64,
+                "{name}: instanced hashes N lanes' gates"
+            );
         }
     }
 }
 
-/// The instanced tentpole's amortization claim, pinned on the ISSUE's
-/// acceptance circuit: at N=8, matmul_3x3's session-wide mean batch
-/// must be at least 5x the single-instance layered width (and the
-/// per-instance amortized width must stay at least the N=1 width).
+/// The instanced amortization claim on matmul_3x3: at N=8 the
+/// session-wide mean batch must be at least 5x a single-lane session's
+/// (and the per-instance amortized width must stay at least that).
 #[test]
 fn instanced_matmul_batches_at_least_5x_wider() {
     let circuits = table1_circuits(true);
@@ -557,140 +429,20 @@ fn instanced_matmul_batches_at_least_5x_wider() {
         .iter()
         .find(|bc| bc.circuit.name() == "matmul_3x3_32")
         .expect("matmul_3x3_32 in the Table 1 quick set");
-    let single = run_skipgate_outcome(bc, cfg(ScheduleMode::Layered, 1)).batching;
-    let inst = run_skipgate_instanced_outcome(bc, TwoPartyConfig::default(), 8).batching;
+    let single = run_session(bc, &SessionOptions::new()).batching;
+    let inst = run_session(bc, &SessionOptions::new().instances(8)).batching;
     assert!(
         inst.mean_batch() >= 5.0 * single.mean_batch(),
-        "instanced N=8 mean batch {:.1} not 5x the single-instance {:.1}",
+        "instanced N=8 mean batch {:.1} not 5x the single-lane {:.1}",
         inst.mean_batch(),
         single.mean_batch()
     );
     assert!(
         inst.mean_batch_per_instance() >= single.mean_batch(),
-        "amortized width {:.1} fell below the N=1 width {:.1}",
+        "amortized width {:.1} fell below the single-lane width {:.1}",
         inst.mean_batch_per_instance(),
         single.mean_batch()
     );
-}
-
-/// Runs the instanced protocol with the same deterministic PRG seeds as
-/// [`skipgate_transcript`], recording the garbler's per-channel frames.
-#[allow(clippy::type_complexity)]
-fn instanced_transcript(
-    circuit: &Circuit,
-    alices: &[PartyData],
-    bobs: &[PartyData],
-    publics: &[PartyData],
-    cycles: usize,
-    shards: usize,
-) -> (Vec<Vec<Vec<bool>>>, Vec<Vec<Vec<u8>>>) {
-    let shards = ShardConfig::new(shards);
-    let (ca, mut cb) = duplex();
-    let (mut ca, main_rec) = Recording::new(ca);
-    let (g_shards, e_shards) = shard_duplexes(shards);
-    let mut recorders = vec![main_rec];
-    let g_shards: Vec<Box<dyn Channel>> = g_shards
-        .into_iter()
-        .map(|ch| {
-            let (rec, log) = Recording::new(ch);
-            recorders.push(log);
-            Box::new(rec) as Box<dyn Channel>
-        })
-        .collect();
-
-    let outputs = crossbeam::thread::scope(|s| {
-        let garbler = s.spawn(move |_| {
-            let mut prg = Prg::from_seed([71; 16]);
-            let mut ot = OtBackend::Insecure.sender(OtConfig::TEST, &mut prg);
-            run_skipgate_garbler_instanced(
-                circuit,
-                alices,
-                publics,
-                cycles,
-                &mut ca,
-                g_shards,
-                ot.as_mut(),
-                &mut prg,
-                SkipGateOptions::default(),
-                StreamConfig::default(),
-                shards,
-            )
-            .expect("instanced garbler")
-        });
-        let mut prg = Prg::from_seed([72; 16]);
-        let mut ot = OtBackend::Insecure.receiver(OtConfig::TEST, &mut prg);
-        let bob_out = run_skipgate_evaluator_instanced(
-            circuit,
-            bobs,
-            publics,
-            cycles,
-            &mut cb,
-            e_shards,
-            ot.as_mut(),
-            SkipGateOptions::default(),
-            shards,
-        )
-        .expect("instanced evaluator");
-        let alice_out = garbler.join().expect("garbler thread");
-        alice_out
-            .lanes
-            .iter()
-            .zip(&bob_out.lanes)
-            .for_each(|(a, b)| assert_eq!(a.outputs, b.outputs));
-        alice_out
-            .lanes
-            .into_iter()
-            .map(|l| l.outputs)
-            .collect::<Vec<_>>()
-    })
-    .unwrap_or_else(|e| std::panic::resume_unwind(e));
-
-    let transcripts = recorders
-        .iter()
-        .map(|r| r.lock().expect("transcript lock").clone())
-        .collect();
-    (outputs, transcripts)
-}
-
-/// The N=1 pin: a one-lane instanced session announces nothing extra
-/// and emits the byte-identical frame sequence — on the main channel
-/// and every shard sub-channel — as today's layered scheduled run with
-/// the same PRG seeds.
-#[test]
-fn single_lane_instanced_transcript_is_byte_identical() {
-    let circuits = table1_circuits(true);
-    let aes = circuits.iter().filter(|bc| bc.circuit.name() == "aes_128");
-    for bc in circuits[..7].iter().chain(aes) {
-        let name = bc.circuit.name().to_string();
-        for shards in [1usize, 2] {
-            let (out_seq, tx_seq) = skipgate_transcript(
-                &bc.circuit,
-                &bc.alice,
-                &bc.bob,
-                &bc.public,
-                bc.cycles,
-                ScheduleMode::Layered,
-                shards,
-            );
-            let (out_inst, tx_inst) = instanced_transcript(
-                &bc.circuit,
-                std::slice::from_ref(&bc.alice),
-                std::slice::from_ref(&bc.bob),
-                std::slice::from_ref(&bc.public),
-                bc.cycles,
-                shards,
-            );
-            assert_eq!(
-                out_inst,
-                vec![out_seq],
-                "{name}: outputs at {shards} shards"
-            );
-            assert_eq!(
-                tx_seq, tx_inst,
-                "{name}: N=1 instanced transcript differs at {shards} shards"
-            );
-        }
-    }
 }
 
 fn proptest_cases(default_cases: u32) -> ProptestConfig {
@@ -701,38 +453,55 @@ fn proptest_cases(default_cases: u32) -> ProptestConfig {
     }
 }
 
+fn random_params(seed: u64) -> RandomCircuitParams {
+    RandomCircuitParams {
+        inputs: (2, 2, 2),
+        dffs: 3,
+        gates: 40,
+        outputs: 4,
+        output_mode: if seed % 2 == 0 {
+            OutputMode::PerCycle
+        } else {
+            OutputMode::FinalOnly
+        },
+    }
+}
+
 proptest! {
     #![proptest_config(proptest_cases(48))]
 
-    /// Random sequential circuits: every strategy x shard combination
-    /// matches the cleartext simulator and the netlist-order stats.
+    /// Random sequential circuits: every shard count x lane count
+    /// matches the cleartext simulator and the unsharded single-lane
+    /// stats.
     #[test]
     fn strategies_agree_on_random_circuits(seed in 1u64..5000, cycles in 1usize..5, shards in 1usize..4) {
         let mut rng = TestRng::new(seed);
-        let params = RandomCircuitParams {
-            inputs: (2, 2, 2),
-            dffs: 3,
-            gates: 40,
-            outputs: 4,
-            output_mode: if seed % 2 == 0 { OutputMode::PerCycle } else { OutputMode::FinalOnly },
-        };
-        let c = random_circuit(&mut rng, params);
-        let (a, b, p) = random_inputs(&mut rng, &c, cycles);
-        let sim = Simulator::new(&c).run(&a, &b, &p, cycles);
-        let (ref_a, _) = run_two_party_cfg(&c, &a, &b, &p, cycles, cfg(ScheduleMode::Netlist, 1));
+        let c = random_circuit(&mut rng, random_params(seed));
+        let inputs = random_inputs(&mut rng, &c, cycles);
+        let sim = Simulator::new(&c).run(&inputs.0, &inputs.1, &inputs.2, cycles);
+        let single = [inputs.clone()];
+        let (ref_a, _) = two_party(&c, &single, cycles, &SessionOptions::new());
+        let ref_a = &ref_a.lanes[0];
         prop_assert_eq!(&ref_a.outputs, &sim.outputs);
-        for mode in MODES {
-            let (ga, gb) = run_two_party_cfg(&c, &a, &b, &p, cycles, cfg(mode, shards));
-            prop_assert_eq!(&ga.outputs, &sim.outputs);
-            prop_assert_eq!(&gb.outputs, &sim.outputs);
-            prop_assert_eq!(ga.stats, ref_a.stats);
-            prop_assert_eq!(ga.batching.batched_gates, ref_a.batching.batched_gates);
+        for instances in [1usize, 2] {
+            let lanes = vec![inputs.clone(); instances];
+            let opts = SessionOptions::new().shards(shards).instances(instances);
+            let (ga, gb) = two_party(&c, &lanes, cycles, &opts);
             // Re-leveling replaced the fallback entirely, and both
             // parties must derive the identical patch schedule.
             prop_assert_eq!(ga.batching.fallback_cycles, 0);
             prop_assert_eq!(ga.batching, gb.batching);
-            if matches!(mode, ScheduleMode::Netlist) {
+            prop_assert_eq!(
+                ga.batching.batched_gates,
+                instances as u64 * ref_a.batching.batched_gates
+            );
+            if instances == 1 {
                 prop_assert_eq!(ga.batching.releveled_cycles, 0);
+            }
+            for (la, lb) in ga.lanes.iter().zip(&gb.lanes) {
+                prop_assert_eq!(&la.outputs, &sim.outputs);
+                prop_assert_eq!(&lb.outputs, &sim.outputs);
+                prop_assert_eq!(la.stats, ref_a.stats);
             }
         }
     }
@@ -740,49 +509,41 @@ proptest! {
     /// Random circuits with *different* inputs per lane — public inputs
     /// included, so the per-lane decision vectors diverge and the
     /// per-lane re-leveling path is exercised. Every lane must equal
-    /// its own sequential run (simulator outputs + full cost counters).
+    /// its own single-lane session (simulator outputs + full cost
+    /// counters).
     #[test]
     fn instanced_diverging_lanes_match_sequential(seed in 1u64..5000, cycles in 1usize..4, shards in 1usize..4) {
         const N: usize = 3;
         let mut rng = TestRng::new(seed);
-        let params = RandomCircuitParams {
-            inputs: (2, 2, 2),
-            dffs: 3,
-            gates: 40,
-            outputs: 4,
-            output_mode: if seed % 2 == 0 { OutputMode::PerCycle } else { OutputMode::FinalOnly },
-        };
-        let c = random_circuit(&mut rng, params);
+        let c = random_circuit(&mut rng, random_params(seed));
         let lanes: Vec<(PartyData, PartyData, PartyData)> =
             (0..N).map(|_| random_inputs(&mut rng, &c, cycles)).collect();
-        let alices: Vec<PartyData> = lanes.iter().map(|l| l.0.clone()).collect();
-        let bobs: Vec<PartyData> = lanes.iter().map(|l| l.1.clone()).collect();
-        let publics: Vec<PartyData> = lanes.iter().map(|l| l.2.clone()).collect();
-        let (ia, ib) = run_two_party_instanced_cfg(
-            &c, &alices, &bobs, &publics, cycles, cfg(ScheduleMode::Layered, shards),
-        );
+        let opts = SessionOptions::new().shards(shards).instances(N);
+        let (ia, ib) = two_party(&c, &lanes, cycles, &opts);
         prop_assert_eq!(ia.batching, ib.batching);
         prop_assert_eq!(ia.batching.instances, N as u64);
         prop_assert_eq!(ia.batching.fallback_cycles, 0);
-        for (lane, (a, b, p)) in lanes.iter().enumerate() {
-            let sim = Simulator::new(&c).run(a, b, p, cycles);
-            let (sa, _) = run_two_party_cfg(&c, a, b, p, cycles, cfg(ScheduleMode::Layered, 1));
-            prop_assert_eq!(&sa.outputs, &sim.outputs);
+        for (lane, inputs) in lanes.iter().enumerate() {
+            let sim = Simulator::new(&c).run(&inputs.0, &inputs.1, &inputs.2, cycles);
+            let (sa, _) = two_party(&c, std::slice::from_ref(inputs), cycles, &SessionOptions::new());
+            prop_assert_eq!(&sa.lanes[0].outputs, &sim.outputs);
             prop_assert_eq!(&ia.lanes[lane].outputs, &sim.outputs, "lane {} outputs", lane);
             prop_assert_eq!(&ib.lanes[lane].outputs, &sim.outputs);
-            prop_assert_eq!(ia.lanes[lane].stats, sa.stats, "lane {} stats", lane);
+            prop_assert_eq!(ia.lanes[lane].stats, sa.lanes[0].stats, "lane {} stats", lane);
         }
     }
 }
 
 /// Slow tier: a pathological all-chain circuit — every AND feeds the
-/// next — must degrade to batch width 1 under the layer schedule (and
-/// still match the netlist transcript), while a maximally wide circuit
-/// must reach a batch of level size. `cargo test -- --ignored`.
+/// next — must degrade to one gate per lane per batch under the layer
+/// schedule (and lane 0 must still send the single-lane session's
+/// tables), while a maximally wide circuit must reach a batch of level
+/// size. `cargo test -- --ignored`.
 #[test]
 #[ignore = "slow tier: deep pathological schedules"]
 fn deep_chain_and_wide_parallel_extremes() {
     const N: usize = 2000;
+    const LANES: usize = 2;
 
     // All-chain: c_0 = a_0 & b_0; c_i = c_{i-1} & b_i.
     let mut b = CircuitBuilder::new("deep_chain");
@@ -795,26 +556,26 @@ fn deep_chain_and_wide_parallel_extremes() {
     b.output(acc);
     let chain = b.build();
 
-    let alice = PartyData::from_stream(vec![vec![true]]);
-    let bob = PartyData::from_stream(vec![vec![true; N]]);
-    let public = PartyData::default();
-    let (chain_out, _) = run_two_party_cfg(
-        &chain,
-        &alice,
-        &bob,
-        &public,
-        1,
-        cfg(ScheduleMode::Layered, 1),
+    let inputs = (
+        PartyData::from_stream(vec![vec![true]]),
+        PartyData::from_stream(vec![vec![true; N]]),
+        PartyData::default(),
     );
-    assert_eq!(chain_out.outputs, vec![vec![true]]);
+    let lanes = vec![inputs.clone(); LANES];
+    let opts = SessionOptions::new().instances(LANES);
+    let (chain_out, tx_inst) = garbled_tables(&chain, &lanes, 1, &opts);
+    assert_eq!(chain_out.lanes[0].outputs, vec![vec![true]]);
     assert_eq!(chain_out.batching.levels, N as u64, "one level per link");
-    assert_eq!(chain_out.batching.largest_batch, 1, "chains cannot batch");
-    let (tx_n_out, tx_n) =
-        skipgate_transcript(&chain, &alice, &bob, &public, 1, ScheduleMode::Netlist, 1);
-    let (tx_l_out, tx_l) =
-        skipgate_transcript(&chain, &alice, &bob, &public, 1, ScheduleMode::Layered, 1);
-    assert_eq!(tx_n_out, tx_l_out);
-    assert_eq!(tx_n, tx_l, "deep chain: transcripts match");
+    assert_eq!(
+        chain_out.batching.largest_batch, LANES,
+        "chains cannot batch"
+    );
+    let (_, tx_single) = garbled_tables(&chain, &[inputs], 1, &SessionOptions::new());
+    assert_eq!(
+        lane0(&tx_inst),
+        tx_single,
+        "deep chain: lane 0 tables match"
+    );
 
     // All-parallel: N independent ANDs — one level, one full-width batch.
     let mut b = CircuitBuilder::new("wide_parallel");
@@ -825,14 +586,15 @@ fn deep_chain_and_wide_parallel_extremes() {
     let wide = b.build();
 
     let mut rng = TestRng::new(99);
-    let (a, bo, p) = random_inputs(&mut rng, &wide, 1);
-    let sim = Simulator::new(&wide).run(&a, &bo, &p, 1);
-    let (wide_out, _) = run_two_party_cfg(&wide, &a, &bo, &p, 1, cfg(ScheduleMode::Layered, 1));
-    assert_eq!(wide_out.outputs, sim.outputs);
+    let inputs = random_inputs(&mut rng, &wide, 1);
+    let sim = Simulator::new(&wide).run(&inputs.0, &inputs.1, &inputs.2, 1);
+    let (wide_out, _) = two_party(&wide, &vec![inputs; LANES], 1, &opts);
+    assert_eq!(wide_out.lanes[0].outputs, sim.outputs);
     assert_eq!(wide_out.batching.levels, 1, "all gates share one level");
     assert_eq!(
-        wide_out.batching.largest_batch, N,
-        "wide circuit batches the whole level"
+        wide_out.batching.largest_batch,
+        N * LANES,
+        "wide circuit batches the whole level across lanes"
     );
     assert_eq!(wide_out.batching.batches, 1);
 }

@@ -51,6 +51,6 @@ pub mod words;
 
 pub use builder::{Bus, CircuitBuilder, Ram, RamConfig};
 pub use ir::{Circuit, Dff, DffInit, Gate, Op, OutputMode, Role, WireId};
-pub use schedule::{CycleDep, CyclePatch, LayerSchedule, ScheduleMode};
+pub use schedule::{CycleDep, CyclePatch, LayerSchedule};
 pub use sim::Simulator;
 pub use words::{bits_to_u32, bits_to_u64, u32_to_bits, u64_to_bits};

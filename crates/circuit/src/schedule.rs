@@ -1,14 +1,16 @@
 //! Precomputed topological layer schedules for the garbling hot loop.
 //!
 //! The wavefront batchers in `arm2gc-garble` discover parallelism *on
-//! the fly* inside the netlist-order walk of one cycle: a wavefront
-//! ends at the first gate that consumes a label the current batch still
-//! owes. A [`LayerSchedule`] instead levels the circuit once — ASAP
-//! (as-soon-as-possible) topological levels — and is reused for every
-//! clock cycle: ARM2GC garbles the *same* CPU circuit every cycle, so
-//! the cost of scheduling amortises to zero while every level's
-//! nonlinear gates can hash through the wide AES core in a single
-//! batch, however the netlist interleaves its dependency chains.
+//! the fly* inside the netlist-order walk of one cycle (what a
+//! single-lane session runs): a wavefront ends at the first gate that
+//! consumes a label the current batch still owes. A [`LayerSchedule`]
+//! instead levels the circuit once — ASAP (as-soon-as-possible)
+//! topological levels — and is reused for every clock cycle of an
+//! instanced session: every lane runs the *same* circuit every cycle,
+//! so the cost of scheduling amortises to zero while every level's
+//! nonlinear gates, across all lanes, hash through the wide AES core in
+//! a single batch, however the netlist interleaves its dependency
+//! chains.
 //!
 //! The schedule only reorders *computation*. Garbled tables still go on
 //! the wire in exact netlist gate order ([`LayerSchedule::nonlinear_ordinal`]
@@ -17,22 +19,6 @@
 //! strategy-equivalence suite in `arm2gc-bench` pins exactly that.
 
 use crate::ir::Circuit;
-
-/// How an engine orders the label computations of one clock cycle.
-///
-/// Both modes produce byte-identical protocol transcripts (tables are
-/// always emitted in netlist gate order); they differ only in how many
-/// independent nonlinear gates reach the batched hash at once.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScheduleMode {
-    /// Walk gates in netlist order, batching maximal ready runs on the
-    /// fly (the wavefront scheduler).
-    #[default]
-    Netlist,
-    /// Execute a precomputed [`LayerSchedule`] level by level, hashing
-    /// each level's nonlinear gates in one batch.
-    Layered,
-}
 
 /// A precomputed ASAP topological level schedule for one [`Circuit`].
 ///

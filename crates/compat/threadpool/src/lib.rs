@@ -109,6 +109,12 @@ fn worker_loop(inner: &Inner) {
             let mut queue = inner.queue.lock().unwrap();
             loop {
                 if let Some(job) = queue.pop_front() {
+                    // Count the job as active before it stops counting
+                    // as queued, both under the lock join() checks
+                    // with: otherwise join() can see an empty queue and
+                    // no active job while this one is about to run.
+                    inner.active.fetch_add(1, Ordering::SeqCst);
+                    inner.queued.fetch_sub(1, Ordering::SeqCst);
                     break job;
                 }
                 if inner.shutdown.load(Ordering::SeqCst) {
@@ -117,8 +123,6 @@ fn worker_loop(inner: &Inner) {
                 queue = inner.job_cv.wait(queue).unwrap();
             }
         };
-        inner.queued.fetch_sub(1, Ordering::SeqCst);
-        inner.active.fetch_add(1, Ordering::SeqCst);
         // A panicking job takes down its worker thread only; the
         // counters stay consistent via this scope guard pattern.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
@@ -156,6 +160,25 @@ mod tests {
         assert_eq!(counter.load(Ordering::SeqCst), 64);
         assert_eq!(pool.active_count(), 0);
         assert_eq!(pool.queued_count(), 0);
+    }
+
+    /// join() must not return while a popped job has yet to run: the
+    /// worker has to count the job active before it releases the queue
+    /// lock, or join() can find an empty queue and nothing active.
+    #[test]
+    fn join_waits_for_a_job_a_worker_just_popped() {
+        for _ in 0..3_000 {
+            let pool = ThreadPool::new(2);
+            let counter = Arc::new(AtomicUsize::new(0));
+            for _ in 0..4 {
+                let counter = Arc::clone(&counter);
+                pool.execute(move || {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            pool.join();
+            assert_eq!(counter.load(Ordering::SeqCst), 4);
+        }
     }
 
     #[test]

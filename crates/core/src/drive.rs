@@ -1,14 +1,12 @@
-//! The two unified session drivers: [`drive_garbler`] and
-//! [`drive_evaluator`].
+//! The two session drivers: [`drive_garbler`] and [`drive_evaluator`].
 //!
 //! One [`SessionOptions`] value selects everything a session can vary —
-//! engine, schedule, shard count, lane count, OT backend, streaming —
-//! and the drivers dispatch to the same engine internals the legacy
-//! `run_*` explosion called directly, so transcripts are byte-identical
-//! to the historical entry points (see the migration map on
-//! [`crate::options`]). Both drivers validate the configuration *first*:
-//! a zero shard or lane count is a typed
-//! [`ConfigError`] carried as
+//! engine, shard count, lane count, OT backend, streaming — and the
+//! drivers dispatch to the engine internals. The lane count also picks
+//! the schedule: one lane walks each cycle in netlist order, several
+//! lanes run the layered struct-of-arrays loop (see
+//! [`crate::engine`]). Both drivers validate the configuration *first*:
+//! a zero shard or lane count is a typed [`ConfigError`] carried as
 //! [`ProtocolError::Config`], raised before any protocol state exists.
 //!
 //! Inputs are always lane-shaped (`&[PartyData]`, one entry per
@@ -20,15 +18,13 @@ use arm2gc_circuit::sim::PartyData;
 use arm2gc_circuit::Circuit;
 use arm2gc_comm::{duplex, Channel};
 use arm2gc_crypto::Prg;
-use arm2gc_garble::engine::ProtocolError;
-use arm2gc_garble::GarbleOutcome;
 use arm2gc_ot::{OtReceiver, OtSender};
-use arm2gc_proto::ConfigError;
+use arm2gc_proto::{ConfigError, ProtoError as ProtocolError};
 
+use crate::baseline;
 use crate::engine::{
-    run_skipgate_evaluator_instanced, run_skipgate_evaluator_scheduled,
-    run_skipgate_garbler_instanced, run_skipgate_garbler_scheduled, shard_duplexes,
-    InstancedOutcome, SkipGateOutcome, SkipGateStats,
+    evaluate_instanced, evaluate_netlist, garble_instanced, garble_netlist, shard_duplexes,
+    InstancedOutcome, SkipGateOutcome,
 };
 use crate::options::{EngineKind, SessionOptions};
 
@@ -44,23 +40,6 @@ fn check_lanes(opts: &SessionOptions, got: usize) -> Result<(), ProtocolError> {
     Ok(())
 }
 
-/// Lifts a baseline outcome into the SkipGate shape: the classic engine
-/// garbles every nonlinear gate, so the SkipGate-only counters are
-/// identically zero.
-fn lift_baseline(o: GarbleOutcome) -> SkipGateOutcome {
-    SkipGateOutcome {
-        outputs: o.outputs,
-        stats: SkipGateStats {
-            garbled_tables: o.stats.garbled_tables,
-            table_bytes: o.stats.table_bytes,
-            ots: o.stats.ots,
-            cycles_run: o.stats.cycles_run,
-            ..SkipGateStats::default()
-        },
-        batching: o.batching,
-    }
-}
-
 fn singleton(outcome: SkipGateOutcome) -> InstancedOutcome {
     let batching = outcome.batching;
     InstancedOutcome {
@@ -74,12 +53,12 @@ fn singleton(outcome: SkipGateOutcome) -> InstancedOutcome {
 /// `alices` and `publics` carry one [`PartyData`] per configured lane
 /// (`opts.instances` entries each). Dispatch:
 ///
-/// * [`EngineKind::Baseline`] — the classic engine's scheduled run
+/// * [`EngineKind::Baseline`] — the classic engine, netlist walk
 ///   (single lane only; [`ConfigError::BaselineInstanced`] otherwise);
-/// * [`EngineKind::SkipGate`], one lane — the scheduled SkipGate run,
-///   honouring `opts.schedule`;
+/// * [`EngineKind::SkipGate`], one lane — the netlist-order wavefront
+///   walk, streaming tables as they are hashed;
 /// * [`EngineKind::SkipGate`], several lanes — the cross-instance
-///   batched run (always layer-scheduled).
+///   layered walk.
 ///
 /// # Errors
 /// [`ProtocolError::Config`] when `opts` fails validation or the lane
@@ -102,7 +81,7 @@ pub fn drive_garbler(
     check_lanes(opts, alices.len())?;
     check_lanes(opts, publics.len())?;
     match (opts.engine, opts.instances) {
-        (EngineKind::Baseline, _) => arm2gc_garble::engine::run_garbler_scheduled(
+        (EngineKind::Baseline, _) => baseline::garble(
             circuit,
             &alices[0],
             &publics[0],
@@ -113,11 +92,9 @@ pub fn drive_garbler(
             prg,
             opts.stream,
             shards,
-            opts.schedule,
         )
-        .map(lift_baseline)
         .map(singleton),
-        (EngineKind::SkipGate, 1) => run_skipgate_garbler_scheduled(
+        (EngineKind::SkipGate, 1) => garble_netlist(
             circuit,
             &alices[0],
             &publics[0],
@@ -126,24 +103,12 @@ pub fn drive_garbler(
             shard_chs,
             ot,
             prg,
-            opts.skipgate,
-            opts.stream,
+            opts,
             shards,
-            opts.schedule,
         )
         .map(singleton),
-        (EngineKind::SkipGate, _) => run_skipgate_garbler_instanced(
-            circuit,
-            alices,
-            publics,
-            cycles,
-            ch,
-            shard_chs,
-            ot,
-            prg,
-            opts.skipgate,
-            opts.stream,
-            shards,
+        (EngineKind::SkipGate, _) => garble_instanced(
+            circuit, alices, publics, cycles, ch, shard_chs, ot, prg, opts, shards,
         ),
     }
 }
@@ -173,19 +138,10 @@ pub fn drive_evaluator(
     check_lanes(opts, bobs.len())?;
     check_lanes(opts, publics.len())?;
     match (opts.engine, opts.instances) {
-        (EngineKind::Baseline, _) => arm2gc_garble::engine::run_evaluator_scheduled(
-            circuit,
-            &bobs[0],
-            cycles,
-            ch,
-            shard_chs,
-            ot,
-            shards,
-            opts.schedule,
-        )
-        .map(lift_baseline)
-        .map(singleton),
-        (EngineKind::SkipGate, 1) => run_skipgate_evaluator_scheduled(
+        (EngineKind::Baseline, _) => {
+            baseline::evaluate(circuit, &bobs[0], cycles, ch, shard_chs, ot, shards).map(singleton)
+        }
+        (EngineKind::SkipGate, 1) => evaluate_netlist(
             circuit,
             &bobs[0],
             &publics[0],
@@ -193,29 +149,19 @@ pub fn drive_evaluator(
             ch,
             shard_chs,
             ot,
-            opts.skipgate,
+            opts,
             shards,
-            opts.schedule,
         )
         .map(singleton),
-        (EngineKind::SkipGate, _) => run_skipgate_evaluator_instanced(
-            circuit,
-            bobs,
-            publics,
-            cycles,
-            ch,
-            shard_chs,
-            ot,
-            opts.skipgate,
-            shards,
+        (EngineKind::SkipGate, _) => evaluate_instanced(
+            circuit, bobs, publics, cycles, ch, shard_chs, ot, opts, shards,
         ),
     }
 }
 
 /// Convenience: drives both parties on two threads over in-memory
-/// channels — the unified replacement for the
-/// `run_two_party{,_with,_cfg,_instanced_cfg}` quartet. Returns
-/// `(alice_outcome, bob_outcome)`.
+/// channels, each with a fresh entropy-seeded PRG and `opts.ot`
+/// endpoints. Returns `(alice_outcome, bob_outcome)`.
 ///
 /// # Panics
 /// Panics if either party fails (test harness semantics), including on

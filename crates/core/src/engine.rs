@@ -1,6 +1,7 @@
 //! The two-party SkipGate protocol (Algorithms 1 and 2).
 //!
-//! Differences from the classic engine in `arm2gc_garble`:
+//! Differences from the classic baseline engine
+//! ([`EngineKind::Baseline`](crate::options::EngineKind::Baseline)):
 //!
 //! * the public input `p` (constants, `Public` flip-flop initialisation,
 //!   `Public` input streams) never gets labels — both parties track its
@@ -12,33 +13,43 @@
 //! * output bits on public wires are reported without interaction; only
 //!   secret outputs go through the colour-bit exchange.
 //!
+//! # Schedules
+//!
+//! The lane count picks the schedule; there is no other knob. A
+//! single-lane session walks each cycle in netlist order and batches
+//! wavefronts on the fly (`garble_netlist` / `evaluate_netlist`):
+//! tables stream out as they are hashed, so the evaluator overlaps with
+//! the garbler and the working set stays one cycle's labels. An
+//! instanced session executes a precomputed [`LayerSchedule`] across
+//! all lanes (`garble_instanced` / `evaluate_instanced`): each
+//! level hashes every lane's surviving gates in one batch, and a cycle
+//! whose alias edges cross static levels is re-leveled
+//! ([`LayerSchedule::relevel_cycle`]). Both walks emit tables in
+//! netlist order, so the transcript never depends on the schedule.
+//!
 //! Transport is the shared typed session layer ([`arm2gc_proto`]): both
 //! engines deliver labels, stream tables and reveal outputs through the
-//! same [`GarblerSession`]/[`EvaluatorSession`] code paths. The
-//! `_sharded` entry points split the table stream across several
-//! sub-channels ([`ShardConfig`]): the SkipGate decision pass is shared
-//! and deterministic, so each cycle's surviving-table count — and hence
-//! the per-cycle shard partition — is known to both parties without
-//! coordination.
+//! same [`GarblerSession`]/[`EvaluatorSession`] code paths, optionally
+//! splitting the table stream across sub-channels ([`ShardConfig`]):
+//! the SkipGate decision pass is shared and deterministic, so each
+//! cycle's surviving-table count — and hence the per-cycle shard
+//! partition — is known to both parties without coordination.
 
 use arm2gc_circuit::sim::PartyData;
 use arm2gc_circuit::{
-    Circuit, CycleDep, CyclePatch, DffInit, LayerSchedule, Op, OutputMode, Role, ScheduleMode,
-    WireId,
+    Circuit, CycleDep, CyclePatch, DffInit, LayerSchedule, Op, OutputMode, Role, WireId,
 };
 use arm2gc_comm::{duplex, Channel};
 use arm2gc_crypto::{Label, Prg};
-use arm2gc_garble::engine::ProtocolError;
 use arm2gc_garble::{
-    EvalInstanced, EvalLayered, EvalWavefront, GarbleInstanced, GarbleLayered, GarbleWavefront,
-    GarbledTable, HalfGateEvaluator, HalfGateGarbler, WavefrontStats,
+    EvalLayered, EvalWavefront, GarbleLayered, GarbleWavefront, GarbledTable, HalfGateEvaluator,
+    HalfGateGarbler, WavefrontStats,
 };
 use arm2gc_ot::{OtReceiver, OtSender};
-use arm2gc_proto::{
-    EvaluatorSession, GarblerSession, OtBackend, OtConfig, ShardConfig, StreamConfig,
-};
+use arm2gc_proto::{EvaluatorSession, GarblerSession, ProtoError as ProtocolError, ShardConfig};
 
 use crate::decide::{CycleDecisions, DecideContext, GateDecision};
+use crate::options::SessionOptions;
 use crate::state::WireVal;
 use crate::tag::TagAllocator;
 
@@ -72,7 +83,7 @@ pub struct SkipGateOutcome {
     /// Cost counters.
     pub stats: SkipGateStats,
     /// How well the surviving nonlinear gates batched through the wide
-    /// AES core (wavefront or layer-scheduled, per [`ScheduleMode`]).
+    /// AES core (wavefronts for one lane, schedule levels for several).
     /// Not a protocol cost — identical transcripts can batch
     /// differently.
     pub batching: WavefrontStats,
@@ -239,87 +250,6 @@ impl Default for SkipGateOptions {
     }
 }
 
-/// Full configuration of an in-process two-party run: SkipGate options
-/// plus the session layer's OT backend, table-streaming chunking and
-/// table-stream sharding.
-///
-/// `#[non_exhaustive]`: construct with [`TwoPartyConfig::new`] (or
-/// `default()`) and the chained setters, not a struct literal. New code
-/// should prefer the engine-agnostic
-/// [`SessionOptions`](crate::options::SessionOptions) +
-/// [`run_two_party_opts`](crate::drive::run_two_party_opts) surface;
-/// this type remains the configuration of the legacy
-/// [`run_two_party_cfg`] / [`run_two_party_instanced_cfg`] harnesses.
-#[non_exhaustive]
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TwoPartyConfig {
-    /// SkipGate decision-engine options.
-    pub options: SkipGateOptions,
-    /// Which OT stack the parties use.
-    pub ot: OtBackend,
-    /// The base-OT group for [`OtBackend::NaorPinkasIknp`] (ignored by
-    /// the insecure backend). Defaults to the production group.
-    pub ot_config: OtConfig,
-    /// Garbler-side table-streaming configuration.
-    pub stream: StreamConfig,
-    /// How many parallel sub-streams carry the table stream.
-    pub shards: ShardConfig,
-    /// How each cycle's label computations are ordered (netlist-order
-    /// wavefront vs precomputed topological layers). Transport-only
-    /// for the transcript: both modes are byte-identical on the wire.
-    pub schedule: ScheduleMode,
-}
-
-impl TwoPartyConfig {
-    /// The default configuration (SkipGate defaults, insecure OT,
-    /// default streaming, unsharded, netlist schedule).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the SkipGate decision-engine options.
-    #[must_use]
-    pub fn options(mut self, options: SkipGateOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Selects the OT backend.
-    #[must_use]
-    pub fn ot(mut self, ot: OtBackend) -> Self {
-        self.ot = ot;
-        self
-    }
-
-    /// Selects the Naor–Pinkas base-OT group.
-    #[must_use]
-    pub fn ot_config(mut self, ot_config: OtConfig) -> Self {
-        self.ot_config = ot_config;
-        self
-    }
-
-    /// Sets the garbler-side table-streaming configuration.
-    #[must_use]
-    pub fn stream(mut self, stream: StreamConfig) -> Self {
-        self.stream = stream;
-        self
-    }
-
-    /// Sets the table-stream shard configuration.
-    #[must_use]
-    pub fn shards(mut self, shards: ShardConfig) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Selects the per-cycle execution schedule.
-    #[must_use]
-    pub fn schedule(mut self, schedule: ScheduleMode) -> Self {
-        self.schedule = schedule;
-        self
-    }
-}
-
 /// Per-cycle layering plan: fills `ordinals` with each gate's emission
 /// slot (its index among `Garble` decisions in netlist order, or
 /// `u32::MAX`) and prepares `patch` for the cycle. The decision pass
@@ -379,77 +309,13 @@ fn layer_cycle_plan(
     )
 }
 
-/// Runs Alice's side (Algorithm 1) with the default streaming
-/// configuration: garbles only what SkipGate keeps.
-///
-/// # Errors
-/// Propagates channel and OT failures.
+/// Alice's side of a single-lane session (Algorithm 1): garbles only
+/// what SkipGate keeps. Each cycle is walked in netlist order through
+/// the wavefront batcher, which hands every table to the session as
+/// soon as its wavefront is hashed, so the evaluator starts consuming a
+/// cycle before the garbler has finished it.
 #[allow(clippy::too_many_arguments)]
-pub fn run_skipgate_garbler(
-    circuit: &Circuit,
-    alice: &PartyData,
-    public: &PartyData,
-    cycles: usize,
-    ch: &mut dyn Channel,
-    ot: &mut dyn OtSender,
-    prg: &mut Prg,
-    options: SkipGateOptions,
-) -> Result<SkipGateOutcome, ProtocolError> {
-    run_skipgate_garbler_with(
-        circuit,
-        alice,
-        public,
-        cycles,
-        ch,
-        ot,
-        prg,
-        options,
-        StreamConfig::default(),
-    )
-}
-
-/// [`run_skipgate_garbler`] with an explicit table-streaming
-/// configuration.
-///
-/// # Errors
-/// Propagates channel and OT failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run_skipgate_garbler_with(
-    circuit: &Circuit,
-    alice: &PartyData,
-    public: &PartyData,
-    cycles: usize,
-    ch: &mut dyn Channel,
-    ot: &mut dyn OtSender,
-    prg: &mut Prg,
-    options: SkipGateOptions,
-    stream: StreamConfig,
-) -> Result<SkipGateOutcome, ProtocolError> {
-    run_skipgate_garbler_sharded(
-        circuit,
-        alice,
-        public,
-        cycles,
-        ch,
-        Vec::new(),
-        ot,
-        prg,
-        options,
-        stream,
-        ShardConfig::single(),
-    )
-}
-
-/// [`run_skipgate_garbler_with`] over a sharded table stream: each
-/// shard's slice of every cycle's surviving tables travels on its own
-/// channel from `shard_chs`, framed and sent by a dedicated worker
-/// thread. With [`ShardConfig::single`] (and no shard channels) this is
-/// exactly [`run_skipgate_garbler_with`].
-///
-/// # Errors
-/// Propagates channel and OT failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run_skipgate_garbler_sharded(
+pub(crate) fn garble_netlist(
     circuit: &Circuit,
     alice: &PartyData,
     public: &PartyData,
@@ -458,57 +324,14 @@ pub fn run_skipgate_garbler_sharded(
     shard_chs: Vec<Box<dyn Channel>>,
     ot: &mut dyn OtSender,
     prg: &mut Prg,
-    options: SkipGateOptions,
-    stream: StreamConfig,
+    opts: &SessionOptions,
     shards: ShardConfig,
 ) -> Result<SkipGateOutcome, ProtocolError> {
-    run_skipgate_garbler_scheduled(
-        circuit,
-        alice,
-        public,
-        cycles,
-        ch,
-        shard_chs,
-        ot,
-        prg,
-        options,
-        stream,
-        shards,
-        ScheduleMode::Netlist,
-    )
-}
-
-/// [`run_skipgate_garbler_sharded`] with an explicit execution
-/// schedule. With [`ScheduleMode::Layered`] the circuit is levelled
-/// once and the schedule is reused every cycle: each level's surviving
-/// `Garble` gates hash in one batch and tables are emitted in netlist
-/// order. Cycles whose alias edges the static levels cannot honour are
-/// re-leveled incrementally — only the affected gates move to deeper
-/// levels for that cycle (both parties compute the identical patch
-/// without coordination, since the decision pass is shared) — the
-/// transcript is byte-identical to the netlist-order walk either way.
-///
-/// # Errors
-/// Propagates channel and OT failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run_skipgate_garbler_scheduled(
-    circuit: &Circuit,
-    alice: &PartyData,
-    public: &PartyData,
-    cycles: usize,
-    ch: &mut dyn Channel,
-    shard_chs: Vec<Box<dyn Channel>>,
-    ot: &mut dyn OtSender,
-    prg: &mut Prg,
-    options: SkipGateOptions,
-    stream: StreamConfig,
-    shards: ShardConfig,
-    mode: ScheduleMode,
-) -> Result<SkipGateOutcome, ProtocolError> {
-    let mut session = GarblerSession::establish_sharded(ch, shard_chs, ot, prg, stream, shards)?;
+    let mut session =
+        GarblerSession::establish_sharded(ch, shard_chs, ot, prg, opts.stream, shards)?;
     let d = session.delta().as_label();
     let garbler = HalfGateGarbler::new(session.delta());
-    let mut shared = Shared::new(circuit, options.filter_dead_gates);
+    let mut shared = Shared::new(circuit, opts.skipgate.filter_dead_gates);
     let mut labels = vec![Label::ZERO; circuit.wire_count()];
 
     // --- Input labels ---------------------------------------------------
@@ -568,21 +391,10 @@ pub fn run_skipgate_garbler_scheduled(
     session.ot_send(&ot_pairs)?;
 
     // --- Cycle loop -------------------------------------------------------
-    // Surviving gates are batched for the wide AES core: netlist mode
-    // discovers wavefronts inside the netlist-order walk; layered mode
-    // executes the precomputed level schedule (computed once here,
-    // reused every cycle). The table stream stays byte-identical to a
-    // sequential walk in both modes.
-    let schedule = match mode {
-        ScheduleMode::Netlist => None,
-        ScheduleMode::Layered => Some(LayerSchedule::of(circuit)),
-    };
+    // Surviving gates are batched for the wide AES core by wavefronts
+    // discovered inside the netlist-order walk; the table stream stays
+    // byte-identical to a sequential walk.
     let mut wavefront = GarbleWavefront::new(circuit.wire_count());
-    let mut layered = schedule.as_ref().map(|s| GarbleLayered::new(s.levels()));
-    let mut ordinals: Vec<u32> = Vec::new();
-    let mut patch = CyclePatch::new();
-    let mut releveled_cycles = 0u64;
-    let mut patched_gates = 0u64;
     let mut tweak = 0u64;
     let mut decode_bits: Vec<bool> = Vec::new();
     let mut next_dffs: Vec<Label> = Vec::new();
@@ -601,114 +413,44 @@ pub fn run_skipgate_garbler_scheduled(
         shared.absorb_counts(&decisions.counts);
         session.begin_cycle(decisions.counts.garbled as usize);
 
-        if let Some(sched) = schedule.as_ref() {
-            if layer_cycle_plan(
-                sched,
-                circuit,
-                &decisions.decisions,
-                &mut ordinals,
-                &mut patch,
-            ) {
-                releveled_cycles += 1;
-                patched_gates += patch.moved_gates();
-            }
-            let drv = layered.as_mut().expect("layered mode implies driver");
-            drv.begin_cycle(decisions.counts.garbled as usize);
-            // One decision application, shared by the static walk and
-            // the patched (moved-gate) walk below.
-            let apply = |gi: usize, labels: &mut [Label], drv: &mut GarbleLayered| {
-                let gate = &circuit.gates()[gi];
-                match decisions.decisions[gi] {
-                    GateDecision::PublicOut(_)
-                    | GateDecision::Skipped
-                    | GateDecision::SkippedFree => {}
-                    GateDecision::Pass { from_a, flip } => {
-                        let src = if from_a { gate.a } else { gate.b };
-                        labels[gate.out.index()] =
-                            labels[src.index()] ^ if flip { d } else { Label::ZERO };
-                    }
-                    GateDecision::Alias { src, flip } => {
-                        labels[gate.out.index()] =
-                            labels[src.index()] ^ if flip { d } else { Label::ZERO };
-                    }
-                    GateDecision::FreeXor { flip } => {
-                        labels[gate.out.index()] = labels[gate.a.index()]
-                            ^ labels[gate.b.index()]
-                            ^ if flip { d } else { Label::ZERO };
-                    }
-                    GateDecision::Garble => {
-                        let slot = ordinals[gi] as usize;
-                        drv.garble(
-                            labels,
-                            gate.op,
-                            gate.a.index(),
-                            gate.b.index(),
-                            gate.out.index(),
-                            tweak + slot as u64,
-                            slot,
-                        );
-                    }
+        for (gate, decision) in circuit.gates().iter().zip(&decisions.decisions) {
+            match *decision {
+                GateDecision::PublicOut(_) | GateDecision::Skipped | GateDecision::SkippedFree => {}
+                GateDecision::Pass { from_a, flip } => {
+                    let src = if from_a { gate.a } else { gate.b };
+                    wavefront.copy(&garbler, &mut labels, src.index(), gate.out.index(), flip);
                 }
-            };
-            for level in 0..sched.levels().max(patch.levels()) {
-                if level < sched.levels() {
-                    for &gi in sched.level_gates(level) {
-                        let gi = gi as usize;
-                        if patch.is_moved(gi) {
-                            continue;
-                        }
-                        apply(gi, &mut labels, drv);
-                    }
+                GateDecision::Alias { src, flip } => {
+                    wavefront.copy(&garbler, &mut labels, src.index(), gate.out.index(), flip);
                 }
-                for &gi in patch.moved_at(level) {
-                    apply(gi as usize, &mut labels, drv);
+                GateDecision::FreeXor { flip } => {
+                    wavefront.xor(
+                        &garbler,
+                        &mut labels,
+                        gate.a.index(),
+                        gate.b.index(),
+                        gate.out.index(),
+                        flip,
+                    );
                 }
-                drv.end_level(&garbler, &mut labels);
-            }
-            drv.end_cycle(&mut |t| session.push_table(&t.to_bytes()))?;
-            tweak += decisions.counts.garbled;
-        } else {
-            for (gate, decision) in circuit.gates().iter().zip(&decisions.decisions) {
-                match *decision {
-                    GateDecision::PublicOut(_)
-                    | GateDecision::Skipped
-                    | GateDecision::SkippedFree => {}
-                    GateDecision::Pass { from_a, flip } => {
-                        let src = if from_a { gate.a } else { gate.b };
-                        wavefront.copy(&garbler, &mut labels, src.index(), gate.out.index(), flip);
-                    }
-                    GateDecision::Alias { src, flip } => {
-                        wavefront.copy(&garbler, &mut labels, src.index(), gate.out.index(), flip);
-                    }
-                    GateDecision::FreeXor { flip } => {
-                        wavefront.xor(
-                            &garbler,
-                            &mut labels,
-                            gate.a.index(),
-                            gate.b.index(),
-                            gate.out.index(),
-                            flip,
-                        );
-                    }
-                    GateDecision::Garble => {
-                        wavefront.garble(
-                            &garbler,
-                            &mut labels,
-                            gate.op,
-                            gate.a.index(),
-                            gate.b.index(),
-                            gate.out.index(),
-                            tweak,
-                            &mut |t| session.push_table(&t.to_bytes()),
-                        )?;
-                        tweak += 1;
-                    }
+                GateDecision::Garble => {
+                    wavefront.garble(
+                        &garbler,
+                        &mut labels,
+                        gate.op,
+                        gate.a.index(),
+                        gate.b.index(),
+                        gate.out.index(),
+                        tweak,
+                        &mut |t| session.push_table(&t.to_bytes()),
+                    )?;
+                    tweak += 1;
                 }
             }
-            wavefront.flush(&garbler, &mut labels, &mut |t| {
-                session.push_table(&t.to_bytes())
-            })?;
         }
+        wavefront.flush(&garbler, &mut labels, &mut |t| {
+            session.push_table(&t.to_bytes())
+        })?;
         session.end_cycle()?;
 
         if matches!(circuit.output_mode(), OutputMode::PerCycle) {
@@ -753,57 +495,21 @@ pub fn run_skipgate_garbler_scheduled(
     stats.ots = session.stats().ots;
     stats.table_bytes = session.stats().table_bytes;
     stats.garbled_tables = session.stats().garbled_tables;
-    // Exactly one driver ran, but merging both keeps the accounting
-    // uniform across modes.
-    let mut batching = wavefront.stats();
-    if let Some(drv) = layered {
-        batching.absorb(drv.stats());
-    }
-    batching.releveled_cycles = releveled_cycles;
-    batching.patched_gates = patched_gates;
     Ok(SkipGateOutcome {
         outputs,
         stats,
-        batching,
+        batching: wavefront.stats(),
     })
 }
 
-/// Runs Bob's side (Algorithm 2): evaluates only what SkipGate keeps.
+/// Bob's side of a single-lane session (Algorithm 2), the mirror of
+/// [`garble_netlist`]: evaluates only what SkipGate keeps, pulling
+/// tables in gate order as the netlist walk reaches them.
 ///
 /// Unlike the classic baseline, Bob needs the public input `p` — that is
 /// the whole point of SkipGate.
-///
-/// # Errors
-/// Propagates channel and OT failures.
-pub fn run_skipgate_evaluator(
-    circuit: &Circuit,
-    bob: &PartyData,
-    public: &PartyData,
-    cycles: usize,
-    ch: &mut dyn Channel,
-    ot: &mut dyn OtReceiver,
-    options: SkipGateOptions,
-) -> Result<SkipGateOutcome, ProtocolError> {
-    run_skipgate_evaluator_sharded(
-        circuit,
-        bob,
-        public,
-        cycles,
-        ch,
-        Vec::new(),
-        ot,
-        options,
-        ShardConfig::single(),
-    )
-}
-
-/// [`run_skipgate_evaluator`] over a sharded table stream; the mirror
-/// of [`run_skipgate_garbler_sharded`].
-///
-/// # Errors
-/// Propagates channel and OT failures.
 #[allow(clippy::too_many_arguments)]
-pub fn run_skipgate_evaluator_sharded(
+pub(crate) fn evaluate_netlist(
     circuit: &Circuit,
     bob: &PartyData,
     public: &PartyData,
@@ -811,46 +517,13 @@ pub fn run_skipgate_evaluator_sharded(
     ch: &mut dyn Channel,
     shard_chs: Vec<Box<dyn Channel>>,
     ot: &mut dyn OtReceiver,
-    options: SkipGateOptions,
+    opts: &SessionOptions,
     shards: ShardConfig,
-) -> Result<SkipGateOutcome, ProtocolError> {
-    run_skipgate_evaluator_scheduled(
-        circuit,
-        bob,
-        public,
-        cycles,
-        ch,
-        shard_chs,
-        ot,
-        options,
-        shards,
-        ScheduleMode::Netlist,
-    )
-}
-
-/// [`run_skipgate_evaluator_sharded`] with an explicit execution
-/// schedule; the mirror of [`run_skipgate_garbler_scheduled`]. The
-/// transcript does not depend on either party's mode.
-///
-/// # Errors
-/// Propagates channel and OT failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run_skipgate_evaluator_scheduled(
-    circuit: &Circuit,
-    bob: &PartyData,
-    public: &PartyData,
-    cycles: usize,
-    ch: &mut dyn Channel,
-    shard_chs: Vec<Box<dyn Channel>>,
-    ot: &mut dyn OtReceiver,
-    options: SkipGateOptions,
-    shards: ShardConfig,
-    mode: ScheduleMode,
 ) -> Result<SkipGateOutcome, ProtocolError> {
     let evaluator = HalfGateEvaluator::new();
     let mut session =
         EvaluatorSession::establish_sharded(ch, shard_chs, ot, GarbledTable::BYTES, shards)?;
-    let mut shared = Shared::new(circuit, options.filter_dead_gates);
+    let mut shared = Shared::new(circuit, opts.skipgate.filter_dead_gates);
     let mut active = vec![Label::ZERO; circuit.wire_count()];
 
     // --- Input labels -----------------------------------------------------
@@ -903,22 +576,7 @@ pub fn run_skipgate_evaluator_scheduled(
     }
 
     // --- Cycle loop ---------------------------------------------------------
-    // Mirror of the garbler's scheduling: netlist mode pulls tables in
-    // gate order as it walks; layered mode pulls the cycle's surviving
-    // tables up front (same byte consumption) and hashes per schedule
-    // level, re-leveling exactly the cycles the garbler does (the
-    // decision pass is shared and deterministic).
-    let schedule = match mode {
-        ScheduleMode::Netlist => None,
-        ScheduleMode::Layered => Some(LayerSchedule::of(circuit)),
-    };
     let mut wavefront = EvalWavefront::new(circuit.wire_count());
-    let mut layered = schedule.as_ref().map(|s| EvalLayered::new(s.levels()));
-    let mut ordinals: Vec<u32> = Vec::new();
-    let mut cycle_tables: Vec<GarbledTable> = Vec::new();
-    let mut patch = CyclePatch::new();
-    let mut releveled_cycles = 0u64;
-    let mut patched_gates = 0u64;
     let mut tweak = 0u64;
     let mut my_colours: Vec<bool> = Vec::new();
     let mut next_dffs: Vec<Label> = Vec::new();
@@ -937,108 +595,40 @@ pub fn run_skipgate_evaluator_scheduled(
         shared.absorb_counts(&decisions.counts);
         session.begin_cycle(decisions.counts.garbled as usize);
 
-        if let Some(sched) = schedule.as_ref() {
-            if layer_cycle_plan(
-                sched,
-                circuit,
-                &decisions.decisions,
-                &mut ordinals,
-                &mut patch,
-            ) {
-                releveled_cycles += 1;
-                patched_gates += patch.moved_gates();
-            }
-            let drv = layered.as_mut().expect("layered mode implies driver");
-            cycle_tables.clear();
-            for _ in 0..decisions.counts.garbled {
-                cycle_tables.push(GarbledTable::from_bytes(
-                    session.next_table(GarbledTable::BYTES)?,
-                ));
-            }
-            let cycle_tables = &cycle_tables;
-            let apply = |gi: usize, active: &mut [Label], drv: &mut EvalLayered| {
-                let gate = &circuit.gates()[gi];
-                match decisions.decisions[gi] {
-                    GateDecision::PublicOut(_)
-                    | GateDecision::Skipped
-                    | GateDecision::SkippedFree => {}
-                    GateDecision::Pass { from_a, .. } => {
-                        let src = if from_a { gate.a } else { gate.b };
-                        active[gate.out.index()] = active[src.index()];
-                    }
-                    GateDecision::Alias { src, .. } => {
-                        active[gate.out.index()] = active[src.index()];
-                    }
-                    GateDecision::FreeXor { .. } => {
-                        active[gate.out.index()] = active[gate.a.index()] ^ active[gate.b.index()];
-                    }
-                    GateDecision::Garble => {
-                        let slot = ordinals[gi] as usize;
-                        drv.eval(
-                            active,
-                            gate.a.index(),
-                            gate.b.index(),
-                            gate.out.index(),
-                            cycle_tables[slot],
-                            tweak + slot as u64,
-                        );
-                    }
+        for (gate, decision) in circuit.gates().iter().zip(&decisions.decisions) {
+            match *decision {
+                GateDecision::PublicOut(_) | GateDecision::Skipped | GateDecision::SkippedFree => {}
+                GateDecision::Pass { from_a, .. } => {
+                    let src = if from_a { gate.a } else { gate.b };
+                    wavefront.copy(&mut active, src.index(), gate.out.index());
                 }
-            };
-            for level in 0..sched.levels().max(patch.levels()) {
-                if level < sched.levels() {
-                    for &gi in sched.level_gates(level) {
-                        let gi = gi as usize;
-                        if patch.is_moved(gi) {
-                            continue;
-                        }
-                        apply(gi, &mut active, drv);
-                    }
+                GateDecision::Alias { src, .. } => {
+                    wavefront.copy(&mut active, src.index(), gate.out.index());
                 }
-                for &gi in patch.moved_at(level) {
-                    apply(gi as usize, &mut active, drv);
+                GateDecision::FreeXor { .. } => {
+                    wavefront.xor(
+                        &mut active,
+                        gate.a.index(),
+                        gate.b.index(),
+                        gate.out.index(),
+                    );
                 }
-                drv.end_level(&evaluator, &mut active);
-            }
-            tweak += decisions.counts.garbled;
-        } else {
-            for (gate, decision) in circuit.gates().iter().zip(&decisions.decisions) {
-                match *decision {
-                    GateDecision::PublicOut(_)
-                    | GateDecision::Skipped
-                    | GateDecision::SkippedFree => {}
-                    GateDecision::Pass { from_a, .. } => {
-                        let src = if from_a { gate.a } else { gate.b };
-                        wavefront.copy(&mut active, src.index(), gate.out.index());
-                    }
-                    GateDecision::Alias { src, .. } => {
-                        wavefront.copy(&mut active, src.index(), gate.out.index());
-                    }
-                    GateDecision::FreeXor { .. } => {
-                        wavefront.xor(
-                            &mut active,
-                            gate.a.index(),
-                            gate.b.index(),
-                            gate.out.index(),
-                        );
-                    }
-                    GateDecision::Garble => {
-                        let t = GarbledTable::from_bytes(session.next_table(GarbledTable::BYTES)?);
-                        wavefront.eval(
-                            &evaluator,
-                            &mut active,
-                            gate.a.index(),
-                            gate.b.index(),
-                            gate.out.index(),
-                            t,
-                            tweak,
-                        );
-                        tweak += 1;
-                    }
+                GateDecision::Garble => {
+                    let t = GarbledTable::from_bytes(session.next_table(GarbledTable::BYTES)?);
+                    wavefront.eval(
+                        &evaluator,
+                        &mut active,
+                        gate.a.index(),
+                        gate.b.index(),
+                        gate.out.index(),
+                        t,
+                        tweak,
+                    );
+                    tweak += 1;
                 }
             }
-            wavefront.flush(&evaluator, &mut active);
         }
+        wavefront.flush(&evaluator, &mut active);
 
         if matches!(circuit.output_mode(), OutputMode::PerCycle) {
             shared.record_frame();
@@ -1081,22 +671,18 @@ pub fn run_skipgate_evaluator_scheduled(
     stats.ots = session.stats().ots;
     stats.table_bytes = session.stats().table_bytes;
     stats.garbled_tables = session.stats().garbled_tables;
-    let mut batching = wavefront.stats();
-    if let Some(drv) = layered {
-        batching.absorb(drv.stats());
-    }
-    batching.releveled_cycles = releveled_cycles;
-    batching.patched_gates = patched_gates;
     Ok(SkipGateOutcome {
         outputs,
         stats,
-        batching,
+        batching: wavefront.stats(),
     })
 }
 
-/// Result of a cross-instance batched SkipGate run
-/// ([`run_skipgate_garbler_instanced`] /
-/// [`run_skipgate_evaluator_instanced`]).
+/// Result of one session, whichever driver ran it
+/// ([`drive_garbler`](crate::drive::drive_garbler) /
+/// [`drive_evaluator`](crate::drive::drive_evaluator)): one
+/// [`SkipGateOutcome`] per lane, so a single-lane session is simply
+/// `lanes.len() == 1`.
 #[derive(Clone, Debug)]
 pub struct InstancedOutcome {
     /// Per-lane outcomes. Outputs and protocol cost counters are
@@ -1105,10 +691,11 @@ pub struct InstancedOutcome {
     /// the session-wide [`InstancedOutcome::batching`]: batch widths
     /// are a property of the whole instanced run, not of one lane.
     pub lanes: Vec<SkipGateOutcome>,
-    /// Session-wide batching occupancy: every level's surviving
-    /// nonlinear gates across *all* active lanes hash in one batch, so
-    /// `instances` is the lane count and batch widths grow up to N×
-    /// over a single run.
+    /// Session-wide batching occupancy. In an instanced session every
+    /// level's surviving nonlinear gates across *all* active lanes hash
+    /// in one batch, so `instances` is the lane count and batch widths
+    /// grow up to N× over a single run; a single-lane session reports
+    /// its wavefronts, with `levels` and `instances` both 0.
     pub batching: WavefrontStats,
 }
 
@@ -1147,7 +734,7 @@ fn apply_instanced_garble(
     lane_tweak: u64,
     gi: usize,
     labels: &mut [Label],
-    drv: &mut GarbleInstanced,
+    drv: &mut GarbleLayered,
 ) {
     let gate = &circuit.gates()[gi];
     let idx = |w: WireId| w.index() * n + lane;
@@ -1193,7 +780,7 @@ fn apply_instanced_eval(
     lane_tweak: u64,
     gi: usize,
     active: &mut [Label],
-    drv: &mut EvalInstanced,
+    drv: &mut EvalLayered,
 ) {
     let gate = &circuit.gates()[gi];
     let idx = |w: WireId| w.index() * n + lane;
@@ -1223,33 +810,23 @@ fn apply_instanced_eval(
     }
 }
 
-/// Runs Alice's side for `alices.len()` independent instances of the
-/// same circuit in one session: per-lane inputs and per-lane SkipGate
-/// decisions, but one shared [`LayerSchedule`] and one label wavefront
-/// — each level's surviving nonlinear gates across every active lane
-/// hash through the wide AES core in a single batch. Lanes halt
-/// independently; the session ends when every lane has halted or the
-/// cycle budget runs out.
+/// Alice's side of an instanced session: `alices.len()` independent
+/// instances of the same circuit in one session. Lanes keep their own
+/// inputs and SkipGate decisions but share one [`LayerSchedule`] and
+/// one struct-of-arrays label store, so each level's surviving
+/// nonlinear gates across every active lane hash through the wide AES
+/// core in a single batch. Lanes halt independently; the session ends
+/// when every lane has halted or the cycle budget runs out.
 ///
 /// Wire format: the handshake announces the lane count
 /// ([`arm2gc_proto::Message::Instances`], protocol v2); input labels,
 /// OT pairs and output decode bits are concatenated lane-major; each
-/// cycle's tables interleave gate-major/lane-minor. With one lane
-/// nothing is announced and the transcript is byte-identical to
-/// [`run_skipgate_garbler_scheduled`] in layered mode.
-///
-/// Instanced execution is always layer-scheduled — the
-/// struct-of-arrays batching is the point — so there is no
-/// [`ScheduleMode`] parameter.
-///
-/// # Errors
-/// Propagates channel and OT failures.
-///
-/// # Panics
-/// Panics if `alices` and `publics` disagree in length, or if the lane
-/// count is zero or exceeds `u16::MAX`.
+/// cycle's tables interleave gate-major/lane-minor. Lane 0 draws
+/// exactly the labels and tweaks a single-lane session would, and at
+/// one lane nothing is announced: the transcript is then byte-identical
+/// to [`garble_netlist`] (pinned by this module's tests).
 #[allow(clippy::too_many_arguments)]
-pub fn run_skipgate_garbler_instanced(
+pub(crate) fn garble_instanced(
     circuit: &Circuit,
     alices: &[PartyData],
     publics: &[PartyData],
@@ -1258,22 +835,17 @@ pub fn run_skipgate_garbler_instanced(
     shard_chs: Vec<Box<dyn Channel>>,
     ot: &mut dyn OtSender,
     prg: &mut Prg,
-    options: SkipGateOptions,
-    stream: StreamConfig,
+    opts: &SessionOptions,
     shards: ShardConfig,
 ) -> Result<InstancedOutcome, ProtocolError> {
     let n = alices.len();
-    assert_eq!(n, publics.len(), "one public input set per lane");
-    assert!(
-        (1..=u16::MAX as usize).contains(&n),
-        "lane count out of range"
-    );
+    debug_assert_eq!(n, publics.len(), "one public input set per lane");
     let mut session =
-        GarblerSession::establish_instanced(ch, shard_chs, ot, prg, stream, shards, n as u16)?;
+        GarblerSession::establish_instanced(ch, shard_chs, ot, prg, opts.stream, shards, n as u16)?;
     let d = session.delta().as_label();
     let garbler = HalfGateGarbler::new(session.delta());
     let mut lanes: Vec<Shared> = (0..n)
-        .map(|_| Shared::new(circuit, options.filter_dead_gates))
+        .map(|_| Shared::new(circuit, opts.skipgate.filter_dead_gates))
         .collect();
     // Struct-of-arrays labels: wire `w`, lane `l` at `w * n + l`.
     let mut labels = vec![Label::ZERO; circuit.wire_count() * n];
@@ -1344,7 +916,7 @@ pub fn run_skipgate_garbler_instanced(
 
     // --- Cycle loop -------------------------------------------------------
     let sched = LayerSchedule::of(circuit);
-    let mut drv = GarbleInstanced::new(sched.levels(), n);
+    let mut drv = GarbleLayered::new(sched.levels(), n);
     let mut plans: Vec<LanePlan> = (0..n)
         .map(|_| LanePlan {
             ordinals: Vec::new(),
@@ -1590,22 +1162,13 @@ pub fn run_skipgate_garbler_instanced(
     })
 }
 
-/// Runs Bob's side for `bobs.len()` independent instances of the same
-/// circuit in one session; the mirror of
-/// [`run_skipgate_garbler_instanced`]. Each cycle's merged table
-/// stream is pulled up front and indexed by the shared gate-major/
-/// lane-minor slot assignment, which both parties compute from the
-/// (deterministic, public-data-only) decision pass without
-/// coordination.
-///
-/// # Errors
-/// Propagates channel and OT failures.
-///
-/// # Panics
-/// Panics if `bobs` and `publics` disagree in length, or if the lane
-/// count is zero or exceeds `u16::MAX`.
+/// Bob's side of an instanced session; the mirror of
+/// [`garble_instanced`]. Each cycle's merged table stream is pulled up
+/// front and indexed by the shared gate-major/lane-minor slot
+/// assignment, which both parties compute from the (deterministic,
+/// public-data-only) decision pass without coordination.
 #[allow(clippy::too_many_arguments)]
-pub fn run_skipgate_evaluator_instanced(
+pub(crate) fn evaluate_instanced(
     circuit: &Circuit,
     bobs: &[PartyData],
     publics: &[PartyData],
@@ -1613,15 +1176,11 @@ pub fn run_skipgate_evaluator_instanced(
     ch: &mut dyn Channel,
     shard_chs: Vec<Box<dyn Channel>>,
     ot: &mut dyn OtReceiver,
-    options: SkipGateOptions,
+    opts: &SessionOptions,
     shards: ShardConfig,
 ) -> Result<InstancedOutcome, ProtocolError> {
     let n = bobs.len();
-    assert_eq!(n, publics.len(), "one public input set per lane");
-    assert!(
-        (1..=u16::MAX as usize).contains(&n),
-        "lane count out of range"
-    );
+    debug_assert_eq!(n, publics.len(), "one public input set per lane");
     let evaluator = HalfGateEvaluator::new();
     let mut session = EvaluatorSession::establish_instanced(
         ch,
@@ -1632,7 +1191,7 @@ pub fn run_skipgate_evaluator_instanced(
         n as u16,
     )?;
     let mut lanes: Vec<Shared> = (0..n)
-        .map(|_| Shared::new(circuit, options.filter_dead_gates))
+        .map(|_| Shared::new(circuit, opts.skipgate.filter_dead_gates))
         .collect();
     let mut active = vec![Label::ZERO; circuit.wire_count() * n];
 
@@ -1696,7 +1255,7 @@ pub fn run_skipgate_evaluator_instanced(
 
     // --- Cycle loop ---------------------------------------------------------
     let sched = LayerSchedule::of(circuit);
-    let mut drv = EvalInstanced::new(sched.levels(), n);
+    let mut drv = EvalLayered::new(sched.levels(), n);
     let mut plans: Vec<LanePlan> = (0..n)
         .map(|_| LanePlan {
             ordinals: Vec::new(),
@@ -1938,55 +1497,11 @@ pub fn run_skipgate_evaluator_instanced(
     })
 }
 
-/// Convenience: runs both parties on two threads over an in-memory
-/// channel with the insecure reference OT (tests/benchmarks). Returns
-/// `(alice_outcome, bob_outcome)`.
-///
-/// # Panics
-/// Panics if either party fails (test harness semantics).
-pub fn run_two_party(
-    circuit: &Circuit,
-    alice: &PartyData,
-    bob: &PartyData,
-    public: &PartyData,
-    cycles: usize,
-) -> (SkipGateOutcome, SkipGateOutcome) {
-    run_two_party_cfg(
-        circuit,
-        alice,
-        bob,
-        public,
-        cycles,
-        TwoPartyConfig::default(),
-    )
-}
-
-/// [`run_two_party`] with explicit SkipGate options.
-///
-/// # Panics
-/// Panics if either party fails (test harness semantics).
-pub fn run_two_party_with(
-    circuit: &Circuit,
-    alice: &PartyData,
-    bob: &PartyData,
-    public: &PartyData,
-    cycles: usize,
-    options: SkipGateOptions,
-) -> (SkipGateOutcome, SkipGateOutcome) {
-    run_two_party_cfg(
-        circuit,
-        alice,
-        bob,
-        public,
-        cycles,
-        TwoPartyConfig::new().options(options),
-    )
-}
-
 /// Connected shard-channel bundles for an in-process sharded run: one
 /// [`duplex`] pair per shard (empty vectors when unsharded), garbler
 /// ends first. Harnesses and tests building their own two-party runs
-/// use this to mirror [`run_two_party_cfg`]'s channel setup.
+/// use this to mirror [`run_two_party_opts`](crate::drive::run_two_party_opts)'s
+/// channel setup.
 #[allow(clippy::type_complexity)]
 pub fn shard_duplexes(shards: ShardConfig) -> (Vec<Box<dyn Channel>>, Vec<Box<dyn Channel>>) {
     let mut garbler: Vec<Box<dyn Channel>> = Vec::new();
@@ -2001,93 +1516,6 @@ pub fn shard_duplexes(shards: ShardConfig) -> (Vec<Box<dyn Channel>>, Vec<Box<dy
     (garbler, evaluator)
 }
 
-/// [`run_two_party`] with a full [`TwoPartyConfig`]: pluggable OT
-/// backend, table-streaming configuration and table-stream sharding
-/// (one extra in-memory channel pair per shard).
-///
-/// Thin wrapper over the unified
-/// [`run_two_party_opts`](crate::drive::run_two_party_opts) (a
-/// single-lane SkipGate session); both paths drive the same engine
-/// internals with the same thread/PRG/OT construction sequence, so the
-/// transcript is byte-identical to the historical direct call.
-///
-/// # Panics
-/// Panics if either party fails (test harness semantics).
-pub fn run_two_party_cfg(
-    circuit: &Circuit,
-    alice: &PartyData,
-    bob: &PartyData,
-    public: &PartyData,
-    cycles: usize,
-    cfg: TwoPartyConfig,
-) -> (SkipGateOutcome, SkipGateOutcome) {
-    let (a, b) = crate::drive::run_two_party_opts(
-        circuit,
-        std::slice::from_ref(alice),
-        std::slice::from_ref(bob),
-        std::slice::from_ref(public),
-        cycles,
-        &cfg.into(),
-    );
-    let take = |o: InstancedOutcome| o.lanes.into_iter().next().expect("one lane");
-    (take(a), take(b))
-}
-
-/// [`run_two_party_cfg`] for an instanced session: one garbler and one
-/// evaluator thread drive `alices.len()` lanes through a single
-/// shared-wavefront run. `cfg.schedule` is ignored — instanced
-/// execution is always layer-scheduled.
-///
-/// # Panics
-/// Panics if either party fails (test harness semantics).
-pub fn run_two_party_instanced_cfg(
-    circuit: &Circuit,
-    alices: &[PartyData],
-    bobs: &[PartyData],
-    publics: &[PartyData],
-    cycles: usize,
-    cfg: TwoPartyConfig,
-) -> (InstancedOutcome, InstancedOutcome) {
-    let (mut ca, mut cb) = duplex();
-    let (g_shards, e_shards) = shard_duplexes(cfg.shards);
-    crossbeam::thread::scope(|s| {
-        let garbler = s.spawn(move |_| {
-            let mut prg = Prg::from_entropy();
-            let mut ot = cfg.ot.sender(cfg.ot_config, &mut prg);
-            run_skipgate_garbler_instanced(
-                circuit,
-                alices,
-                publics,
-                cycles,
-                &mut ca,
-                g_shards,
-                ot.as_mut(),
-                &mut prg,
-                cfg.options,
-                cfg.stream,
-                cfg.shards,
-            )
-            .expect("instanced garbler")
-        });
-        let mut prg = Prg::from_entropy();
-        let mut ot = cfg.ot.receiver(cfg.ot_config, &mut prg);
-        let bob_outcome = run_skipgate_evaluator_instanced(
-            circuit,
-            bobs,
-            publics,
-            cycles,
-            &mut cb,
-            e_shards,
-            ot.as_mut(),
-            cfg.options,
-            cfg.shards,
-        )
-        .expect("instanced evaluator");
-        (garbler.join().expect("garbler thread"), bob_outcome)
-    })
-    .unwrap_or_else(|e| std::panic::resume_unwind(e))
-}
-
 /// Sanity helper used by docs/tests: a netlist must not contain
 /// constant-valued gate ops (the builder never emits them).
 pub fn assert_no_constant_gates(circuit: &Circuit) {
@@ -2096,5 +1524,154 @@ pub fn assert_no_constant_gates(circuit: &Circuit) {
             g.op != Op::FALSE && g.op != Op::TRUE,
             "constant gate in netlist"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use arm2gc_circuit::bench_circuits::{self, BenchCircuit};
+    use arm2gc_comm::ChannelError;
+    use arm2gc_ot::InsecureOt;
+
+    use super::*;
+
+    /// Frames sent on one channel, in order.
+    type Frames = Arc<Mutex<Vec<Vec<u8>>>>;
+
+    /// A [`Channel`] recording every frame sent through it.
+    struct Recording<C> {
+        inner: C,
+        sent: Frames,
+    }
+
+    impl<C: Channel> Channel for Recording<C> {
+        fn send(&mut self, data: &[u8]) -> Result<(), ChannelError> {
+            self.sent.lock().expect("lock").push(data.to_vec());
+            self.inner.send(data)
+        }
+
+        fn recv(&mut self) -> Result<Vec<u8>, ChannelError> {
+            self.inner.recv()
+        }
+    }
+
+    fn recording<C: Channel>(inner: C, logs: &mut Vec<Frames>) -> Recording<C> {
+        let sent = Frames::default();
+        logs.push(Arc::clone(&sent));
+        Recording { inner, sent }
+    }
+
+    /// Runs one single-lane session with fixed PRG seeds through the
+    /// netlist walk or the layered walk at one lane, checks both
+    /// parties agree, and returns the garbler's outcome plus its frames
+    /// on the main channel and every shard sub-channel.
+    fn session(
+        bc: &BenchCircuit,
+        shards: usize,
+        layered: bool,
+    ) -> (SkipGateOutcome, Vec<Vec<Vec<u8>>>) {
+        let opts = SessionOptions::new().shards(shards);
+        let shards = opts.shard_config().expect("shard count");
+        let (ca, mut cb) = duplex();
+        let mut logs = Vec::new();
+        let mut ca = recording(ca, &mut logs);
+        let (g_shards, e_shards) = shard_duplexes(shards);
+        let g_shards: Vec<Box<dyn Channel>> = g_shards
+            .into_iter()
+            .map(|ch| Box::new(recording(ch, &mut logs)) as Box<dyn Channel>)
+            .collect();
+        let (alice, bob, public) = (
+            std::slice::from_ref(&bc.alice),
+            std::slice::from_ref(&bc.bob),
+            std::slice::from_ref(&bc.public),
+        );
+        let (a, b) = std::thread::scope(|s| {
+            let garbler = s.spawn(|| {
+                let mut prg = Prg::from_seed([71; 16]);
+                let (c, ot) = (&bc.circuit, &mut InsecureOt);
+                if layered {
+                    garble_instanced(
+                        c, alice, public, bc.cycles, &mut ca, g_shards, ot, &mut prg, &opts, shards,
+                    )
+                    .map(|o| o.lanes.into_iter().next().expect("one lane"))
+                } else {
+                    garble_netlist(
+                        c, &alice[0], &public[0], bc.cycles, &mut ca, g_shards, ot, &mut prg,
+                        &opts, shards,
+                    )
+                }
+                .expect("garbler")
+            });
+            let (c, ot) = (&bc.circuit, &mut InsecureOt);
+            let b = if layered {
+                evaluate_instanced(
+                    c, bob, public, bc.cycles, &mut cb, e_shards, ot, &opts, shards,
+                )
+                .map(|o| o.lanes.into_iter().next().expect("one lane"))
+            } else {
+                evaluate_netlist(
+                    c, &bob[0], &public[0], bc.cycles, &mut cb, e_shards, ot, &opts, shards,
+                )
+            }
+            .expect("evaluator");
+            (garbler.join().expect("garbler thread"), b)
+        });
+        assert_eq!(a.outputs, b.outputs, "{}: party outputs", bc.circuit.name());
+        assert_eq!(a.outputs.concat(), bc.expected, "{}", bc.circuit.name());
+        assert_eq!(a.batching, b.batching, "parties agree on batching");
+        let frames = logs
+            .iter()
+            .map(|l| l.lock().expect("lock").clone())
+            .collect();
+        (a, frames)
+    }
+
+    /// The pin that licenses one loop per lane count: the layered walk
+    /// at one lane sends the byte-identical frame sequence — main
+    /// channel and every shard sub-channel — as the netlist walk, with
+    /// equal outputs and cost counters. An instanced session's lane 0
+    /// therefore garbles exactly what a single-lane session does.
+    /// aes_128 re-levels every cycle, so patched schedules are covered.
+    #[test]
+    fn single_lane_layered_transcript_matches_netlist() {
+        let circuits = [
+            bench_circuits::sum(32, 0xdead_beef, 0x600d_f00d),
+            bench_circuits::compare(32, 77, 999),
+            bench_circuits::hamming(32, &[0x9e37_79b9], &[0x7f4a_7c15]),
+            bench_circuits::mult(32, 0xdead_beef, 0x1234_5678),
+            bench_circuits::matrix_mult(3, &[3, 1, 4, 1, 5, 9, 2, 6, 5], &[2; 9]),
+            bench_circuits::aes128(
+                core::array::from_fn(|i| i as u8),
+                core::array::from_fn(|i| 16 + i as u8),
+            ),
+        ];
+        for bc in &circuits {
+            let name = bc.circuit.name();
+            for shards in [1, 2] {
+                let (netlist, tx_netlist) = session(bc, shards, false);
+                let (layered, tx_layered) = session(bc, shards, true);
+                assert_eq!(netlist.outputs, layered.outputs, "{name}");
+                assert_eq!(netlist.stats, layered.stats, "{name}: cost counters");
+                assert_eq!(
+                    tx_netlist, tx_layered,
+                    "{name}: transcripts differ at {shards} shards"
+                );
+                assert_eq!(netlist.batching.levels, 0, "{name}: netlist has no levels");
+                assert_eq!(netlist.batching.releveled_cycles, 0);
+                assert!(layered.batching.levels > 0, "{name}: layered levels");
+                assert_eq!(
+                    layered.batching.batched_gates,
+                    netlist.batching.batched_gates
+                );
+                if name == "aes_128" {
+                    assert_eq!(
+                        layered.batching.releveled_cycles, bc.cycles as u64,
+                        "every aes cycle re-levels"
+                    );
+                }
+            }
+        }
     }
 }

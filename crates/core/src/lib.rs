@@ -40,7 +40,7 @@
 //! ```
 //! use arm2gc_circuit::{CircuitBuilder, Role};
 //! use arm2gc_circuit::sim::PartyData;
-//! use arm2gc_core::run_two_party;
+//! use arm2gc_core::{run_two_party_opts, SessionOptions};
 //!
 //! // c = (a & a) — the paper's Table 3 "a = a op a" row: zero tables.
 //! let mut b = CircuitBuilder::new("a_and_a");
@@ -49,17 +49,19 @@
 //! b.output(out);
 //! let c = b.build();
 //!
-//! let alice = PartyData::from_stream(vec![vec![true]]);
-//! let bob = PartyData::default();
-//! let public = PartyData::default();
-//! let (alice_out, _bob_out) = run_two_party(&c, &alice, &bob, &public, 1);
-//! assert_eq!(alice_out.outputs[0], vec![true]);
-//! assert_eq!(alice_out.stats.garbled_tables, 0);
+//! let alice = [PartyData::from_stream(vec![vec![true]])];
+//! let bob = [PartyData::default()];
+//! let public = [PartyData::default()];
+//! let opts = SessionOptions::new();
+//! let (alice_out, _bob_out) = run_two_party_opts(&c, &alice, &bob, &public, 1, &opts);
+//! assert_eq!(alice_out.lanes[0].outputs[0], vec![true]);
+//! assert_eq!(alice_out.lanes[0].stats.garbled_tables, 0);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod baseline;
 pub mod decide;
 pub mod drive;
 pub mod engine;
@@ -70,17 +72,14 @@ pub mod tag;
 pub use decide::{CycleDecisions, DecideContext, DecisionCounts, GateDecision};
 pub use drive::{drive_evaluator, drive_garbler, run_two_party_opts};
 pub use engine::{
-    run_skipgate_evaluator, run_skipgate_evaluator_instanced, run_skipgate_evaluator_scheduled,
-    run_skipgate_evaluator_sharded, run_skipgate_garbler, run_skipgate_garbler_instanced,
-    run_skipgate_garbler_scheduled, run_skipgate_garbler_sharded, run_skipgate_garbler_with,
-    run_two_party, run_two_party_cfg, run_two_party_instanced_cfg, run_two_party_with,
     shard_duplexes, InstancedOutcome, SkipGateOptions, SkipGateOutcome, SkipGateStats,
-    TwoPartyConfig,
 };
 pub use options::{EngineKind, SessionOptions};
 pub use state::WireVal;
 pub use tag::{SecretTag, TagAllocator};
 
-pub use arm2gc_circuit::{LayerSchedule, ScheduleMode};
-pub use arm2gc_garble::{ProtocolError, WavefrontStats};
-pub use arm2gc_proto::{ConfigError, OtBackend, OtConfig, ShardConfig, StreamConfig};
+pub use arm2gc_circuit::LayerSchedule;
+pub use arm2gc_garble::WavefrontStats;
+pub use arm2gc_proto::{
+    ConfigError, OtBackend, OtConfig, ProtoError as ProtocolError, ShardConfig, StreamConfig,
+};

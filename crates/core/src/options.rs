@@ -1,25 +1,21 @@
-//! The unified session-configuration surface: [`SessionOptions`].
+//! The session-configuration surface: [`SessionOptions`].
 //!
-//! Historically every knob combination grew its own entry point —
-//! `run_skipgate_garbler`, `_with`, `_sharded`, `_scheduled`,
-//! `_instanced`, and the `run_two_party{,_with,_cfg,_instanced_cfg}`
-//! harness quartet. [`SessionOptions`] collapses the matrix into one
-//! builder consumed by exactly two drivers
-//! ([`drive_garbler`](crate::drive::drive_garbler) /
-//! [`drive_evaluator`](crate::drive::drive_evaluator)); the legacy
-//! names survive as thin forwarding wrappers pinned byte-identical.
+//! Every knob a session can vary lives in one builder consumed by
+//! exactly two drivers ([`drive_garbler`](crate::drive::drive_garbler) /
+//! [`drive_evaluator`](crate::drive::drive_evaluator)). There is no
+//! schedule knob: the lane count picks it (one lane walks each cycle in
+//! netlist order, several lanes run the layered loop).
 //!
 //! # Migration map
 //!
-//! | Legacy entry point | Unified form |
+//! | Removed entry point | Form with [`SessionOptions`] |
 //! |---|---|
-//! | `run_skipgate_garbler(…, options)` | `drive_garbler(…, &SessionOptions::new().filter_dead_gates(options.filter_dead_gates))` |
-//! | `run_skipgate_garbler_with(…, stream)` | `… .stream(stream)` |
-//! | `run_skipgate_garbler_sharded(…, shards)` | `… .shards(shards.shards)` |
-//! | `run_skipgate_garbler_scheduled(…, mode)` | `… .schedule(mode)` |
-//! | `run_skipgate_garbler_instanced(…)` | `… .instances(n)` |
-//! | `run_evaluator*` (baseline crate) | `… .engine(EngineKind::Baseline)` |
-//! | `run_two_party{,_with,_cfg,_instanced_cfg}` | [`run_two_party_opts`](crate::drive::run_two_party_opts) |
+//! | single-lane SkipGate garbler/evaluator | `drive_garbler(…, &SessionOptions::new())` / `drive_evaluator(…)` |
+//! | … with streaming, sharding or dead-gate options | `… .stream(s)` `.shards(n)` `.filter_dead_gates(b)` |
+//! | instanced garbler/evaluator | `… .instances(n)` |
+//! | classic baseline garbler/evaluator | `… .engine(EngineKind::Baseline)` |
+//! | in-process two-party harnesses | [`run_two_party_opts`](crate::drive::run_two_party_opts) |
+//! | per-session schedule selection | none: the lane count decides |
 //!
 //! Counts are validated when a driver starts — a zero shard or
 //! instance count is a typed [`ConfigError`] at the session boundary,
@@ -32,7 +28,6 @@
 //! assert!(SessionOptions::new().shards(0).validate().is_err());
 //! ```
 
-use arm2gc_circuit::ScheduleMode;
 use arm2gc_proto::{ConfigError, OtBackend, OtConfig, ShardConfig, StreamConfig};
 
 use crate::engine::SkipGateOptions;
@@ -41,8 +36,8 @@ use crate::engine::SkipGateOptions;
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The classic sequential-GC baseline (`arm2gc_garble`): every
-    /// nonlinear gate is garbled, every cycle.
+    /// The classic sequential-GC baseline: every nonlinear gate is
+    /// garbled, every cycle.
     Baseline,
     /// The SkipGate engine (this crate): only category-iv gates with
     /// surviving label fanout cost tables.
@@ -67,16 +62,13 @@ pub enum EngineKind {
 pub struct SessionOptions {
     /// Which engine garbles ([`EngineKind::SkipGate`] by default).
     pub engine: EngineKind,
-    /// How each cycle's label computations are ordered. Transport-only:
-    /// both modes are byte-identical on the wire. Ignored by instanced
-    /// sessions, which are always layer-scheduled.
-    pub schedule: ScheduleMode,
     /// Parallel table-stream sub-channels (1 = the legacy single
     /// stream). Validated into a [`ShardConfig`] at drive time.
     pub shards: usize,
     /// Independent circuit instances (lanes) batched through one
-    /// session. `1` is a plain single-instance run; more requires the
-    /// SkipGate engine.
+    /// session. `1` is a plain single-instance run walked in netlist
+    /// order; more runs the layered struct-of-arrays loop and requires
+    /// the SkipGate engine.
     pub instances: usize,
     /// Which OT stack delivers the evaluator's input labels.
     pub ot: OtBackend,
@@ -102,7 +94,6 @@ impl Default for SessionOptions {
     fn default() -> Self {
         Self {
             engine: EngineKind::default(),
-            schedule: ScheduleMode::default(),
             shards: 1,
             instances: 1,
             ot: OtBackend::default(),
@@ -125,13 +116,6 @@ impl SessionOptions {
     #[must_use]
     pub fn engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Selects the per-cycle execution schedule.
-    #[must_use]
-    pub fn schedule(mut self, schedule: ScheduleMode) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -211,20 +195,6 @@ impl SessionOptions {
         Ok(())
     }
 
-    /// The configuration expressed by a legacy
-    /// [`TwoPartyConfig`](crate::engine::TwoPartyConfig): a single-lane
-    /// SkipGate session.
-    fn from_legacy(cfg: crate::engine::TwoPartyConfig) -> Self {
-        let mut opts = Self::new()
-            .schedule(cfg.schedule)
-            .shards(cfg.shards.shards)
-            .ot(cfg.ot)
-            .ot_config(cfg.ot_config)
-            .stream(cfg.stream);
-        opts.skipgate = cfg.options;
-        opts
-    }
-
     /// The validated [`ShardConfig`] this session opens channels with.
     ///
     /// # Errors
@@ -232,12 +202,6 @@ impl SessionOptions {
     /// when the count is outside `1..=255`.
     pub fn shard_config(&self) -> Result<ShardConfig, ConfigError> {
         ShardConfig::try_new(self.shards)
-    }
-}
-
-impl From<crate::engine::TwoPartyConfig> for SessionOptions {
-    fn from(cfg: crate::engine::TwoPartyConfig) -> Self {
-        Self::from_legacy(cfg)
     }
 }
 
@@ -249,13 +213,11 @@ mod tests {
     fn builder_round_trips_every_knob() {
         let opts = SessionOptions::new()
             .engine(EngineKind::Baseline)
-            .schedule(ScheduleMode::Layered)
             .shards(3)
             .instances(1)
             .filter_dead_gates(false)
             .io_timeout(Some(std::time::Duration::from_millis(250)));
         assert_eq!(opts.engine, EngineKind::Baseline);
-        assert_eq!(opts.schedule, ScheduleMode::Layered);
         assert_eq!(opts.shards, 3);
         assert_eq!(opts.instances, 1);
         assert!(!opts.skipgate.filter_dead_gates);

@@ -2,10 +2,36 @@
 //! detection) and the engine options, through the full two-party
 //! protocol.
 
+use arm2gc_circuit::bench_circuits;
 use arm2gc_circuit::random::{random_circuit, random_inputs, RandomCircuitParams, TestRng};
 use arm2gc_circuit::sim::{PartyData, Simulator};
-use arm2gc_circuit::{CircuitBuilder, Role};
-use arm2gc_core::{run_two_party, run_two_party_with, SkipGateOptions};
+use arm2gc_circuit::{Circuit, CircuitBuilder, Role};
+use arm2gc_core::{run_two_party_opts, SessionOptions, SkipGateOutcome};
+
+/// One single-lane session under `opts`; returns each party's outcome.
+fn two_party_with(
+    c: &Circuit,
+    alice: &PartyData,
+    bob: &PartyData,
+    public: &PartyData,
+    cycles: usize,
+    opts: &SessionOptions,
+) -> (SkipGateOutcome, SkipGateOutcome) {
+    let lane = |p: &PartyData| [p.clone()];
+    let (a, b) = run_two_party_opts(c, &lane(alice), &lane(bob), &lane(public), cycles, opts);
+    (a.lanes[0].clone(), b.lanes[0].clone())
+}
+
+/// [`two_party_with`] under the default options.
+fn two_party(
+    c: &Circuit,
+    alice: &PartyData,
+    bob: &PartyData,
+    public: &PartyData,
+    cycles: usize,
+) -> (SkipGateOutcome, SkipGateOutcome) {
+    two_party_with(c, alice, bob, public, cycles, &SessionOptions::new())
+}
 
 /// The paper's §3 illustrative example, end to end: a MUX (built the
 /// GC-optimised way, `f ⊕ (sel ∧ (t ⊕ f))`) with a public selector must
@@ -35,7 +61,7 @@ fn public_selector_mux_collapses() {
     let bob = PartyData::from_stream(vec![vec![true]]);
     let public = PartyData::from_stream(vec![vec![true]]);
     let sim = Simulator::new(&c).run(&alice, &bob, &public, 1);
-    let (a_out, b_out) = run_two_party(&c, &alice, &bob, &public, 1);
+    let (a_out, b_out) = two_party(&c, &alice, &bob, &public, 1);
     assert_eq!(a_out.outputs, sim.outputs);
     assert_eq!(b_out.outputs, sim.outputs);
     assert_eq!(a_out.stats.garbled_tables, 1, "only the live branch");
@@ -44,7 +70,7 @@ fn public_selector_mux_collapses() {
     // Secret selector: both branches plus the mux AND are garbled.
     let c = build(false);
     let alice = PartyData::from_stream(vec![vec![true, true, false]]);
-    let (a_out, _) = run_two_party(&c, &alice, &bob, &PartyData::default(), 1);
+    let (a_out, _) = two_party(&c, &alice, &bob, &PartyData::default(), 1);
     assert_eq!(a_out.stats.garbled_tables, 3);
 }
 
@@ -72,7 +98,7 @@ fn mux_tree_with_public_address_is_one_path() {
     let bob = PartyData::from_stream(vec![vec![true; 8]]);
     let public = PartyData::from_stream(vec![vec![true, false, true]]); // select leaf 5
     let sim = Simulator::new(&c).run(&alice, &bob, &public, 1);
-    let (a_out, _) = run_two_party(&c, &alice, &bob, &public, 1);
+    let (a_out, _) = two_party(&c, &alice, &bob, &public, 1);
     assert_eq!(a_out.outputs, sim.outputs);
     // 8 leaf ANDs exist; only the selected one garbles. The mux layers
     // are free (public selectors).
@@ -90,16 +116,14 @@ fn filter_off_correct_but_costlier() {
         let cycles = 1 + i % 3;
         let (a, b, p) = random_inputs(&mut rng, &c, cycles);
         let sim = Simulator::new(&c).run(&a, &b, &p, cycles);
-        let on = run_two_party_with(&c, &a, &b, &p, cycles, SkipGateOptions::default());
-        let off = run_two_party_with(
+        let on = two_party(&c, &a, &b, &p, cycles);
+        let off = two_party_with(
             &c,
             &a,
             &b,
             &p,
             cycles,
-            SkipGateOptions {
-                filter_dead_gates: false,
-            },
+            &SessionOptions::new().filter_dead_gates(false),
         );
         assert_eq!(on.0.outputs, sim.outputs, "iteration {i} (filter on)");
         assert_eq!(off.0.outputs, sim.outputs, "iteration {i} (filter off)");
@@ -119,7 +143,7 @@ fn party_stats_agree() {
         let c = random_circuit(&mut rng, RandomCircuitParams::default());
         let cycles = 1 + i % 4;
         let (a, b, p) = random_inputs(&mut rng, &c, cycles);
-        let (a_out, b_out) = run_two_party(&c, &a, &b, &p, cycles);
+        let (a_out, b_out) = two_party(&c, &a, &b, &p, cycles);
         assert_eq!(a_out.stats.garbled_tables, b_out.stats.garbled_tables);
         assert_eq!(a_out.stats.skipped_nonlinear, b_out.stats.skipped_nonlinear);
         assert_eq!(a_out.stats.public_gates, b_out.stats.public_gates);
@@ -145,10 +169,49 @@ fn xor_cancellation_detected_globally() {
     let alice = PartyData::from_stream(vec![vec![true]]);
     let bob = PartyData::from_stream(vec![vec![false]]);
     let sim = Simulator::new(&c).run(&alice, &bob, &PartyData::default(), 1);
-    let (a_out, _) = run_two_party(&c, &alice, &bob, &PartyData::default(), 1);
+    let (a_out, _) = two_party(&c, &alice, &bob, &PartyData::default(), 1);
     assert_eq!(a_out.outputs, sim.outputs);
     assert_eq!(
         a_out.stats.garbled_tables, 0,
         "pure lineage algebra: no tables at all"
     );
+}
+
+/// The lane count picks the schedule: a default session walks each
+/// cycle in netlist order (no levels, no lanes), while `instances(2)`
+/// runs the layered loop over two lanes — with every lane's outputs and
+/// cost counters equal to the single-lane session's.
+#[test]
+fn lane_count_selects_the_schedule() {
+    let bc = bench_circuits::mult(32, 0xdead_beef, 0x1234_5678);
+    let single = SessionOptions::new();
+    let (a, b) = run_two_party_opts(
+        &bc.circuit,
+        std::slice::from_ref(&bc.alice),
+        std::slice::from_ref(&bc.bob),
+        std::slice::from_ref(&bc.public),
+        bc.cycles,
+        &single,
+    );
+    assert_eq!(a.batching, b.batching);
+    assert_eq!(a.batching.levels, 0, "one lane walks the netlist");
+    assert_eq!(a.batching.instances, 0);
+    assert_eq!(a.lanes[0].outputs.concat(), bc.expected);
+
+    let two = SessionOptions::new().instances(2);
+    let (ia, ib) = run_two_party_opts(
+        &bc.circuit,
+        &[bc.alice.clone(), bc.alice.clone()],
+        &[bc.bob.clone(), bc.bob.clone()],
+        &[bc.public.clone(), bc.public.clone()],
+        bc.cycles,
+        &two,
+    );
+    assert_eq!(ia.batching, ib.batching);
+    assert!(ia.batching.levels > 0, "two lanes run the level schedule");
+    assert_eq!(ia.batching.instances, 2);
+    for lane in &ia.lanes {
+        assert_eq!(lane.outputs, a.lanes[0].outputs);
+        assert_eq!(lane.stats, a.lanes[0].stats);
+    }
 }

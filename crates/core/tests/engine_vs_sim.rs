@@ -1,15 +1,68 @@
-//! Differential tests: the classic GC engine must agree with the
-//! cleartext simulator on every circuit, and its table count must equal
-//! `cycles × non-XOR` (no gate is ever skipped in the baseline).
+//! Differential tests: the classic GC baseline engine must agree with
+//! the cleartext simulator on every circuit, and its table count must
+//! equal `cycles × non-XOR` (no gate is ever skipped in the baseline).
 
 use arm2gc_circuit::bench_circuits::{self, BenchCircuit};
 use arm2gc_circuit::random::{random_circuit, random_inputs, RandomCircuitParams, TestRng};
 use arm2gc_circuit::sim::{PartyData, Simulator};
 use arm2gc_circuit::{Circuit, OutputMode};
-use arm2gc_comm::duplex;
+use arm2gc_comm::{duplex, Channel};
+use arm2gc_core::{drive_evaluator, drive_garbler, EngineKind, SessionOptions, SkipGateOutcome};
 use arm2gc_crypto::Prg;
-use arm2gc_garble::{run_evaluator, run_garbler, GarbleOutcome};
-use arm2gc_ot::InsecureOt;
+use arm2gc_ot::{InsecureOt, OtReceiver, OtSender};
+
+fn baseline() -> SessionOptions {
+    SessionOptions::new().engine(EngineKind::Baseline)
+}
+
+/// Runs a baseline session over `ch_a`/`ch_b` with the given OT
+/// endpoints; returns `(alice_outcome, bob_outcome)`.
+#[allow(clippy::too_many_arguments)]
+fn run_over(
+    circuit: &Circuit,
+    alice: &PartyData,
+    bob: &PartyData,
+    public: &PartyData,
+    cycles: usize,
+    ch_a: &mut (dyn Channel + Send),
+    ot_a: &mut (dyn OtSender + Send),
+    ch_b: &mut dyn Channel,
+    ot_b: &mut dyn OtReceiver,
+) -> (SkipGateOutcome, SkipGateOutcome) {
+    let opts = baseline();
+    let lane = |p: &PartyData| [p.clone()];
+    std::thread::scope(|s| {
+        let garbler = s.spawn(|| {
+            let mut prg = Prg::from_seed([77; 16]);
+            drive_garbler(
+                circuit,
+                &lane(alice),
+                &lane(public),
+                cycles,
+                ch_a,
+                Vec::new(),
+                ot_a,
+                &mut prg,
+                &opts,
+            )
+            .expect("garbler")
+        });
+        let bob_out = drive_evaluator(
+            circuit,
+            &lane(bob),
+            &lane(public),
+            cycles,
+            ch_b,
+            Vec::new(),
+            ot_b,
+            &opts,
+        )
+        .expect("evaluator");
+        let alice_out = garbler.join().expect("garbler thread");
+        let first = |o: arm2gc_core::InstancedOutcome| o.lanes.into_iter().next().expect("lane");
+        (first(alice_out), first(bob_out))
+    })
+}
 
 fn run_protocol(
     circuit: &Circuit,
@@ -17,18 +70,19 @@ fn run_protocol(
     bob: &PartyData,
     public: &PartyData,
     cycles: usize,
-) -> (GarbleOutcome, GarbleOutcome) {
+) -> (SkipGateOutcome, SkipGateOutcome) {
     let (mut ca, mut cb) = duplex();
-    let c2 = circuit.clone();
-    let a2 = alice.clone();
-    let p2 = public.clone();
-    let garbler = std::thread::spawn(move || {
-        let mut prg = Prg::from_seed([77; 16]);
-        run_garbler(&c2, &a2, &p2, cycles, &mut ca, &mut InsecureOt, &mut prg).expect("garbler")
-    });
-    let bob_out = run_evaluator(circuit, bob, cycles, &mut cb, &mut InsecureOt).expect("evaluator");
-    let alice_out = garbler.join().expect("garbler thread");
-    (alice_out, bob_out)
+    run_over(
+        circuit,
+        alice,
+        bob,
+        public,
+        cycles,
+        &mut ca,
+        &mut InsecureOt,
+        &mut cb,
+        &mut InsecureOt,
+    )
 }
 
 fn check_bench(bc: &BenchCircuit) {
@@ -129,25 +183,27 @@ fn works_over_iknp_extension() {
     let sim = Simulator::new(&bc.circuit).run(&bc.alice, &bc.bob, &bc.public, bc.cycles);
 
     let (mut ca, mut cb) = duplex();
-    let circuit = bc.circuit.clone();
-    let alice = bc.alice.clone();
-    let public = bc.public.clone();
-    let cycles = bc.cycles;
-    let garbler = std::thread::spawn(move || {
-        let mut prg = Prg::from_seed([78; 16]);
-        let mut setup_prg = Prg::from_seed([79; 16]);
-        let mut base = InsecureOt;
-        let mut ot = IknpSender::setup(&mut base, &mut ca, &mut setup_prg).expect("iknp setup");
-        run_garbler(
-            &circuit, &alice, &public, cycles, &mut ca, &mut ot, &mut prg,
-        )
-        .expect("garbler")
+    let (mut ot_a, mut ot_b) = std::thread::scope(|s| {
+        let sender = s.spawn(|| {
+            let mut setup_prg = Prg::from_seed([79; 16]);
+            IknpSender::setup(&mut InsecureOt, &mut ca, &mut setup_prg).expect("iknp setup")
+        });
+        let mut setup_prg = Prg::from_seed([80; 16]);
+        let receiver =
+            IknpReceiver::setup(&mut InsecureOt, &mut cb, &mut setup_prg).expect("iknp setup");
+        (sender.join().expect("setup thread"), receiver)
     });
-    let mut setup_prg = Prg::from_seed([80; 16]);
-    let mut base = InsecureOt;
-    let mut ot = IknpReceiver::setup(&mut base, &mut cb, &mut setup_prg).expect("iknp setup");
-    let bob_out = run_evaluator(&bc.circuit, &bc.bob, bc.cycles, &mut cb, &mut ot).expect("eval");
-    let alice_out = garbler.join().unwrap();
+    let (alice_out, bob_out) = run_over(
+        &bc.circuit,
+        &bc.alice,
+        &bc.bob,
+        &bc.public,
+        bc.cycles,
+        &mut ca,
+        &mut ot_a,
+        &mut cb,
+        &mut ot_b,
+    );
     assert_eq!(alice_out.outputs, sim.outputs);
     assert_eq!(bob_out.outputs, sim.outputs);
 }

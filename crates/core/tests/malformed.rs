@@ -1,10 +1,11 @@
 //! A misbehaving peer must surface as a clean [`ProtocolError`], never a
-//! panic: the evaluator is driven against hand-crafted bad frames.
+//! panic: the classic-baseline evaluator is driven against hand-crafted
+//! bad frames.
 
 use arm2gc_circuit::sim::PartyData;
 use arm2gc_circuit::{Circuit, CircuitBuilder, Role};
-use arm2gc_comm::{duplex, Channel};
-use arm2gc_garble::{run_evaluator, ProtocolError};
+use arm2gc_comm::{duplex, Channel, MemChannel};
+use arm2gc_core::{drive_evaluator, EngineKind, ProtocolError, SessionOptions};
 use arm2gc_ot::InsecureOt;
 use arm2gc_proto::{Message, SessionRole, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 
@@ -16,6 +17,24 @@ fn alice_only_circuit() -> Circuit {
     let o: Vec<_> = a.windows(2).map(|w| b.and(w[0], w[1])).collect();
     b.outputs(&o);
     b.build()
+}
+
+/// Drives the baseline evaluator for one cycle of `circuit` with no
+/// inputs of its own.
+fn evaluate(circuit: &Circuit, ch: &mut MemChannel) -> Result<(), ProtocolError> {
+    let none = [PartyData::default()];
+    let opts = SessionOptions::new().engine(EngineKind::Baseline);
+    drive_evaluator(
+        circuit,
+        &none,
+        &none,
+        1,
+        ch,
+        Vec::new(),
+        &mut InsecureOt,
+        &opts,
+    )
+    .map(|_| ())
 }
 
 /// Plays garbler for the handshake, then hands the channel to `abuse`.
@@ -30,7 +49,6 @@ fn against_fake_garbler_at_version(
     abuse: impl FnOnce(&mut dyn Channel) + Send,
 ) -> Result<(), ProtocolError> {
     let circuit = alice_only_circuit();
-    let bob = PartyData::default();
     let (mut ca, mut cb) = duplex();
     std::thread::scope(|s| {
         s.spawn(move || {
@@ -45,7 +63,7 @@ fn against_fake_garbler_at_version(
             ca.recv().expect("peer hello");
             abuse(&mut ca);
         });
-        run_evaluator(&circuit, &bob, 1, &mut cb, &mut InsecureOt).map(|_| ())
+        evaluate(&circuit, &mut cb)
     })
 }
 
@@ -109,7 +127,6 @@ fn incompatible_version_is_clean() {
     // Versions negotiate to the lowest common one, so a *newer* peer is
     // fine; only a peer below the supported minimum must be rejected.
     let circuit = alice_only_circuit();
-    let bob = PartyData::default();
     let (mut ca, mut cb) = duplex();
     let res = std::thread::scope(|s| {
         s.spawn(move || {
@@ -124,7 +141,7 @@ fn incompatible_version_is_clean() {
             // Drain the peer hello so the evaluator's reply send succeeds.
             let _ = ca.recv();
         });
-        run_evaluator(&circuit, &bob, 1, &mut cb, &mut InsecureOt).map(|_| ())
+        evaluate(&circuit, &mut cb)
     });
     assert_malformed(res, "incompatible version");
 }

@@ -7,14 +7,29 @@
 
 use arm2gc_circuit::bench_circuits::{self, BenchCircuit};
 use arm2gc_circuit::random::{random_circuit, random_inputs, RandomCircuitParams, TestRng};
+use arm2gc_circuit::sim::PartyData;
 use arm2gc_circuit::sim::Simulator;
+use arm2gc_circuit::Circuit;
 use arm2gc_circuit::OutputMode;
-use arm2gc_core::{run_two_party, SkipGateOutcome};
+use arm2gc_core::{run_two_party_opts, SessionOptions, SkipGateOutcome};
+
+/// One default single-lane session; returns each party's outcome.
+fn two_party(
+    c: &Circuit,
+    alice: &PartyData,
+    bob: &PartyData,
+    public: &PartyData,
+    cycles: usize,
+) -> (SkipGateOutcome, SkipGateOutcome) {
+    let lane = |p: &PartyData| [p.clone()];
+    let opts = SessionOptions::new();
+    let (a, b) = run_two_party_opts(c, &lane(alice), &lane(bob), &lane(public), cycles, &opts);
+    (a.lanes[0].clone(), b.lanes[0].clone())
+}
 
 fn check(bc: &BenchCircuit) -> SkipGateOutcome {
     let sim = Simulator::new(&bc.circuit).run(&bc.alice, &bc.bob, &bc.public, bc.cycles);
-    let (alice_out, bob_out) =
-        run_two_party(&bc.circuit, &bc.alice, &bc.bob, &bc.public, bc.cycles);
+    let (alice_out, bob_out) = two_party(&bc.circuit, &bc.alice, &bc.bob, &bc.public, bc.cycles);
     assert_eq!(alice_out.outputs, sim.outputs, "{}", bc.circuit.name());
     assert_eq!(bob_out.outputs, sim.outputs, "{}", bc.circuit.name());
     assert_eq!(
@@ -87,7 +102,7 @@ fn matmul_3x3_costs_27369() {
 /// reveals only the 256 digest bits, so in the final round the 1,344
 /// χ ANDs outside the digest's cone die by fanout reduction — a strict
 /// improvement over the paper's figure with identical semantics
-/// (documented in EXPERIMENTS.md).
+/// (DESIGN.md, "Paper vs measured").
 #[test]
 fn sha3_256_costs_37056() {
     let out = check(&bench_circuits::sha3_256(b"skipgate"));
@@ -129,7 +144,7 @@ fn random_circuits_match_simulator() {
         let cycles = 1 + i % 6;
         let (a, b, p) = random_inputs(&mut rng, &c, cycles);
         let sim = Simulator::new(&c).run(&a, &b, &p, cycles);
-        let (alice_out, bob_out) = run_two_party(&c, &a, &b, &p, cycles);
+        let (alice_out, bob_out) = two_party(&c, &a, &b, &p, cycles);
         assert_eq!(alice_out.outputs, sim.outputs, "alice, iteration {i}");
         assert_eq!(bob_out.outputs, sim.outputs, "bob, iteration {i}");
     }
@@ -143,7 +158,7 @@ fn never_worse_than_baseline() {
         let c = random_circuit(&mut rng, RandomCircuitParams::default());
         let cycles = 1 + i % 4;
         let (a, b, p) = random_inputs(&mut rng, &c, cycles);
-        let (alice_out, _) = run_two_party(&c, &a, &b, &p, cycles);
+        let (alice_out, _) = two_party(&c, &a, &b, &p, cycles);
         let baseline = arm2gc_garble::static_non_xor_cost(&c, cycles);
         assert!(
             (alice_out.stats.garbled_tables as u128) <= baseline,
@@ -168,7 +183,7 @@ fn public_halt_stops_early() {
     b.outputs(&cnt);
     let c = b.build();
 
-    let (alice_out, bob_out) = run_two_party(
+    let (alice_out, bob_out) = two_party(
         &c,
         &PartyData::default(),
         &PartyData::default(),

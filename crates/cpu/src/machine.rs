@@ -19,12 +19,9 @@
 use arm2gc_circuit::sim::PartyData;
 use arm2gc_circuit::words::{bits_to_words, u32_to_bits};
 use arm2gc_circuit::Circuit;
-use arm2gc_core::{
-    run_two_party_cfg, run_two_party_instanced_cfg, run_two_party_opts, InstancedOutcome,
-    SessionOptions, SkipGateOutcome, SkipGateStats, TwoPartyConfig,
-};
+use arm2gc_core::{run_two_party_opts, InstancedOutcome, SessionOptions};
 
-pub use arm2gc_circuit::{LayerSchedule, ScheduleMode};
+pub use arm2gc_circuit::LayerSchedule;
 
 use crate::asm::Program;
 use crate::circuit_gen::build_cpu;
@@ -156,7 +153,7 @@ impl GcMachine {
 
     /// The CPU circuit's ASAP layer schedule, levelled on first use and
     /// cached for the machine's lifetime — for inspecting the level
-    /// count and widths a [`ScheduleMode::Layered`] run will execute
+    /// count and widths an instanced run (`instances ≥ 2`) will execute
     /// with (the engines level an identical schedule internally).
     pub fn layer_schedule(&self) -> &LayerSchedule {
         self.schedule
@@ -243,25 +240,23 @@ impl GcMachine {
         }
     }
 
-    /// Runs the program through one two-party session described by a
-    /// unified [`SessionOptions`] — the single entry point behind the
-    /// whole `run_skipgate*` family. `alices`/`bobs` carry one input
-    /// word set per configured lane (`opts.instances` entries each; one
-    /// entry for a plain single-instance run).
+    /// Runs the program through one two-party session (both parties
+    /// in-process) described by a [`SessionOptions`]: the machine's one
+    /// protocol entry point. `alices`/`bobs` carry one input word set
+    /// per configured lane (`opts.instances` entries each; one entry
+    /// for a plain single-instance run). With several lanes, every
+    /// lane's surviving nonlinear gates hash through the wide AES core
+    /// together each cycle, and lanes halt independently.
     ///
     /// Returns one [`MachineRun`] per lane plus the garbler's
     /// [`InstancedOutcome`] (per-lane cost counters and the
     /// session-wide batching statistics).
     ///
-    /// Migration from the legacy wrappers (all of which forward to the
-    /// same engine internals, so transcripts are unchanged):
-    ///
-    /// | Legacy method | Unified form |
+    /// | Instead of | Use |
     /// |---|---|
-    /// | [`run_skipgate`](Self::run_skipgate) | `run(…, &SessionOptions::new())` |
-    /// | [`run_skipgate_scheduled`](Self::run_skipgate_scheduled) | `… .schedule(mode)` |
-    /// | [`run_skipgate_with`](Self::run_skipgate_with) / [`run_skipgate_outcome`](Self::run_skipgate_outcome) | `… .ot(…)` `.stream(…)` `.shards(n)` |
-    /// | [`run_skipgate_instanced`](Self::run_skipgate_instanced) | `… .instances(n)` |
+    /// | a default single-lane run | `run(…, &SessionOptions::new())` |
+    /// | another OT stack, streaming or sharding | `… .ot(…)` `.stream(…)` `.shards(n)` |
+    /// | N lanes in one session | `… .instances(n)` |
     ///
     /// # Panics
     /// Panics if the configuration is invalid, the lane arrays disagree
@@ -297,156 +292,7 @@ impl GcMachine {
         );
         assert_eq!(
             alice_out.batching, bob_out.batching,
-            "parties disagree on batching stats"
-        );
-        let runs = alice_out
-            .lanes
-            .iter()
-            .zip(&bob_out.lanes)
-            .map(|(a, b)| {
-                assert_eq!(a.outputs, b.outputs, "party outputs differ");
-                let out_bits = &a.final_output()[..self.config.out_words * 32];
-                MachineRun {
-                    output: bits_to_words(out_bits),
-                    cycles: a.stats.cycles_run,
-                    halted: a.stats.cycles_run < max_cycles,
-                }
-            })
-            .collect();
-        (runs, alice_out)
-    }
-
-    /// Runs the two-party SkipGate protocol (both parties in-process)
-    /// with the default session configuration (insecure reference OT,
-    /// chunked table streaming). Returns the run plus the garbler's cost
-    /// statistics. Thin wrapper over [`GcMachine::run`].
-    pub fn run_skipgate(
-        &self,
-        prog: &Program,
-        alice: &[u32],
-        bob: &[u32],
-        max_cycles: usize,
-    ) -> (MachineRun, SkipGateStats) {
-        self.run_skipgate_with(prog, alice, bob, max_cycles, TwoPartyConfig::default())
-    }
-
-    /// [`GcMachine::run_skipgate`] under an explicit execution
-    /// schedule: [`ScheduleMode::Layered`] drives every cycle with the
-    /// precomputed topological level schedule (transcript-identical to
-    /// the default netlist-order walk, but each level's surviving
-    /// gates hash through the wide AES core in one batch).
-    pub fn run_skipgate_scheduled(
-        &self,
-        prog: &Program,
-        alice: &[u32],
-        bob: &[u32],
-        max_cycles: usize,
-        schedule: ScheduleMode,
-    ) -> (MachineRun, SkipGateStats) {
-        self.run_skipgate_with(
-            prog,
-            alice,
-            bob,
-            max_cycles,
-            TwoPartyConfig::new().schedule(schedule),
-        )
-    }
-
-    /// [`GcMachine::run_skipgate`] with an explicit session
-    /// configuration: pluggable OT backend (e.g. the real Naor–Pinkas +
-    /// IKNP stack), table-streaming chunking, and table-stream sharding
-    /// (`cfg.shards` — each shard's slice of every cycle's surviving
-    /// tables travels over its own in-process channel, sent by a
-    /// dedicated worker thread).
-    pub fn run_skipgate_with(
-        &self,
-        prog: &Program,
-        alice: &[u32],
-        bob: &[u32],
-        max_cycles: usize,
-        cfg: TwoPartyConfig,
-    ) -> (MachineRun, SkipGateStats) {
-        let (run, outcome) = self.run_skipgate_outcome(prog, alice, bob, max_cycles, cfg);
-        (run, outcome.stats)
-    }
-
-    /// [`GcMachine::run_skipgate_with`], returning the garbler's full
-    /// [`SkipGateOutcome`] — cost counters *plus* the batching/
-    /// re-leveling statistics ([`ScheduleMode::Layered`] runs report
-    /// level occupancy and how many cycles needed a per-cycle
-    /// re-leveling patch) and every per-cycle output frame.
-    pub fn run_skipgate_outcome(
-        &self,
-        prog: &Program,
-        alice: &[u32],
-        bob: &[u32],
-        max_cycles: usize,
-        cfg: TwoPartyConfig,
-    ) -> (MachineRun, SkipGateOutcome) {
-        let (a, b, p) = self.party_data(prog, alice, bob);
-        let (alice_out, bob_out) = run_two_party_cfg(&self.circuit, &a, &b, &p, max_cycles, cfg);
-        assert_eq!(alice_out.outputs, bob_out.outputs, "party outputs differ");
-        assert_eq!(
-            alice_out.batching, bob_out.batching,
             "parties disagree on batching/re-leveling stats"
-        );
-        let out_bits = &alice_out.final_output()[..self.config.out_words * 32];
-        (
-            MachineRun {
-                output: bits_to_words(out_bits),
-                cycles: alice_out.stats.cycles_run,
-                halted: alice_out.stats.cycles_run < max_cycles,
-            },
-            alice_out,
-        )
-    }
-
-    /// Runs `alices.len()` independent instances of `prog` — same
-    /// program, per-lane private inputs — through **one** instanced
-    /// two-party session ([`run_two_party_instanced_cfg`]): per cycle,
-    /// every lane's surviving nonlinear gates hash through the wide
-    /// AES core together, so the per-instance amortized cost drops as
-    /// the lane count grows. Lanes halt independently.
-    ///
-    /// Returns one [`MachineRun`] per lane (identical to what
-    /// [`GcMachine::run_skipgate_with`] would produce for that lane's
-    /// inputs alone) plus the garbler's [`InstancedOutcome`] with the
-    /// session-wide batching statistics. `cfg.schedule` is ignored —
-    /// instanced execution is always layer-scheduled.
-    ///
-    /// # Panics
-    /// Panics if `alices` and `bobs` disagree in length, if the lane
-    /// count is zero, or if the parties' outcomes diverge (test
-    /// harness semantics).
-    pub fn run_skipgate_instanced(
-        &self,
-        prog: &Program,
-        alices: &[Vec<u32>],
-        bobs: &[Vec<u32>],
-        max_cycles: usize,
-        cfg: TwoPartyConfig,
-    ) -> (Vec<MachineRun>, InstancedOutcome) {
-        assert_eq!(alices.len(), bobs.len(), "one Bob input set per lane");
-        let mut lane_alice = Vec::with_capacity(alices.len());
-        let mut lane_bob = Vec::with_capacity(alices.len());
-        let mut lane_public = Vec::with_capacity(alices.len());
-        for (alice, bob) in alices.iter().zip(bobs) {
-            let (a, b, p) = self.party_data(prog, alice, bob);
-            lane_alice.push(a);
-            lane_bob.push(b);
-            lane_public.push(p);
-        }
-        let (alice_out, bob_out) = run_two_party_instanced_cfg(
-            &self.circuit,
-            &lane_alice,
-            &lane_bob,
-            &lane_public,
-            max_cycles,
-            cfg,
-        );
-        assert_eq!(
-            alice_out.batching, bob_out.batching,
-            "parties disagree on batching stats"
         );
         let runs = alice_out
             .lanes

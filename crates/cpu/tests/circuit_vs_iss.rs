@@ -5,10 +5,30 @@
 //! randomly generated instruction soup alike — and the SkipGate protocol
 //! run must agree with both while garbling only the data-path gates.
 
-use arm2gc_cpu::asm::assemble;
+use arm2gc_core::{SessionOptions, SkipGateStats};
+use arm2gc_cpu::asm::{assemble, Program};
 use arm2gc_cpu::isa::{Cond, DpOp, Instr, MemOffset, Shift, ShiftAmount};
-use arm2gc_cpu::machine::{CpuConfig, GcMachine};
+use arm2gc_cpu::machine::{CpuConfig, GcMachine, MachineRun};
 use arm2gc_cpu::programs;
+
+/// One default single-lane SkipGate session of `prog`: the run plus
+/// the garbler's cost counters.
+fn garbled_run(
+    m: &GcMachine,
+    prog: &Program,
+    alice: &[u32],
+    bob: &[u32],
+    max_cycles: usize,
+) -> (MachineRun, SkipGateStats) {
+    let (mut runs, outcome) = m.run(
+        prog,
+        &[alice.to_vec()],
+        &[bob.to_vec()],
+        max_cycles,
+        &SessionOptions::new(),
+    );
+    (runs.remove(0), outcome.lanes[0].stats)
+}
 
 fn check_program(m: &GcMachine, src: &str, alice: &[u32], bob: &[u32], max_cycles: usize) {
     let prog = assemble(src).expect("assembles");
@@ -193,7 +213,7 @@ fn skipgate_sum32_costs_31_tables() {
     let m = GcMachine::new(CpuConfig::small());
     let prog = assemble(&programs::sum32()).expect("assembles");
     let iss = m.run_iss(&prog, &[123_456], &[654_321], 64);
-    let (run, stats) = m.run_skipgate(&prog, &[123_456], &[654_321], 64);
+    let (run, stats) = garbled_run(&m, &prog, &[123_456], &[654_321], 64);
     assert_eq!(run.output, iss.output);
     assert_eq!(run.output[0], 777_777);
     assert_eq!(
@@ -206,12 +226,12 @@ fn skipgate_sum32_costs_31_tables() {
 /// The CMP's borrow chain costs 32, and the Z (31) + V (1) flag writes
 /// land in the CPSR flip-flops, which are live sinks under the paper's
 /// own fanout-initialisation rule — so the extra 32 cannot be skipped by
-/// Alg. 4/6 as specified. Documented in EXPERIMENTS.md.
+/// Alg. 4/6 as specified. See DESIGN.md, "Paper vs measured".
 #[test]
 fn skipgate_compare32_costs_64_tables() {
     let m = GcMachine::new(CpuConfig::small());
     let prog = assemble(&programs::compare32()).expect("assembles");
-    let (run, stats) = m.run_skipgate(&prog, &[1000], &[2000], 64);
+    let (run, stats) = garbled_run(&m, &prog, &[1000], &[2000], 64);
     assert_eq!(run.output[0], 1);
     assert_eq!(stats.garbled_tables, 64);
 }
@@ -221,7 +241,7 @@ fn skipgate_compare32_costs_64_tables() {
 fn skipgate_mult32_costs_993_tables() {
     let m = GcMachine::new(CpuConfig::small());
     let prog = assemble(&programs::mult32()).expect("assembles");
-    let (run, stats) = m.run_skipgate(&prog, &[0xffff], &[0x10001], 64);
+    let (run, stats) = garbled_run(&m, &prog, &[0xffff], &[0x10001], 64);
     assert_eq!(run.output[0], 0xffffu32.wrapping_mul(0x10001));
     assert_eq!(stats.garbled_tables, 993);
 }
@@ -232,7 +252,7 @@ fn skipgate_mult32_costs_993_tables() {
 fn skipgate_reduction_factor_is_huge() {
     let m = GcMachine::new(CpuConfig::small());
     let prog = assemble(&programs::sum32()).expect("assembles");
-    let (_, stats) = m.run_skipgate(&prog, &[1], &[2], 64);
+    let (_, stats) = garbled_run(&m, &prog, &[1], &[2], 64);
     let baseline = m.baseline_cost(stats.cycles_run);
     let factor = baseline / stats.garbled_tables.max(1) as u128;
     assert!(
@@ -242,12 +262,12 @@ fn skipgate_reduction_factor_is_huge() {
     );
 }
 
-/// The garbled processor under the layer schedule: identical output,
-/// identical cost counters, and the machine's cached schedule reports
-/// the level structure the run executed with.
+/// The garbled processor under the layer schedule (an instanced
+/// session, two lanes): every lane's output and cost counters equal the
+/// netlist-order single-lane run, and the machine's cached schedule
+/// reports the level structure the run executed with.
 #[test]
 fn skipgate_layer_scheduled_matches_netlist_on_cpu() {
-    use arm2gc_cpu::machine::ScheduleMode;
     let m = GcMachine::new(CpuConfig::small());
     let sched = m.layer_schedule();
     assert!(sched.levels() > 1, "the CPU circuit is not one level deep");
@@ -258,10 +278,19 @@ fn skipgate_layer_scheduled_matches_netlist_on_cpu() {
 
     let prog = assemble(&programs::sum32()).expect("assembles");
     let iss = m.run_iss(&prog, &[123_456], &[654_321], 64);
-    let (netlist, n_stats) = m.run_skipgate(&prog, &[123_456], &[654_321], 64);
-    let (layered, l_stats) =
-        m.run_skipgate_scheduled(&prog, &[123_456], &[654_321], 64, ScheduleMode::Layered);
-    assert_eq!(layered.output, iss.output);
-    assert_eq!(layered, netlist, "layered run matches the netlist run");
-    assert_eq!(l_stats, n_stats, "cost counters are schedule-invariant");
+    let (netlist, n_stats) = garbled_run(&m, &prog, &[123_456], &[654_321], 64);
+    let inputs = |w: u32| vec![vec![w]; 2];
+    let (layered, outcome) = m.run(
+        &prog,
+        &inputs(123_456),
+        &inputs(654_321),
+        64,
+        &SessionOptions::new().instances(2),
+    );
+    assert_eq!(outcome.batching.levels, sched.levels() as u64);
+    for (run, lane) in layered.iter().zip(&outcome.lanes) {
+        assert_eq!(run.output, iss.output);
+        assert_eq!(*run, netlist, "layered lane matches the netlist run");
+        assert_eq!(lane.stats, n_stats, "cost counters are schedule-invariant");
+    }
 }

@@ -15,16 +15,17 @@
 //! gate order. The protocol transcript is byte-identical either way —
 //! the pinned wire/stats tests enforce this.
 //!
-//! Both engines (the classic baseline in [`crate::engine`] and the
-//! SkipGate engine in `arm2gc-core`) drive their cycle loops through
-//! these types.
+//! Both engines in `arm2gc-core` (the classic baseline and SkipGate)
+//! drive their cycle loops through these types.
 //!
 //! The wavefront types discover batches *within the netlist-order
-//! walk*; the [`GarbleLayered`]/[`EvalLayered`] drivers instead execute
-//! a precomputed [`arm2gc_circuit::LayerSchedule`] level by level —
-//! every level's nonlinear gates hash in one batch regardless of how
-//! the netlist interleaves dependency chains — while still emitting
-//! tables in exact netlist gate order via per-gate emission slots.
+//! walk*, which single-lane sessions run; the
+//! [`GarbleLayered`]/[`EvalLayered`] drivers instead execute a
+//! precomputed [`arm2gc_circuit::LayerSchedule`] level by level across
+//! any number of lanes — every level's nonlinear gates hash in one
+//! batch regardless of how the netlist interleaves dependency chains —
+//! while still emitting tables in exact netlist gate order via per-gate
+//! emission slots.
 
 use arm2gc_circuit::Op;
 use arm2gc_crypto::Label;
@@ -120,14 +121,14 @@ pub struct WavefrontStats {
     /// regression guard (the bench gate fails on any nonzero value).
     pub fallback_cycles: u64,
     /// Cycles a layer-scheduled run patched with a per-cycle re-leveling
-    /// because an alias edge crossed static levels. Always 0 for the
-    /// classic engine and for netlist-mode runs.
+    /// because an alias edge crossed static levels, counted per lane.
+    /// Always 0 for netlist-order runs.
     pub releveled_cycles: u64,
     /// Total gates pushed off their static level across all re-leveled
     /// cycles.
     pub patched_gates: u64,
-    /// Circuit instances batched per cycle by a cross-instance run —
-    /// 0 for single-run drivers, which have no lane structure.
+    /// Circuit instances batched per cycle by a layer-scheduled run —
+    /// 0 for netlist-order wavefront runs, which have no lane structure.
     pub instances: u64,
 }
 
@@ -162,9 +163,8 @@ impl WavefrontStats {
         self.mean_batch() / self.lanes() as f64
     }
 
-    /// Field-wise accumulation, for runs that report through more than
-    /// one driver (e.g. the SkipGate engine keeps both a wavefront and
-    /// a layered driver and merges their counters at the end).
+    /// Field-wise accumulation, for tallies over several runs or
+    /// drivers.
     pub fn absorb(&mut self, other: WavefrontStats) {
         self.batches += other.batches;
         self.batched_gates += other.batched_gates;
@@ -521,7 +521,7 @@ const ZERO_TABLE: GarbledTable = GarbledTable {
     te: Label::ZERO,
 };
 
-/// Garbler-side layer-scheduled driver.
+/// Garbler-side layer-scheduled driver over one or more lanes.
 ///
 /// Unlike [`GarbleWavefront`], gates arrive pre-grouped: the engine
 /// walks a precomputed `LayerSchedule` and, per level, computes linear
@@ -532,6 +532,16 @@ const ZERO_TABLE: GarbledTable = GarbledTable {
 /// [`end_cycle`](GarbleLayered::end_cycle) emits the buffered tables in
 /// ascending emission slot, i.e. exact netlist gate order, keeping the
 /// wire transcript byte-identical to a sequential walk.
+///
+/// With N lanes (N independent instances of the same circuit, distinct
+/// inputs, shared schedule) labels live in one struct-of-arrays buffer,
+/// wire-major: wire `w`'s lanes occupy indices `w*N .. w*N + N`, and
+/// the engine passes those flat indices. It enqueues every active lane
+/// of every nonlinear gate of a level before
+/// [`end_level`](GarbleLayered::end_level), so one batch hash spans
+/// `level width × N` jobs. Emission slots are merged across lanes
+/// (gate-major, lane-minor), so `end_cycle` interleaves the lanes'
+/// tables deterministically.
 #[derive(Clone, Debug)]
 pub struct GarbleLayered {
     jobs: Vec<GarbleJob>,
@@ -543,14 +553,16 @@ pub struct GarbleLayered {
     filled: usize,
     scratch: BatchScratch,
     levels: u64,
+    instances: u64,
     batches: u64,
     batched_gates: u64,
     largest_batch: usize,
 }
 
 impl GarbleLayered {
-    /// A driver for a schedule with `levels` topological levels.
-    pub fn new(levels: usize) -> Self {
+    /// A driver batching `instances` lanes over a schedule with
+    /// `levels` topological levels.
+    pub fn new(levels: usize, instances: usize) -> Self {
         Self {
             jobs: Vec::new(),
             dests: Vec::new(),
@@ -559,34 +571,39 @@ impl GarbleLayered {
             filled: 0,
             scratch: BatchScratch::default(),
             levels: levels as u64,
+            instances: instances as u64,
             batches: 0,
             batched_gates: 0,
             largest_batch: 0,
         }
     }
 
-    /// Batching statistics accumulated so far.
+    /// Batching statistics accumulated so far, carrying the lane count.
     pub fn stats(&self) -> WavefrontStats {
         WavefrontStats {
             batches: self.batches,
             batched_gates: self.batched_gates,
             largest_batch: self.largest_batch,
             levels: self.levels,
+            instances: self.instances,
             ..WavefrontStats::default()
         }
     }
 
-    /// Starts a cycle that will garble `expected_tables` gates.
+    /// Starts a cycle that will garble `expected_tables` gates summed
+    /// over every active lane.
     pub fn begin_cycle(&mut self, expected_tables: usize) {
         self.tables.clear();
         self.tables.resize(expected_tables, ZERO_TABLE);
         self.filled = 0;
     }
 
-    /// Enqueues one nonlinear gate of the current level. `slot` is its
-    /// emission position within the cycle (netlist order of garbled
-    /// gates); input labels are read now — the level invariant
-    /// guarantees they are final.
+    /// Enqueues one lane of one nonlinear gate of the current level.
+    /// `a`/`b`/`out` are flat label indices; `slot` is its emission
+    /// position within the cycle (netlist order of garbled gates,
+    /// lanes merged); `tweak` is the lane's own running tweak. Input
+    /// labels are read now — the level invariant guarantees they are
+    /// final.
     #[allow(clippy::too_many_arguments)]
     pub fn garble(
         &mut self,
@@ -654,10 +671,11 @@ impl GarbleLayered {
     }
 }
 
-/// Evaluator-side layer-scheduled driver; the mirror of
-/// [`GarbleLayered`]. The engine pulls the cycle's tables from the
-/// stream up front (in netlist order — the byte consumption is
-/// unchanged) and hands each gate its table at enqueue time.
+/// Evaluator-side layer-scheduled driver over one or more lanes; the
+/// mirror of [`GarbleLayered`]. The engine pulls the cycle's (merged)
+/// tables from the stream up front (in netlist order — the byte
+/// consumption is unchanged) and hands each lane of each gate its
+/// table at enqueue time.
 #[derive(Clone, Debug)]
 pub struct EvalLayered {
     jobs: Vec<EvalJob>,
@@ -665,38 +683,43 @@ pub struct EvalLayered {
     results: Vec<Label>,
     scratch: BatchScratch,
     levels: u64,
+    instances: u64,
     batches: u64,
     batched_gates: u64,
     largest_batch: usize,
 }
 
 impl EvalLayered {
-    /// A driver for a schedule with `levels` topological levels.
-    pub fn new(levels: usize) -> Self {
+    /// A driver batching `instances` lanes over a schedule with
+    /// `levels` topological levels.
+    pub fn new(levels: usize, instances: usize) -> Self {
         Self {
             jobs: Vec::new(),
             outs: Vec::new(),
             results: Vec::new(),
             scratch: BatchScratch::default(),
             levels: levels as u64,
+            instances: instances as u64,
             batches: 0,
             batched_gates: 0,
             largest_batch: 0,
         }
     }
 
-    /// Batching statistics accumulated so far.
+    /// Batching statistics accumulated so far, carrying the lane count.
     pub fn stats(&self) -> WavefrontStats {
         WavefrontStats {
             batches: self.batches,
             batched_gates: self.batched_gates,
             largest_batch: self.largest_batch,
             levels: self.levels,
+            instances: self.instances,
             ..WavefrontStats::default()
         }
     }
 
-    /// Enqueues one garbled gate of the current level with its table.
+    /// Enqueues one lane of one garbled gate of the current level with
+    /// its table; `a`/`b`/`out` are flat label indices.
     pub fn eval(
         &mut self,
         labels: &[Label],
@@ -733,139 +756,6 @@ impl EvalLayered {
     }
 }
 
-/// Garbler-side cross-instance layer-scheduled driver.
-///
-/// One session garbles N independent instances of the same circuit
-/// (distinct inputs, shared schedule). Labels live in one
-/// struct-of-arrays buffer, wire-major: wire `w`'s lanes occupy indices
-/// `w*N .. w*N + N`, and the engine passes the flat lane indices here.
-/// The engine enqueues every active lane of every nonlinear gate of a
-/// level before calling [`GarbleInstanced::end_level`], so one batch
-/// hash spans `level width × N` jobs — N times the single-instance
-/// occupancy. Emission slots are merged across lanes (gate-major,
-/// lane-minor within each gate), so
-/// [`GarbleInstanced::end_cycle`] interleaves the lanes' tables
-/// deterministically; at `N == 1` slots, stream and labels all reduce
-/// to [`GarbleLayered`] exactly.
-#[derive(Clone, Debug)]
-pub struct GarbleInstanced {
-    inner: GarbleLayered,
-    instances: u64,
-}
-
-impl GarbleInstanced {
-    /// A driver batching `instances` lanes over a schedule with
-    /// `levels` topological levels.
-    pub fn new(levels: usize, instances: usize) -> Self {
-        Self {
-            inner: GarbleLayered::new(levels),
-            instances: instances as u64,
-        }
-    }
-
-    /// Batching statistics accumulated so far, carrying the lane count.
-    pub fn stats(&self) -> WavefrontStats {
-        WavefrontStats {
-            instances: self.instances,
-            ..self.inner.stats()
-        }
-    }
-
-    /// Starts a cycle that will garble `expected_tables` gates summed
-    /// over every active lane.
-    pub fn begin_cycle(&mut self, expected_tables: usize) {
-        self.inner.begin_cycle(expected_tables);
-    }
-
-    /// Enqueues one lane of one nonlinear gate of the current level.
-    /// `a`/`b`/`out` are flat struct-of-arrays indices (`wire*N +
-    /// lane`); `slot` is the gate's merged emission position within the
-    /// cycle; `tweak` is the lane's own running tweak.
-    #[allow(clippy::too_many_arguments)]
-    pub fn garble(
-        &mut self,
-        labels: &[Label],
-        op: Op,
-        a: usize,
-        b: usize,
-        out: usize,
-        tweak: u64,
-        slot: usize,
-    ) {
-        self.inner.garble(labels, op, a, b, out, tweak, slot);
-    }
-
-    /// Hashes every enqueued lane of the level's gates in one batch.
-    pub fn end_level(&mut self, g: &HalfGateGarbler, labels: &mut [Label]) {
-        self.inner.end_level(g, labels);
-    }
-
-    /// Emits the cycle's tables in ascending merged-slot order: netlist
-    /// gate order, lanes interleaved instance-major within each gate.
-    ///
-    /// # Panics
-    /// Panics if the cycle garbled fewer gates than announced via
-    /// [`GarbleInstanced::begin_cycle`].
-    ///
-    /// # Errors
-    /// Propagates `emit` failures.
-    pub fn end_cycle<E>(
-        &mut self,
-        emit: &mut impl FnMut(&GarbledTable) -> Result<(), E>,
-    ) -> Result<(), E> {
-        self.inner.end_cycle(emit)
-    }
-}
-
-/// Evaluator-side cross-instance layer-scheduled driver; the mirror of
-/// [`GarbleInstanced`]. The engine pulls the cycle's merged table
-/// stream up front, indexes it by merged slot, and hands each lane of
-/// each gate its table at enqueue time.
-#[derive(Clone, Debug)]
-pub struct EvalInstanced {
-    inner: EvalLayered,
-    instances: u64,
-}
-
-impl EvalInstanced {
-    /// A driver batching `instances` lanes over a schedule with
-    /// `levels` topological levels.
-    pub fn new(levels: usize, instances: usize) -> Self {
-        Self {
-            inner: EvalLayered::new(levels),
-            instances: instances as u64,
-        }
-    }
-
-    /// Batching statistics accumulated so far, carrying the lane count.
-    pub fn stats(&self) -> WavefrontStats {
-        WavefrontStats {
-            instances: self.instances,
-            ..self.inner.stats()
-        }
-    }
-
-    /// Enqueues one lane of one garbled gate of the current level with
-    /// its table. `a`/`b`/`out` are flat struct-of-arrays indices
-    /// (`wire*N + lane`).
-    pub fn eval(
-        &mut self,
-        labels: &[Label],
-        a: usize,
-        b: usize,
-        out: usize,
-        table: GarbledTable,
-        tweak: u64,
-    ) {
-        self.inner.eval(labels, a, b, out, table, tweak);
-    }
-
-    /// Hashes every enqueued lane of the level's gates in one batch.
-    pub fn end_level(&mut self, e: &HalfGateEvaluator, labels: &mut [Label]) {
-        self.inner.end_level(e, labels);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -885,12 +775,12 @@ mod tests {
         // Fresh drivers that never saw a gate report the same.
         assert_eq!(GarbleWavefront::new(4).stats().mean_batch(), 0.0);
         assert_eq!(EvalWavefront::new(4).stats().mean_batch(), 0.0);
-        assert_eq!(GarbleLayered::new(3).stats().mean_batch(), 0.0);
-        assert_eq!(EvalLayered::new(3).stats().mean_batch(), 0.0);
+        assert_eq!(GarbleLayered::new(3, 1).stats().mean_batch(), 0.0);
+        assert_eq!(EvalLayered::new(3, 1).stats().mean_batch(), 0.0);
 
         // Absorbing empty stats keeps the invariant.
         let mut merged = WavefrontStats::default();
-        merged.absorb(GarbleLayered::new(3).stats());
+        merged.absorb(GarbleLayered::new(3, 1).stats());
         assert_eq!(merged.mean_batch(), 0.0);
 
         // Per-instance amortization guards the same way: a zero-batch
@@ -905,8 +795,8 @@ mod tests {
             assert_eq!(s.batched_gates_per_instance(), 0.0);
             assert!(!s.mean_batch_per_instance().is_nan());
         }
-        assert_eq!(GarbleInstanced::new(3, 8).stats().mean_batch(), 0.0);
-        assert_eq!(EvalInstanced::new(3, 8).stats().instances, 8);
+        assert_eq!(GarbleLayered::new(3, 8).stats().mean_batch(), 0.0);
+        assert_eq!(EvalLayered::new(3, 8).stats().instances, 8);
     }
 
     /// Per-instance amortized counters divide by the lane count (a lane
@@ -975,7 +865,7 @@ mod tests {
         for inputs in &lane_inputs {
             let mut labels = vec![Label::ZERO; 4];
             labels[..2].copy_from_slice(inputs);
-            let mut ld = GarbleLayered::new(2);
+            let mut ld = GarbleLayered::new(2, 1);
             ld.begin_cycle(2);
             ld.garble(&labels, Op::AND, 0, 1, 2, 0, 0);
             ld.end_level(&g, &mut labels);
@@ -999,7 +889,7 @@ mod tests {
             soa[N + lane] = inputs[1];
         }
         let idx = |w: usize, lane: usize| w * N + lane;
-        let mut di = GarbleInstanced::new(2, N);
+        let mut di = GarbleLayered::new(2, N);
         di.begin_cycle(2 * N);
         for lane in 0..N {
             di.garble(
@@ -1161,7 +1051,7 @@ mod tests {
 
         // Layered walk: level 0 = {A0 slot 0, A1 slot 2},
         // level 1 = {B0 slot 1, B1 slot 3}.
-        let mut ld = GarbleLayered::new(2);
+        let mut ld = GarbleLayered::new(2, 1);
         ld.begin_cycle(4);
         ld.garble(&labels, Op::AND, 0, 1, 6, 0, 0);
         ld.garble(&labels, Op::AND, 3, 4, 8, 2, 2);
@@ -1188,7 +1078,7 @@ mod tests {
         // Evaluator mirror on the zero labels, same level order.
         let mut active = seq_labels[..6].to_vec();
         active.resize(10, Label::ZERO);
-        let mut le = EvalLayered::new(2);
+        let mut le = EvalLayered::new(2, 1);
         le.eval(&active, 0, 1, 6, emitted[0], 0);
         le.eval(&active, 3, 4, 8, emitted[2], 2);
         le.end_level(&e, &mut active);

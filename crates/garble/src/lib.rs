@@ -1,41 +1,28 @@
-//! Classic sequential garbled-circuit engine (the paper's "conventional
-//! GC" baseline, §2.3).
+//! Garbling primitives and the batch drivers both engines run on.
 //!
-//! Implements Yao's protocol with all three standard optimisations the
-//! paper assumes — free-XOR, row reduction and half-gates — over the
-//! sequential-circuit model of TinyGarble: every gate is garbled on every
-//! clock cycle and flip-flop labels are copied across cycles. No gate is
-//! ever skipped; that is what `arm2gc_core`'s SkipGate adds on top.
+//! Implements Yao's garbling with all three standard optimisations the
+//! paper assumes — free-XOR, row reduction and half-gates — plus the
+//! schedulers that feed many independent gates through the wide AES
+//! core at once. The two-party sessions themselves (the classic
+//! baseline and SkipGate) live in `arm2gc_core`.
 //!
 //! * [`halfgate`] — the two-ciphertext half-gate garbling primitive for
 //!   any nonlinear 2-input gate, with batch entry points that hash many
 //!   independent gates through the wide AES core per call,
-//! * [`batch`] — the wavefront schedulers both engines use to discover
-//!   those independent gate groups on the fly,
+//! * [`batch`] — the wavefront batchers (netlist-order walk) and the
+//!   layered drivers (precomputed level schedule, any lane count),
 //! * [`rows4`] — the unoptimised 4-row and GRR3 garbling baselines used
-//!   by the ablation benchmarks,
-//! * [`engine`] — the two-party protocol: [`run_garbler`] /
-//!   [`run_evaluator`] over a channel + OT.
+//!   by the ablation benchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod engine;
 pub mod halfgate;
 pub mod rows4;
 
-pub use arm2gc_circuit::{LayerSchedule, ScheduleMode};
-pub use arm2gc_proto::{ShardConfig, StreamConfig};
-pub use batch::{
-    EvalInstanced, EvalLayered, EvalWavefront, GarbleInstanced, GarbleLayered, GarbleWavefront,
-    WavefrontStats,
-};
-pub use engine::{
-    run_evaluator, run_evaluator_scheduled, run_evaluator_sharded, run_garbler,
-    run_garbler_scheduled, run_garbler_sharded, run_garbler_with, GarbleOutcome, GarbleStats,
-    ProtocolError,
-};
+pub use arm2gc_circuit::LayerSchedule;
+pub use batch::{EvalLayered, EvalWavefront, GarbleLayered, GarbleWavefront, WavefrontStats};
 pub use halfgate::{EvalJob, GarbleJob, GarbledTable, HalfGateEvaluator, HalfGateGarbler};
 
 use arm2gc_circuit::Circuit;

@@ -45,7 +45,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use arm2gc_circuit::ScheduleMode;
 use arm2gc_comm::{Channel, ChannelError, TcpChannel};
 use arm2gc_core::{drive_garbler, SessionOptions, SkipGateStats};
 use arm2gc_crypto::Prg;
@@ -87,9 +86,6 @@ pub struct ServiceConfig {
     pub ot_cache_timeout: Option<Duration>,
     /// Garbler-side table-streaming configuration.
     pub stream: StreamConfig,
-    /// Execution schedule for single-lane sessions (transport-only —
-    /// the wire bytes don't depend on it, so clients need not match).
-    pub schedule: ScheduleMode,
     /// How long a fresh connection may take to produce its complete
     /// preamble frame before being dropped (default 10 s). `None`
     /// waits forever — a connect-and-stall client then pins one
@@ -117,7 +113,6 @@ impl Default for ServiceConfig {
             ot_config: OtConfig::default(),
             ot_cache_timeout: Some(Duration::from_secs(300)),
             stream: StreamConfig::default(),
-            schedule: ScheduleMode::default(),
             preamble_timeout: Some(Duration::from_secs(10)),
             attach_timeout: Some(Duration::from_secs(30)),
             io_timeout: None,
@@ -783,7 +778,6 @@ fn run_session(
             .ot(shared.config.ot)
             .ot_config(shared.config.ot_config)
             .stream(shared.config.stream)
-            .schedule(shared.config.schedule)
             .io_timeout(io_timeout);
         // Apply the session deadline to every stream — unconditionally,
         // so the preamble deadline left on the main socket is replaced,

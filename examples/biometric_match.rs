@@ -11,7 +11,7 @@
 
 use arm2gc::circuit::sim::PartyData;
 use arm2gc::circuit::{CircuitBuilder, DffInit, OutputMode, Role};
-use arm2gc::core::run_two_party;
+use arm2gc::core::{run_two_party_opts, SessionOptions};
 
 const TEMPLATE_BITS: usize = 512;
 const THRESHOLD: u64 = 120; // accept if fewer than 120 bits differ
@@ -48,9 +48,16 @@ fn main() {
         .collect();
     let distance = enrolled.iter().zip(&scan).filter(|(a, b)| a != b).count();
 
-    let alice = PartyData::from_stream(enrolled.iter().map(|&v| vec![v]).collect());
-    let bob = PartyData::from_stream(scan.iter().map(|&v| vec![v]).collect());
-    let (out, _) = run_two_party(&circuit, &alice, &bob, &PartyData::default(), TEMPLATE_BITS);
+    let alice = [PartyData::from_stream(
+        enrolled.iter().map(|&v| vec![v]).collect(),
+    )];
+    let bob = [PartyData::from_stream(
+        scan.iter().map(|&v| vec![v]).collect(),
+    )];
+    let public = [PartyData::default()];
+    let opts = SessionOptions::new();
+    let (out, _) = run_two_party_opts(&circuit, &alice, &bob, &public, TEMPLATE_BITS, &opts);
+    let out = &out.lanes[0];
 
     println!("privacy-preserving iris match ({TEMPLATE_BITS}-bit templates)");
     println!("  true Hamming distance (neither party learns this): {distance}");

@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --release --example private_auction`
 
+use arm2gc::core::SessionOptions;
 use arm2gc::cpu::asm::assemble;
 use arm2gc::cpu::machine::{CpuConfig, GcMachine};
 
@@ -47,7 +48,15 @@ fn main() {
     let bob_bids = [310u32, 444, 100, 70];
 
     let machine = GcMachine::new(CpuConfig::small());
-    let (run, stats) = machine.run_skipgate(&program, &alice_bids, &bob_bids, 1_000);
+    let opts = SessionOptions::new();
+    let (runs, outcome) = machine.run(
+        &program,
+        &[alice_bids.to_vec()],
+        &[bob_bids.to_vec()],
+        1_000,
+        &opts,
+    );
+    let (run, stats) = (&runs[0], outcome.lanes[0].stats);
 
     println!("sealed-bid second-price auction (4 bids per party)");
     println!("  highest bid:    {}", run.output[0]);

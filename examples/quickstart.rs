@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use arm2gc::core::SessionOptions;
 use arm2gc::cpu::asm::assemble;
 use arm2gc::cpu::machine::{CpuConfig, GcMachine};
 
@@ -29,7 +30,15 @@ fn main() {
     let bob_worth = 7_100_000u32;
 
     let machine = GcMachine::new(CpuConfig::small());
-    let (run, stats) = machine.run_skipgate(&program, &[alice_worth], &[bob_worth], 100);
+    let opts = SessionOptions::new();
+    let (runs, outcome) = machine.run(
+        &program,
+        &[vec![alice_worth]],
+        &[vec![bob_worth]],
+        100,
+        &opts,
+    );
+    let (run, stats) = (&runs[0], outcome.lanes[0].stats);
 
     println!("millionaires' problem on the garbled ARM2GC processor");
     println!(

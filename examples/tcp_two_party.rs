@@ -26,8 +26,9 @@
 //!
 //! With `--instances N` (> 1) the session runs in instanced mode: N
 //! independent millionaires' comparisons — each lane with its own
-//! inputs — garbled through one SoA wavefront, so every cycle's
-//! nonlinear gates across all lanes flow through one batched AES call.
+//! inputs — garbled through one struct-of-arrays level schedule, so
+//! each level's nonlinear gates across all lanes flow through one
+//! batched AES call.
 //! Like `--shards`, the lane count is out-of-band session
 //! configuration and must match on both sides in manual mode.
 
@@ -37,97 +38,42 @@ use arm2gc::circuit::bench_circuits::{self, BenchCircuit};
 use arm2gc::circuit::sim::{PartyData, Simulator};
 use arm2gc::comm::{Channel, TcpChannel};
 use arm2gc::core::{
-    run_skipgate_evaluator_instanced, run_skipgate_evaluator_sharded,
-    run_skipgate_garbler_instanced, run_skipgate_garbler_sharded, OtBackend, OtConfig, ShardConfig,
-    SkipGateOptions, SkipGateOutcome,
+    drive_evaluator, drive_garbler, InstancedOutcome, OtBackend, OtConfig, SessionOptions,
 };
 use arm2gc::crypto::Prg;
-use arm2gc::garble::StreamConfig;
 use arm2gc::proto::PROTOCOL_VERSION;
 
-/// Both processes derive the same workload deterministically: the
-/// millionaires' problem as a comparison circuit. (In a real deployment
-/// each party would of course load only its own input.)
-fn workload() -> BenchCircuit {
-    bench_circuits::compare(32, 5_300_000, 7_100_000)
-}
-
-/// Per-lane workloads for instanced mode: one shared circuit, distinct
-/// inputs. Lane `k` raises Alice's wealth by `k` million, so the winner
-/// flips across lanes and the printed results show that each lane
-/// really computed on its own inputs.
+/// Both processes derive the same per-lane workloads deterministically:
+/// the millionaires' problem as a comparison circuit, one shared
+/// circuit with distinct inputs per lane. Lane `k` raises Alice's
+/// wealth by `k` million, so the winner flips across lanes and the
+/// printed results show that each lane really computed on its own
+/// inputs. (In a real deployment each party would of course load only
+/// its own input.)
 fn lane_workloads(instances: usize) -> Vec<BenchCircuit> {
     (0..instances)
         .map(|k| bench_circuits::compare(32, 5_300_000 + 1_000_000 * k as u64, 7_100_000))
         .collect()
 }
 
-/// What the in-process simulator says the outputs must be.
-fn check_against_simulator(who: &str, bc: &BenchCircuit, outcome: &SkipGateOutcome) {
-    let sim = Simulator::new(&bc.circuit).run(&bc.alice, &bc.bob, &bc.public, bc.cycles);
-    assert_eq!(
-        outcome.outputs, sim.outputs,
-        "{who}: TCP protocol run disagrees with the in-process simulator"
-    );
+/// What the in-process simulator says every lane's outputs must be.
+fn check_against_simulator(who: &str, lanes: &[BenchCircuit], outcome: &InstancedOutcome) {
+    for (bc, lane) in lanes.iter().zip(&outcome.lanes) {
+        let sim = Simulator::new(&bc.circuit).run(&bc.alice, &bc.bob, &bc.public, bc.cycles);
+        assert_eq!(
+            lane.outputs, sim.outputs,
+            "{who}: TCP protocol run disagrees with the in-process simulator"
+        );
+    }
 }
 
-fn run_garbler(mut ch: TcpChannel, shard_chs: Vec<Box<dyn Channel>>, shards: ShardConfig) {
-    let bc = workload();
-    let mut prg = Prg::from_entropy();
-    let mut ot = OtBackend::NaorPinkasIknp.sender(OtConfig::TEST, &mut prg);
-    let outcome = run_skipgate_garbler_sharded(
-        &bc.circuit,
-        &bc.alice,
-        &bc.public,
-        bc.cycles,
-        &mut ch,
-        shard_chs,
-        ot.as_mut(),
-        &mut prg,
-        SkipGateOptions::default(),
-        StreamConfig::default(),
-        shards,
-    )
-    .expect("garbler protocol run");
-    check_against_simulator("garbler", &bc, &outcome);
-
-    println!("two-process SkipGate over TCP (protocol v{PROTOCOL_VERSION})");
-    println!("  circuit: {} ({} cycles)", bc.circuit.name(), bc.cycles);
-    println!(
-        "  table-stream shards:  {} ({} socket{})",
-        shards.shards,
-        1 + if shards.is_sharded() {
-            shards.shards
-        } else {
-            0
-        },
-        if shards.is_sharded() { "s" } else { "" },
-    );
-    println!("  garbled tables sent: {}", outcome.stats.garbled_tables);
-    println!("  OTs executed:        {}", outcome.stats.ots);
-    println!(
-        "  result: {} is richer",
-        if outcome.final_output()[0] {
-            "Bob"
-        } else {
-            "Alice"
-        }
-    );
-    println!("  verified against the in-process simulator ✓");
-}
-
-fn run_garbler_instanced(
-    mut ch: TcpChannel,
-    shard_chs: Vec<Box<dyn Channel>>,
-    shards: ShardConfig,
-    instances: usize,
-) {
-    let lanes = lane_workloads(instances);
+fn garbler_side(mut ch: TcpChannel, shard_chs: Vec<Box<dyn Channel>>, opts: &SessionOptions) {
+    let lanes = lane_workloads(opts.instances);
     let alices: Vec<PartyData> = lanes.iter().map(|bc| bc.alice.clone()).collect();
     let publics: Vec<PartyData> = lanes.iter().map(|bc| bc.public.clone()).collect();
     let mut prg = Prg::from_entropy();
-    let mut ot = OtBackend::NaorPinkasIknp.sender(OtConfig::TEST, &mut prg);
-    let outcome = run_skipgate_garbler_instanced(
+    let mut ot = opts.ot.sender(opts.ot_config, &mut prg);
+    let outcome = drive_garbler(
         &lanes[0].circuit,
         &alices,
         &publics,
@@ -136,13 +82,31 @@ fn run_garbler_instanced(
         shard_chs,
         ot.as_mut(),
         &mut prg,
-        SkipGateOptions::default(),
-        StreamConfig::default(),
-        shards,
+        opts,
     )
-    .expect("garbler instanced protocol run");
-    for (bc, lane) in lanes.iter().zip(&outcome.lanes) {
-        check_against_simulator("garbler", bc, lane);
+    .expect("garbler protocol run");
+    check_against_simulator("garbler", &lanes, &outcome);
+    let richer = |bob: bool| if bob { "Bob" } else { "Alice" };
+
+    if opts.instances == 1 {
+        let lane = &outcome.lanes[0];
+        println!("two-process SkipGate over TCP (protocol v{PROTOCOL_VERSION})");
+        println!(
+            "  circuit: {} ({} cycles)",
+            lanes[0].circuit.name(),
+            lanes[0].cycles
+        );
+        let sockets = 1 + if opts.shards > 1 { opts.shards } else { 0 };
+        println!(
+            "  table-stream shards:  {} ({sockets} socket{})",
+            opts.shards,
+            if sockets > 1 { "s" } else { "" },
+        );
+        println!("  garbled tables sent: {}", lane.stats.garbled_tables);
+        println!("  OTs executed:        {}", lane.stats.ots);
+        println!("  result: {} is richer", richer(lane.final_output()[0]));
+        println!("  verified against the in-process simulator ✓");
+        return;
     }
 
     println!("two-process instanced SkipGate over TCP (protocol v{PROTOCOL_VERSION})");
@@ -150,7 +114,7 @@ fn run_garbler_instanced(
         "  circuit: {} ({} cycles), {} lanes",
         lanes[0].circuit.name(),
         lanes[0].cycles,
-        instances
+        opts.instances
     );
     println!(
         "  mean batch width:    {:.1} session-wide, {:.1} per instance",
@@ -160,11 +124,7 @@ fn run_garbler_instanced(
     for (k, lane) in outcome.lanes.iter().enumerate() {
         println!(
             "  lane {k}: {} is richer ({} tables, {} OTs)",
-            if lane.final_output()[0] {
-                "Bob"
-            } else {
-                "Alice"
-            },
+            richer(lane.final_output()[0]),
             lane.stats.garbled_tables,
             lane.stats.ots
         );
@@ -172,15 +132,17 @@ fn run_garbler_instanced(
     println!("  all lanes verified against the in-process simulator ✓");
 }
 
-fn run_evaluator_instanced(addr: &str, shards: ShardConfig, instances: usize) {
-    let lanes = lane_workloads(instances);
+fn evaluator_side(addr: &str, opts: &SessionOptions) {
+    let lanes = lane_workloads(opts.instances);
+    // Connection order fixes shard identity: main channel first, then
+    // one socket per shard, in shard order.
     let mut ch = TcpChannel::connect(addr).expect("connect to garbler");
-    let shard_chs = connect_shards(addr, shards);
+    let shard_chs = connect_shards(addr, opts.shards);
     let bobs: Vec<PartyData> = lanes.iter().map(|bc| bc.bob.clone()).collect();
     let publics: Vec<PartyData> = lanes.iter().map(|bc| bc.public.clone()).collect();
     let mut prg = Prg::from_entropy();
-    let mut ot = OtBackend::NaorPinkasIknp.receiver(OtConfig::TEST, &mut prg);
-    let outcome = run_skipgate_evaluator_instanced(
+    let mut ot = opts.ot.receiver(opts.ot_config, &mut prg);
+    let outcome = drive_evaluator(
         &lanes[0].circuit,
         &bobs,
         &publics,
@@ -188,44 +150,18 @@ fn run_evaluator_instanced(addr: &str, shards: ShardConfig, instances: usize) {
         &mut ch,
         shard_chs,
         ot.as_mut(),
-        SkipGateOptions::default(),
-        shards,
-    )
-    .expect("evaluator instanced protocol run");
-    for (bc, lane) in lanes.iter().zip(&outcome.lanes) {
-        check_against_simulator("evaluator", bc, lane);
-    }
-}
-
-fn run_evaluator(addr: &str, shards: ShardConfig) {
-    let bc = workload();
-    // Connection order fixes shard identity: main channel first, then
-    // one socket per shard, in shard order.
-    let mut ch = TcpChannel::connect(addr).expect("connect to garbler");
-    let shard_chs = connect_shards(addr, shards);
-    let mut prg = Prg::from_entropy();
-    let mut ot = OtBackend::NaorPinkasIknp.receiver(OtConfig::TEST, &mut prg);
-    let outcome = run_skipgate_evaluator_sharded(
-        &bc.circuit,
-        &bc.bob,
-        &bc.public,
-        bc.cycles,
-        &mut ch,
-        shard_chs,
-        ot.as_mut(),
-        SkipGateOptions::default(),
-        shards,
+        opts,
     )
     .expect("evaluator protocol run");
-    check_against_simulator("evaluator", &bc, &outcome);
+    check_against_simulator("evaluator", &lanes, &outcome);
 }
 
 /// Opens the evaluator's per-shard sockets (none when unsharded).
-fn connect_shards(addr: &str, shards: ShardConfig) -> Vec<Box<dyn Channel>> {
-    if !shards.is_sharded() {
+fn connect_shards(addr: &str, shards: usize) -> Vec<Box<dyn Channel>> {
+    if shards == 1 {
         return Vec::new();
     }
-    (0..shards.shards)
+    (0..shards)
         .map(|k| {
             Box::new(TcpChannel::connect(addr).unwrap_or_else(|e| panic!("shard {k} socket: {e}")))
                 as Box<dyn Channel>
@@ -236,11 +172,11 @@ fn connect_shards(addr: &str, shards: ShardConfig) -> Vec<Box<dyn Channel>> {
 /// Accepts the garbler's per-shard sockets off `listener` (none when
 /// unsharded). TCP queues connections in order, so the `k`-th accepted
 /// socket is shard `k`.
-fn accept_shards(listener: &std::net::TcpListener, shards: ShardConfig) -> Vec<Box<dyn Channel>> {
-    if !shards.is_sharded() {
+fn accept_shards(listener: &std::net::TcpListener, shards: usize) -> Vec<Box<dyn Channel>> {
+    if shards == 1 {
         return Vec::new();
     }
-    (0..shards.shards)
+    (0..shards)
         .map(|k| {
             let (stream, _) = listener
                 .accept()
@@ -259,59 +195,55 @@ fn arg_after(flag: &str) -> Option<String> {
         .cloned()
 }
 
-fn shard_config(default: usize) -> ShardConfig {
-    let n = arg_after("--shards")
-        .map(|s| s.parse().expect("--shards takes a positive integer"))
-        .unwrap_or(default);
-    ShardConfig::new(n)
-}
-
-fn instance_count() -> usize {
-    let n: usize = arg_after("--instances")
-        .map(|s| s.parse().expect("--instances takes a positive integer"))
-        .unwrap_or(1);
-    assert!(n >= 1, "--instances takes a positive integer");
-    n
+/// The session both processes run: `--shards` (default
+/// `default_shards`) table-stream sockets, `--instances` lanes, over
+/// the real Naor–Pinkas + IKNP OT stack (fast test group).
+fn session_options(default_shards: usize) -> SessionOptions {
+    let count = |flag: &str, default: usize| -> usize {
+        let n = arg_after(flag)
+            .map(|s| {
+                s.parse()
+                    .unwrap_or_else(|_| panic!("{flag} takes a positive integer"))
+            })
+            .unwrap_or(default);
+        assert!(n >= 1, "{flag} takes a positive integer");
+        n
+    };
+    SessionOptions::new()
+        .shards(count("--shards", default_shards))
+        .instances(count("--instances", 1))
+        .ot(OtBackend::NaorPinkasIknp)
+        .ot_config(OtConfig::TEST)
 }
 
 fn main() {
-    let instances = instance_count();
     match arg_after("--role").as_deref() {
         Some("evaluator") => {
             let addr = arg_after("--addr").expect("--addr required for the evaluator role");
-            let shards = shard_config(1);
-            if instances > 1 {
-                run_evaluator_instanced(&addr, shards, instances);
-            } else {
-                run_evaluator(&addr, shards);
-            }
+            evaluator_side(&addr, &session_options(1));
         }
         Some("garbler") => {
             let addr = arg_after("--addr").expect("--addr required for the garbler role");
-            let shards = shard_config(1);
+            let opts = session_options(1);
             let listener = TcpChannel::listener(&*addr).expect("bind");
             let (stream, _) = listener.accept().expect("accept");
             let main_ch = TcpChannel::from_stream(stream).expect("wrap stream");
-            let shard_chs = accept_shards(&listener, shards);
-            if instances > 1 {
-                run_garbler_instanced(main_ch, shard_chs, shards, instances);
-            } else {
-                run_garbler(main_ch, shard_chs, shards);
-            }
+            let shard_chs = accept_shards(&listener, opts.shards);
+            garbler_side(main_ch, shard_chs, &opts);
         }
         Some(other) => panic!("unknown --role {other} (use garbler|evaluator)"),
         None => {
             // Orchestrate both processes: bind first so the child can
             // connect immediately, then spawn ourselves as evaluator.
             // The default exercises a sharded stream over two sockets.
-            let shards = shard_config(2);
+            let opts = session_options(2);
             let listener = TcpChannel::listener("127.0.0.1:0").expect("bind ephemeral port");
             let addr = listener.local_addr().expect("local addr").to_string();
             let exe = std::env::current_exe().expect("own path");
             let mut child = Command::new(exe)
                 .args(["--role", "evaluator", "--addr", &addr])
-                .args(["--shards", &shards.shards.to_string()])
-                .args(["--instances", &instances.to_string()])
+                .args(["--shards", &opts.shards.to_string()])
+                .args(["--instances", &opts.instances.to_string()])
                 .stdout(Stdio::inherit())
                 .stderr(Stdio::inherit())
                 .spawn()
@@ -320,12 +252,8 @@ fn main() {
             let (stream, peer) = listener.accept().expect("accept");
             println!("evaluator process connected from {peer}");
             let main_ch = TcpChannel::from_stream(stream).expect("wrap stream");
-            let shard_chs = accept_shards(&listener, shards);
-            if instances > 1 {
-                run_garbler_instanced(main_ch, shard_chs, shards, instances);
-            } else {
-                run_garbler(main_ch, shard_chs, shards);
-            }
+            let shard_chs = accept_shards(&listener, opts.shards);
+            garbler_side(main_ch, shard_chs, &opts);
 
             let status = child.wait().expect("wait for evaluator");
             assert!(status.success(), "evaluator process failed: {status}");

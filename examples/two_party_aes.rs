@@ -9,7 +9,7 @@
 
 use arm2gc::circuit::bench_circuits::aes128;
 use arm2gc::comm::duplex;
-use arm2gc::core::{run_skipgate_evaluator, run_skipgate_garbler, SkipGateOptions};
+use arm2gc::core::{drive_evaluator, drive_garbler, SessionOptions};
 use arm2gc::crypto::{Aes128, Prg};
 use arm2gc::ot::{IknpReceiver, IknpSender, MersenneGroup, NaorPinkasReceiver, NaorPinkasSender};
 
@@ -30,8 +30,9 @@ fn main() {
     let group = MersenneGroup::test_group(); // use ::standard() for full size
     let (mut ca, mut cb) = duplex();
     let g2 = group.clone();
-    let public_b = bc.public.clone();
-    let (alice_data, bob_data, public, cycles) = (bc.alice, bc.bob, bc.public, bc.cycles);
+    let public_b = [bc.public.clone()];
+    let (alice_data, bob_data, public, cycles) = ([bc.alice], [bc.bob], [bc.public], bc.cycles);
+    let opts = SessionOptions::new();
 
     let circuit_a = circuit.clone();
     let garbler = std::thread::spawn(move || {
@@ -39,15 +40,16 @@ fn main() {
         let mut setup = Prg::from_entropy();
         let mut base = NaorPinkasReceiver::new(g2, Prg::from_entropy());
         let mut ot = IknpSender::setup(&mut base, &mut ca, &mut setup).expect("iknp");
-        run_skipgate_garbler(
+        drive_garbler(
             &circuit_a,
             &alice_data,
             &public,
             cycles,
             &mut ca,
+            Vec::new(),
             &mut ot,
             &mut prg,
-            SkipGateOptions::default(),
+            &opts,
         )
         .expect("garbler")
     });
@@ -55,17 +57,19 @@ fn main() {
     let mut setup = Prg::from_entropy();
     let mut base = NaorPinkasSender::new(group, Prg::from_entropy());
     let mut ot = IknpReceiver::setup(&mut base, &mut cb, &mut setup).expect("iknp");
-    let bob_out = run_skipgate_evaluator(
+    let bob_out = drive_evaluator(
         circuit,
         &bob_data,
         &public_b,
         cycles,
         &mut cb,
+        Vec::new(),
         &mut ot,
-        SkipGateOptions::default(),
+        &opts,
     )
     .expect("evaluator");
     let alice_out = garbler.join().expect("garbler thread");
+    let (alice_out, bob_out) = (&alice_out.lanes[0], &bob_out.lanes[0]);
     assert_eq!(alice_out.outputs, bob_out.outputs);
 
     // Decode and verify against a local AES (only possible here because

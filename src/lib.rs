@@ -5,7 +5,7 @@
 //!
 //! ```
 //! use arm2gc::circuit::Circuit;
-//! use arm2gc::core::run_two_party;
+//! use arm2gc::core::{drive_garbler, SessionOptions};
 //! use arm2gc::cpu::machine::GcMachine;
 //! ```
 

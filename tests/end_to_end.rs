@@ -2,14 +2,51 @@
 //! every crate (crypto → ot → garble/core → cpu).
 
 use arm2gc::circuit::bench_circuits;
-use arm2gc::circuit::sim::Simulator;
+use arm2gc::circuit::sim::{PartyData, Simulator};
+use arm2gc::circuit::Circuit;
 use arm2gc::comm::{duplex, Channel, CountingChannel};
-use arm2gc::core::{run_skipgate_evaluator, run_skipgate_garbler, run_two_party, SkipGateOptions};
-use arm2gc::cpu::asm::assemble;
-use arm2gc::cpu::machine::{CpuConfig, GcMachine};
+use arm2gc::core::{
+    drive_evaluator, drive_garbler, run_two_party_opts, EngineKind, SessionOptions,
+    SkipGateOutcome, SkipGateStats,
+};
+use arm2gc::cpu::asm::{assemble, Program};
+use arm2gc::cpu::machine::{CpuConfig, GcMachine, MachineRun};
 use arm2gc::cpu::programs;
 use arm2gc::crypto::Prg;
 use arm2gc::ot::{IknpReceiver, IknpSender, MersenneGroup, NaorPinkasReceiver, NaorPinkasSender};
+
+/// One single-lane in-process session under `opts`; returns each
+/// party's outcome.
+fn two_party(
+    c: &Circuit,
+    alice: &PartyData,
+    bob: &PartyData,
+    public: &PartyData,
+    cycles: usize,
+    opts: &SessionOptions,
+) -> (SkipGateOutcome, SkipGateOutcome) {
+    let lane = |p: &PartyData| [p.clone()];
+    let (a, b) = run_two_party_opts(c, &lane(alice), &lane(bob), &lane(public), cycles, opts);
+    (a.lanes[0].clone(), b.lanes[0].clone())
+}
+
+/// One default single-lane SkipGate session of a CPU program.
+fn garbled_run(
+    machine: &GcMachine,
+    program: &Program,
+    alice: &[u32],
+    bob: &[u32],
+    max_cycles: usize,
+) -> (MachineRun, SkipGateStats) {
+    let (mut runs, outcome) = machine.run(
+        program,
+        &[alice.to_vec()],
+        &[bob.to_vec()],
+        max_cycles,
+        &SessionOptions::new(),
+    );
+    (runs.remove(0), outcome.lanes[0].stats)
+}
 
 /// The complete real-crypto stack: Naor–Pinkas base OTs, IKNP extension,
 /// SkipGate on a CPU program, with byte-counted channels.
@@ -26,21 +63,24 @@ fn full_stack_cpu_run_with_real_ot() {
 
     let circuit = machine.circuit().clone();
     let g2 = group.clone();
+    let (a, b, p) = ([a], [b], [p]);
     let p2 = p.clone();
+    let opts = SessionOptions::new();
     let garbler = std::thread::spawn(move || {
         let mut prg = Prg::from_seed([71; 16]);
         let mut setup = Prg::from_seed([72; 16]);
         let mut base = NaorPinkasReceiver::new(g2, Prg::from_seed([73; 16]));
         let mut ot = IknpSender::setup(&mut base, &mut ca, &mut setup).expect("iknp setup");
-        run_skipgate_garbler(
+        drive_garbler(
             &circuit,
             &a,
             &p2,
             64,
             &mut ca,
+            Vec::new(),
             &mut ot,
             &mut prg,
-            SkipGateOptions::default(),
+            &opts,
         )
         .expect("garbler")
     });
@@ -48,17 +88,19 @@ fn full_stack_cpu_run_with_real_ot() {
     let mut setup = Prg::from_seed([74; 16]);
     let mut base = NaorPinkasSender::new(group, Prg::from_seed([75; 16]));
     let mut ot = IknpReceiver::setup(&mut base, &mut cb, &mut setup).expect("iknp setup");
-    let bob_out = run_skipgate_evaluator(
+    let bob_out = drive_evaluator(
         machine.circuit(),
         &b,
         &p,
         64,
         &mut cb,
+        Vec::new(),
         &mut ot,
-        SkipGateOptions::default(),
+        &opts,
     )
     .expect("evaluator");
     let alice_out = garbler.join().expect("garbler thread");
+    let (alice_out, bob_out) = (&alice_out.lanes[0], &bob_out.lanes[0]);
 
     assert_eq!(alice_out.outputs, bob_out.outputs);
     let sum: u32 = alice_out.final_output()[..32]
@@ -76,8 +118,14 @@ fn full_stack_cpu_run_with_real_ot() {
 #[test]
 fn communication_accounting_matches_tables() {
     let bc = bench_circuits::hamming(160, &[1, 2, 3, 4, 5], &[5, 4, 3, 2, 1]);
-    let (alice_out, bob_out) =
-        run_two_party(&bc.circuit, &bc.alice, &bc.bob, &bc.public, bc.cycles);
+    let (alice_out, bob_out) = two_party(
+        &bc.circuit,
+        &bc.alice,
+        &bc.bob,
+        &bc.public,
+        bc.cycles,
+        &SessionOptions::new(),
+    );
     assert_eq!(
         alice_out.stats.table_bytes,
         alice_out.stats.garbled_tables * 32
@@ -98,7 +146,7 @@ fn three_executors_agree_and_halt_together() {
 
     let iss = machine.run_iss(&program, &alice, &bob, 100_000);
     let sim = machine.run_sim(&program, &alice, &bob, 100_000);
-    let (skip, stats) = machine.run_skipgate(&program, &alice, &bob, 100_000);
+    let (skip, stats) = garbled_run(&machine, &program, &alice, &bob, 100_000);
 
     assert!(iss.halted);
     assert_eq!(sim.output, iss.output);
@@ -132,7 +180,8 @@ fn secret_pc_remains_correct() {
     for (a, b) in [(10u32, 20u32), (20, 10), (7, 7)] {
         let iss = machine.run_iss(&program, &[a], &[b], 8);
         let (aa, bb, pp) = machine.party_data(&program, &[a], &[b]);
-        let (alice_out, bob_out) = run_two_party(machine.circuit(), &aa, &bb, &pp, 8);
+        let opts = SessionOptions::new();
+        let (alice_out, bob_out) = two_party(machine.circuit(), &aa, &bb, &pp, 8, &opts);
         assert_eq!(alice_out.outputs, bob_out.outputs);
         let out: u32 = alice_out.final_output()[..32]
             .iter()
@@ -147,28 +196,19 @@ fn secret_pc_remains_correct() {
 /// other on the same AES run.
 #[test]
 fn baseline_and_skipgate_agree_on_aes() {
-    use arm2gc::garble::{run_evaluator, run_garbler};
-    use arm2gc::ot::InsecureOt;
-
     let key: Vec<u8> = (50..66).collect();
     let pt: Vec<u8> = (200..216).collect();
     let bc = bench_circuits::aes128(key.try_into().unwrap(), pt.try_into().unwrap());
 
     let sim = Simulator::new(&bc.circuit).run(&bc.alice, &bc.bob, &bc.public, bc.cycles);
 
-    let (skip_a, _) = run_two_party(&bc.circuit, &bc.alice, &bc.bob, &bc.public, bc.cycles);
+    let run = |opts: &SessionOptions| {
+        two_party(&bc.circuit, &bc.alice, &bc.bob, &bc.public, bc.cycles, opts)
+    };
+    let (skip_a, _) = run(&SessionOptions::new());
     assert_eq!(skip_a.outputs, sim.outputs);
 
-    let (mut ca, mut cb) = duplex();
-    let (c2, a2, p2) = (bc.circuit.clone(), bc.alice.clone(), bc.public.clone());
-    let cycles = bc.cycles;
-    let garbler = std::thread::spawn(move || {
-        let mut prg = Prg::from_seed([81; 16]);
-        run_garbler(&c2, &a2, &p2, cycles, &mut ca, &mut InsecureOt, &mut prg).expect("garbler")
-    });
-    let base_b =
-        run_evaluator(&bc.circuit, &bc.bob, bc.cycles, &mut cb, &mut InsecureOt).expect("eval");
-    let base_a = garbler.join().unwrap();
+    let (base_a, base_b) = run(&SessionOptions::new().engine(EngineKind::Baseline));
     assert_eq!(base_a.outputs, sim.outputs);
     assert_eq!(base_b.outputs, sim.outputs);
 
@@ -192,7 +232,7 @@ fn three_executors_agree_on_large_sort() {
 
     let iss = machine.run_iss(&program, &alice, &bob, 1_000_000);
     let sim = machine.run_sim(&program, &alice, &bob, 1_000_000);
-    let (skip, stats) = machine.run_skipgate(&program, &alice, &bob, 1_000_000);
+    let (skip, stats) = garbled_run(&machine, &program, &alice, &bob, 1_000_000);
 
     assert!(iss.halted);
     assert_eq!(sim.output, iss.output);

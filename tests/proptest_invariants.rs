@@ -12,10 +12,10 @@
 use proptest::prelude::*;
 
 use arm2gc::circuit::random::{random_circuit, random_inputs, RandomCircuitParams, TestRng};
-use arm2gc::circuit::sim::Simulator;
+use arm2gc::circuit::sim::{PartyData, Simulator};
 use arm2gc::circuit::words::{bits_to_words, words_to_bits};
-use arm2gc::circuit::{CircuitBuilder, Op, OutputMode, Role};
-use arm2gc::core::{run_two_party, run_two_party_cfg, ShardConfig, TwoPartyConfig};
+use arm2gc::circuit::{Circuit, CircuitBuilder, Op, OutputMode, Role};
+use arm2gc::core::{run_two_party_opts, SessionOptions, SkipGateOutcome};
 use arm2gc::crypto::{Aes128, Delta, GarbleHash, Label, Prg};
 use arm2gc::garble::{HalfGateEvaluator, HalfGateGarbler};
 
@@ -27,6 +27,32 @@ fn cases_or(default_cases: u32) -> ProptestConfig {
     } else {
         ProptestConfig::with_cases(default_cases)
     }
+}
+
+/// One single-lane in-process session under `opts`; returns each
+/// party's outcome.
+fn two_party_with(
+    c: &Circuit,
+    alice: &PartyData,
+    bob: &PartyData,
+    public: &PartyData,
+    cycles: usize,
+    opts: &SessionOptions,
+) -> (SkipGateOutcome, SkipGateOutcome) {
+    let lane = |p: &PartyData| [p.clone()];
+    let (a, b) = run_two_party_opts(c, &lane(alice), &lane(bob), &lane(public), cycles, opts);
+    (a.lanes[0].clone(), b.lanes[0].clone())
+}
+
+/// [`two_party_with`] under the default options.
+fn two_party(
+    c: &Circuit,
+    alice: &PartyData,
+    bob: &PartyData,
+    public: &PartyData,
+    cycles: usize,
+) -> (SkipGateOutcome, SkipGateOutcome) {
+    two_party_with(c, alice, bob, public, cycles, &SessionOptions::new())
 }
 
 proptest! {
@@ -96,7 +122,7 @@ proptest! {
         let c = random_circuit(&mut rng, params);
         let (a, b, p) = random_inputs(&mut rng, &c, cycles);
         let sim = Simulator::new(&c).run(&a, &b, &p, cycles);
-        let (alice_out, bob_out) = run_two_party(&c, &a, &b, &p, cycles);
+        let (alice_out, bob_out) = two_party(&c, &a, &b, &p, cycles);
         prop_assert_eq!(&alice_out.outputs, &sim.outputs);
         prop_assert_eq!(&bob_out.outputs, &sim.outputs);
         // Cost sanity: never exceeds the static bound.
@@ -121,9 +147,9 @@ proptest! {
         let c = random_circuit(&mut rng, params);
         let (a, b, p) = random_inputs(&mut rng, &c, cycles);
         let sim = Simulator::new(&c).run(&a, &b, &p, cycles);
-        let (alice1, bob1) = run_two_party(&c, &a, &b, &p, cycles);
-        let cfg = TwoPartyConfig::new().shards(ShardConfig::new(shards));
-        let (alice_n, bob_n) = run_two_party_cfg(&c, &a, &b, &p, cycles, cfg);
+        let (alice1, bob1) = two_party(&c, &a, &b, &p, cycles);
+        let opts = SessionOptions::new().shards(shards);
+        let (alice_n, bob_n) = two_party_with(&c, &a, &b, &p, cycles, &opts);
         prop_assert_eq!(&alice_n.outputs, &sim.outputs);
         prop_assert_eq!(&bob_n.outputs, &sim.outputs);
         prop_assert_eq!(alice_n.outputs, alice1.outputs);
@@ -193,7 +219,7 @@ proptest! {
         let c = random_circuit(&mut rng, params);
         let (a, b, p) = random_inputs(&mut rng, &c, cycles);
         let sim = Simulator::new(&c).run(&a, &b, &p, cycles);
-        let (alice_out, bob_out) = run_two_party(&c, &a, &b, &p, cycles);
+        let (alice_out, bob_out) = two_party(&c, &a, &b, &p, cycles);
         prop_assert_eq!(&alice_out.outputs, &sim.outputs);
         prop_assert_eq!(&bob_out.outputs, &sim.outputs);
         let bound = c.non_xor_count() * cycles as u64;
