@@ -8,20 +8,22 @@
 //! runs over any shard count. Outputs and every per-lane cost counter
 //! must match the unsharded single-lane run — on every pinned Table 1
 //! circuit and on proptest-random circuits — and an instanced lane's
-//! garbled tables must be byte-identical to a single-lane session's.
+//! share of the transcript, garbled tables included, must be
+//! byte-identical to a single-lane session's.
 
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
 use arm2gc_bench::runner::{run_session, run_stats, table1_circuits};
+use arm2gc_circuit::bench_circuits::BenchCircuit;
 use arm2gc_circuit::random::{random_circuit, random_inputs, RandomCircuitParams, TestRng};
 use arm2gc_circuit::sim::{PartyData, Simulator};
 use arm2gc_circuit::{Circuit, CircuitBuilder, OutputMode, Role};
 use arm2gc_comm::{duplex, Channel, ChannelError};
 use arm2gc_core::{
-    drive_evaluator, drive_garbler, run_two_party_opts, EngineKind, InstancedOutcome, OtBackend,
-    OtConfig, SessionOptions,
+    drive_evaluator, drive_garbler, run_two_party_opts, shard_duplexes, EngineKind,
+    InstancedOutcome, OtBackend, OtConfig, SessionOptions,
 };
 use arm2gc_crypto::Prg;
 use arm2gc_proto::Message;
@@ -77,6 +79,17 @@ struct Recording<C> {
     sent: Arc<Mutex<Vec<Vec<u8>>>>,
 }
 
+impl<C> Recording<C> {
+    fn new(inner: C) -> (Self, Arc<Mutex<Vec<Vec<u8>>>>) {
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let rec = Self {
+            inner,
+            sent: Arc::clone(&sent),
+        };
+        (rec, sent)
+    }
+}
+
 impl<C: Channel> Channel for Recording<C> {
     fn send(&mut self, data: &[u8]) -> Result<(), ChannelError> {
         self.sent
@@ -91,24 +104,32 @@ impl<C: Channel> Channel for Recording<C> {
     }
 }
 
-/// Runs one unsharded session through `drive_garbler`/`drive_evaluator`
-/// with fixed PRG seeds and returns the garbler's outcome plus every
-/// garbled table it sent, in wire order.
-fn garbled_tables(
+/// Runs one session through `drive_garbler`/`drive_evaluator` with
+/// fixed PRG seeds and returns the garbler's outcome plus every frame
+/// it sent, per channel: the main channel first, then each shard
+/// sub-channel.
+#[allow(clippy::type_complexity)]
+fn transcript(
     circuit: &Circuit,
     lanes: &[(PartyData, PartyData, PartyData)],
     cycles: usize,
     opts: &SessionOptions,
-) -> (InstancedOutcome, Vec<Vec<u8>>) {
+) -> (InstancedOutcome, Vec<Vec<Vec<u8>>>) {
     let alices: Vec<PartyData> = lanes.iter().map(|l| l.0.clone()).collect();
     let bobs: Vec<PartyData> = lanes.iter().map(|l| l.1.clone()).collect();
     let publics: Vec<PartyData> = lanes.iter().map(|l| l.2.clone()).collect();
     let (ca, mut cb) = duplex();
-    let sent = Arc::new(Mutex::new(Vec::new()));
-    let mut ca = Recording {
-        inner: ca,
-        sent: Arc::clone(&sent),
-    };
+    let (mut ca, main_log) = Recording::new(ca);
+    let (g_shards, e_shards) = shard_duplexes(opts.shard_config().expect("shard config"));
+    let mut logs = vec![main_log];
+    let g_shards: Vec<Box<dyn Channel>> = g_shards
+        .into_iter()
+        .map(|ch| {
+            let (rec, log) = Recording::new(ch);
+            logs.push(log);
+            Box::new(rec) as Box<dyn Channel>
+        })
+        .collect();
     let outcome = std::thread::scope(|s| {
         let garbler = s.spawn(|| {
             let mut prg = Prg::from_seed([71; 16]);
@@ -120,7 +141,7 @@ fn garbled_tables(
                 &publics,
                 cycles,
                 ch,
-                Vec::new(),
+                g_shards,
                 ot.as_mut(),
                 &mut prg,
                 opts,
@@ -135,7 +156,7 @@ fn garbled_tables(
             &publics,
             cycles,
             &mut cb,
-            Vec::new(),
+            e_shards,
             ot.as_mut(),
             opts,
         )
@@ -144,20 +165,40 @@ fn garbled_tables(
         for (a, b) in alice.lanes.iter().zip(&bob.lanes) {
             assert_eq!(a.outputs, b.outputs, "parties agree on outputs");
         }
+        assert_eq!(alice.batching, bob.batching, "parties agree on batching");
         alice
     });
-    let bytes: Vec<u8> = sent
-        .lock()
-        .expect("transcript lock")
+    let frames = logs
+        .iter()
+        .map(|log| log.lock().expect("transcript lock").clone())
+        .collect();
+    (outcome, frames)
+}
+
+/// The garbled tables one channel carried, 32 bytes each, in wire
+/// order (main-channel `Tables` and shard `TableShard` frames alike).
+fn tables(frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let bytes: Vec<u8> = frames
         .iter()
         .filter_map(|frame| match Message::decode(frame) {
-            Ok(Message::Tables(bytes)) => Some(bytes),
+            Ok(Message::Tables(bytes) | Message::TableShard { tables: bytes, .. }) => Some(bytes),
             _ => None,
         })
         .flatten()
         .collect();
-    let tables = bytes.chunks(32).map(<[u8]>::to_vec).collect();
-    (outcome, tables)
+    bytes.chunks(32).map(<[u8]>::to_vec).collect()
+}
+
+/// An unsharded [`transcript`] reduced to the garbled tables sent, in
+/// wire order.
+fn garbled_tables(
+    circuit: &Circuit,
+    lanes: &[(PartyData, PartyData, PartyData)],
+    cycles: usize,
+    opts: &SessionOptions,
+) -> (InstancedOutcome, Vec<Vec<u8>>) {
+    let (outcome, frames) = transcript(circuit, lanes, cycles, opts);
+    (outcome, tables(&frames[0]))
 }
 
 /// Lane 0's tables out of a two-lane session whose lanes share every
@@ -165,6 +206,149 @@ fn garbled_tables(
 /// lane 0 owns every even slot.
 fn lane0(tables: &[Vec<u8>]) -> Vec<Vec<u8>> {
     tables.iter().step_by(2).cloned().collect()
+}
+
+/// One [`transcript`] lane per Table 1 circuit's canonical inputs.
+fn canonical_lane(bc: &BenchCircuit) -> (PartyData, PartyData, PartyData) {
+    (bc.alice.clone(), bc.bob.clone(), bc.public.clone())
+}
+
+/// The headline wire guarantee: the layered walk garbles byte-identical
+/// tables to the netlist walk. Two identical lanes share every
+/// decision, so lane 0 of a two-lane (layered) session must send
+/// exactly the one-lane (netlist) session's tables, in wire order, with
+/// identical PRG seeds. At 2 shards each cycle's tables are split
+/// across the sub-channels by position, so lane 0's share of a channel
+/// differs between lane counts; there each session must send the same
+/// tables as its unsharded run, the main channel none of them. aes_128
+/// re-levels every cycle, so patched schedules are covered too.
+#[test]
+fn layered_transcript_is_byte_identical() {
+    const N: usize = 2;
+    let sorted = |mut t: Vec<Vec<u8>>| {
+        t.sort_unstable();
+        t
+    };
+    let circuits = table1_circuits(true);
+    let aes = circuits.iter().filter(|bc| bc.circuit.name() == "aes_128");
+    for bc in circuits[..7].iter().chain(aes) {
+        let name = bc.circuit.name().to_string();
+        let single = [canonical_lane(bc)];
+        let lanes = vec![canonical_lane(bc); N];
+        let (netlist, tx_n) =
+            garbled_tables(&bc.circuit, &single, bc.cycles, &SessionOptions::new());
+        let (layered, tx_l) = garbled_tables(
+            &bc.circuit,
+            &lanes,
+            bc.cycles,
+            &SessionOptions::new().instances(N),
+        );
+        assert_eq!(
+            netlist.batching.levels, 0,
+            "{name}: one lane walks the netlist"
+        );
+        assert!(layered.batching.levels > 0, "{name}: two lanes run layered");
+        for lane in &layered.lanes {
+            assert_eq!(lane.outputs, netlist.lanes[0].outputs, "{name}: outputs");
+            assert_eq!(lane.stats, netlist.lanes[0].stats, "{name}: cost counters");
+        }
+        assert_eq!(tx_l.len(), N * tx_n.len(), "{name}: table count");
+        assert_eq!(lane0(&tx_l), tx_n, "{name}: lane 0 tables differ");
+
+        let unsharded = [(&single[..], tx_n), (&lanes[..], tx_l)];
+        for (lanes, tx) in unsharded {
+            let opts = SessionOptions::new().shards(2).instances(lanes.len());
+            let (sharded, frames) = transcript(&bc.circuit, lanes, bc.cycles, &opts);
+            assert_eq!(frames.len(), 3, "{name}: main channel plus 2 shards");
+            assert!(
+                tables(&frames[0]).is_empty(),
+                "{name}: tables left the main channel"
+            );
+            let shard_tables = frames[1..].iter().flat_map(|f| tables(f)).collect();
+            assert_eq!(
+                sorted(shard_tables),
+                sorted(tx),
+                "{name}: {} lanes at 2 shards send other tables",
+                lanes.len()
+            );
+            for lane in &sharded.lanes {
+                assert_eq!(
+                    lane.outputs, netlist.lanes[0].outputs,
+                    "{name}: sharded outputs"
+                );
+                assert_eq!(
+                    lane.stats, netlist.lanes[0].stats,
+                    "{name}: sharded counters"
+                );
+            }
+        }
+    }
+}
+
+/// The first half of `v`: lane 0's share of a lane-major payload from
+/// a two-lane session.
+fn first_half<T: Clone + std::fmt::Debug>(v: &[T]) -> Vec<T> {
+    assert_eq!(v.len() % 2, 0, "lane-major payload of odd length {v:?}");
+    v[..v.len() / 2].to_vec()
+}
+
+/// The N=1 pin: an instanced session adds nothing to the transcript of
+/// its lane 0 but its lane-count announcement. Stripped of the
+/// `Instances(2)` frame right after the handshake, a two-lane session
+/// with identical lanes sends the one-lane session's frames kind for
+/// kind, in order, and lane 0's share of each is byte-identical to the
+/// one-lane payload: the first half of the lane-major input labels, OT
+/// messages and decode bits, and every even slot of the gate-major
+/// table stream. Fixed PRG seeds, unsharded.
+#[test]
+fn single_lane_instanced_transcript_is_byte_identical() {
+    let circuits = table1_circuits(true);
+    let aes = circuits.iter().filter(|bc| bc.circuit.name() == "aes_128");
+    for bc in circuits[..7].iter().chain(aes) {
+        let name = bc.circuit.name().to_string();
+        let decoded = |frames: &[Vec<u8>]| -> Vec<Message> {
+            frames
+                .iter()
+                .map(|f| Message::decode(f).expect("well-formed frame"))
+                .filter(|m| !matches!(m, Message::Tables(_)))
+                .collect()
+        };
+        let opts = SessionOptions::new();
+        let (_, single) = transcript(&bc.circuit, &[canonical_lane(bc)], bc.cycles, &opts);
+        let lanes = vec![canonical_lane(bc); 2];
+        let (_, inst) = transcript(&bc.circuit, &lanes, bc.cycles, &opts.instances(2));
+        assert_eq!(
+            lane0(&tables(&inst[0])),
+            tables(&single[0]),
+            "{name}: tables"
+        );
+
+        let single = decoded(&single[0]);
+        let mut inst = decoded(&inst[0]);
+        assert!(
+            !single.iter().any(|m| matches!(m, Message::Instances(_))),
+            "{name}: a one-lane session announces no lane count"
+        );
+        assert_eq!(
+            inst.get(1),
+            Some(&Message::Instances(2)),
+            "{name}: announcement"
+        );
+        inst.remove(1);
+        assert_eq!(single.len(), inst.len(), "{name}: frame count");
+        for (one, two) in single.iter().zip(&inst) {
+            let lane0_share = match two {
+                Message::DirectLabels(labels) => Message::DirectLabels(first_half(labels)),
+                Message::OtPayload(bytes) => Message::OtPayload(first_half(bytes)),
+                Message::DecodeBits(bits) => Message::DecodeBits(first_half(bits)),
+                other => other.clone(),
+            };
+            assert_eq!(
+                one, &lane0_share,
+                "{name}: lane 0's share of a frame differs"
+            );
+        }
+    }
 }
 
 /// Builds a circuit engineered to make the SkipGate decision pass emit
