@@ -133,7 +133,7 @@ pub(crate) fn garble(
         wavefront.flush(&garbler, &mut labels, &mut |t| {
             session.push_table(&t.to_bytes())
         })?;
-        session.end_cycle()?;
+        session.end_cycle(circuit.gates().len() as u64)?;
 
         if matches!(circuit.output_mode(), OutputMode::PerCycle) {
             decode_bits.extend(circuit.outputs().iter().map(|w| labels[w.index()].colour()));

@@ -5,6 +5,10 @@
 //! skip decisions agree by construction. Alice then garbles the
 //! surviving category-iv gates and Bob evaluates them.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
+
 use arm2gc_circuit::ir::Unary;
 use arm2gc_circuit::{Circuit, Op, OutputMode, WireId};
 
@@ -80,7 +84,63 @@ pub struct CycleDecisions {
     pub counts: DecisionCounts,
 }
 
+/// Hashes a tag-lineage key by folding its two halves: `lo ^ hi`.
+///
+/// Sound because every key is an XOR of splitmix64 outputs that both
+/// parties derive from a counter ([`TagAllocator`]), never from wire
+/// input, so the fold is already uniform and no peer can steer it. The
+/// map still compares full `u128` keys, so two tags with equal folds
+/// only share a bucket chain.
+#[derive(Clone, Copy, Debug, Default)]
+struct FoldTag;
+
+/// The [`FoldTag`] hasher state.
+#[derive(Default)]
+struct FoldTagHasher(u64);
+
+impl BuildHasher for FoldTag {
+    type Hasher = FoldTagHasher;
+
+    fn build_hasher(&self) -> FoldTagHasher {
+        FoldTagHasher::default()
+    }
+}
+
+impl Hasher for FoldTagHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u128` keys are hashed; this covers any other use.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.0 = v as u64 ^ (v >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Representative wire per live tag hash.
+type RepMap = HashMap<u128, WireId, FoldTag>;
+
+/// Buffers [`DecideContext::decide_cycle`] reuses from one cycle to
+/// the next instead of reallocating them.
+#[derive(Clone, Debug, Default)]
+struct DecideScratch {
+    /// This cycle's `label_fanout`, refilled from `base_fan`.
+    fan: Vec<u32>,
+    /// Earliest wire carrying each tag lineage this cycle.
+    rep: RepMap,
+}
+
 /// Precomputed circuit metadata for the per-cycle decision passes.
+///
+/// One context serves every lane of a party: it holds no lane state,
+/// only the circuit's static fanout and a scratch buffer that each
+/// [`decide_cycle`](Self::decide_cycle) call refills from scratch.
 #[derive(Clone, Debug)]
 pub struct DecideContext<'c> {
     circuit: &'c Circuit,
@@ -94,6 +154,8 @@ pub struct DecideContext<'c> {
     non_q_outputs: Vec<WireId>,
     /// Disable the dead-gate filter (ablation only).
     pub filter_dead: bool,
+    /// Cycle-persistent `fan` and `rep`, dropped after a last cycle.
+    scratch: RefCell<DecideScratch>,
 }
 
 impl<'c> DecideContext<'c> {
@@ -124,13 +186,16 @@ impl<'c> DecideContext<'c> {
                 .filter(|w| !q_set.contains(w))
                 .collect(),
             filter_dead: true,
+            scratch: RefCell::default(),
         }
     }
 
-    /// Initial `label_fanout` for this cycle (§3.2: gate fanout plus the
-    /// cycle's sinks — scheduled outputs and flip-flop data inputs).
-    fn init_fan(&self, is_last: bool) -> Vec<u32> {
-        let mut fan = self.base_fan.clone();
+    /// Fills `fan` with this cycle's initial `label_fanout` (§3.2: gate
+    /// fanout plus the cycle's sinks — scheduled outputs and flip-flop
+    /// data inputs).
+    fn init_fan(&self, fan: &mut Vec<u32>, is_last: bool) {
+        fan.clear();
+        fan.extend_from_slice(&self.base_fan);
         match self.circuit.output_mode() {
             OutputMode::PerCycle => {
                 for w in self.circuit.outputs() {
@@ -151,23 +216,40 @@ impl<'c> DecideContext<'c> {
             for w in &self.dff_d {
                 fan[w.index()] += 1;
             }
-        } else if matches!(self.circuit.output_mode(), OutputMode::PerCycle) {
-            // Last cycle of a per-cycle circuit: state dies with the run.
         }
-        fan
     }
 
     /// Runs Phases 1 and 2's classification plus the recursive fanout
     /// reduction for one cycle, updating `states` with every gate's
     /// output knowledge.
+    ///
+    /// The fanout vector and the tag map are cleared and reused across
+    /// calls, not reallocated; after an `is_last` cycle they are dropped,
+    /// so a session does not hold them through its final garbling.
     pub fn decide_cycle(
         &self,
         states: &mut [WireVal],
         alloc: &mut TagAllocator,
         is_last: bool,
     ) -> CycleDecisions {
+        let mut scratch = self.scratch.borrow_mut();
+        let decided = self.decide_with(&mut scratch, states, alloc, is_last);
+        if is_last {
+            *scratch = DecideScratch::default();
+        }
+        decided
+    }
+
+    fn decide_with(
+        &self,
+        scratch: &mut DecideScratch,
+        states: &mut [WireVal],
+        alloc: &mut TagAllocator,
+        is_last: bool,
+    ) -> CycleDecisions {
         let circuit = self.circuit;
-        let mut fan = self.init_fan(is_last);
+        let DecideScratch { fan, rep } = scratch;
+        self.init_fan(fan, is_last);
         let mut decisions = Vec::with_capacity(circuit.gates().len());
 
         let release = |fan: &mut [u32], states: &[WireVal], w: WireId| {
@@ -181,7 +263,7 @@ impl<'c> DecideContext<'c> {
         // Representative wire per live tag hash: the earliest wire whose
         // label carries that lineage this cycle. Seeded from flip-flop
         // outputs and primary inputs (their labels are always valid).
-        let mut rep: std::collections::HashMap<u128, WireId> = std::collections::HashMap::new();
+        rep.clear();
         for dff in circuit.dffs() {
             if let WireVal::Secret(t) = states[dff.q.index()] {
                 rep.entry(t.hash).or_insert(dff.q);
@@ -203,18 +285,15 @@ impl<'c> DecideContext<'c> {
                     GateDecision::PublicOut(gate.op.eval(va, vb))
                 }
                 // Category ii.
-                (WireVal::Public(va), WireVal::Secret(tb)) => match gate.op.restrict_a(va) {
+                (WireVal::Public(va), WireVal::Secret(_)) => match gate.op.restrict_a(va) {
                     Unary::Const(c) => {
-                        release(&mut fan, states, gate.b);
+                        release(fan, states, gate.b);
                         GateDecision::PublicOut(c)
                     }
-                    Unary::Pass => {
-                        let _ = tb;
-                        GateDecision::Pass {
-                            from_a: false,
-                            flip: false,
-                        }
-                    }
+                    Unary::Pass => GateDecision::Pass {
+                        from_a: false,
+                        flip: false,
+                    },
                     Unary::Inv => GateDecision::Pass {
                         from_a: false,
                         flip: true,
@@ -222,7 +301,7 @@ impl<'c> DecideContext<'c> {
                 },
                 (WireVal::Secret(_), WireVal::Public(vb)) => match gate.op.restrict_b(vb) {
                     Unary::Const(c) => {
-                        release(&mut fan, states, gate.a);
+                        release(fan, states, gate.a);
                         GateDecision::PublicOut(c)
                     }
                     Unary::Pass => GateDecision::Pass {
@@ -245,19 +324,19 @@ impl<'c> DecideContext<'c> {
                     };
                     match related {
                         Some(Unary::Const(c)) => {
-                            release(&mut fan, states, gate.a);
-                            release(&mut fan, states, gate.b);
+                            release(fan, states, gate.a);
+                            release(fan, states, gate.b);
                             GateDecision::PublicOut(c)
                         }
                         Some(Unary::Pass) => {
-                            release(&mut fan, states, gate.b);
+                            release(fan, states, gate.b);
                             GateDecision::Pass {
                                 from_a: true,
                                 flip: false,
                             }
                         }
                         Some(Unary::Inv) => {
-                            release(&mut fan, states, gate.b);
+                            release(fan, states, gate.b);
                             GateDecision::Pass {
                                 from_a: true,
                                 flip: true,
@@ -268,28 +347,28 @@ impl<'c> DecideContext<'c> {
                             Op::XOR => GateDecision::FreeXor { flip: false },
                             Op::XNOR => GateDecision::FreeXor { flip: true },
                             Op::BUF_A => {
-                                release(&mut fan, states, gate.b);
+                                release(fan, states, gate.b);
                                 GateDecision::Pass {
                                     from_a: true,
                                     flip: false,
                                 }
                             }
                             Op::NOT_A => {
-                                release(&mut fan, states, gate.b);
+                                release(fan, states, gate.b);
                                 GateDecision::Pass {
                                     from_a: true,
                                     flip: true,
                                 }
                             }
                             Op::BUF_B => {
-                                release(&mut fan, states, gate.a);
+                                release(fan, states, gate.a);
                                 GateDecision::Pass {
                                     from_a: false,
                                     flip: false,
                                 }
                             }
                             Op::NOT_B => {
-                                release(&mut fan, states, gate.a);
+                                release(fan, states, gate.a);
                                 GateDecision::Pass {
                                     from_a: false,
                                     flip: true,
@@ -327,8 +406,8 @@ impl<'c> DecideContext<'c> {
                                 .as_secret()
                                 .expect("representative must be secret")
                                 .flip;
-                            release(&mut fan, states, gate.a);
-                            release(&mut fan, states, gate.b);
+                            release(fan, states, gate.a);
+                            release(fan, states, gate.b);
                             fan[src.index()] += 1;
                             (
                                 GateDecision::Alias {
@@ -361,21 +440,21 @@ impl<'c> DecideContext<'c> {
                 }
                 match decisions[gi] {
                     GateDecision::Pass { from_a, .. } => {
-                        release(&mut fan, states, if from_a { gate.a } else { gate.b });
+                        release(fan, states, if from_a { gate.a } else { gate.b });
                         decisions[gi] = GateDecision::SkippedFree;
                     }
                     GateDecision::FreeXor { .. } => {
-                        release(&mut fan, states, gate.a);
-                        release(&mut fan, states, gate.b);
+                        release(fan, states, gate.a);
+                        release(fan, states, gate.b);
                         decisions[gi] = GateDecision::SkippedFree;
                     }
                     GateDecision::Alias { src, .. } => {
-                        release(&mut fan, states, src);
+                        release(fan, states, src);
                         decisions[gi] = GateDecision::SkippedFree;
                     }
                     GateDecision::Garble => {
-                        release(&mut fan, states, gate.a);
-                        release(&mut fan, states, gate.b);
+                        release(fan, states, gate.a);
+                        release(fan, states, gate.b);
                         decisions[gi] = GateDecision::Skipped;
                     }
                     GateDecision::PublicOut(_)
@@ -404,7 +483,8 @@ impl<'c> DecideContext<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arm2gc_circuit::{CircuitBuilder, Role};
+    use crate::tag::SecretTag;
+    use arm2gc_circuit::{CircuitBuilder, DffInit, Role};
 
     fn states_for(c: &Circuit, alloc: &mut TagAllocator) -> Vec<WireVal> {
         // All Alice/Bob inputs secret, public inputs = arbitrary values.
@@ -565,5 +645,148 @@ mod tests {
         // itself is wires.
         assert_eq!(res.counts.garbled, 1);
         assert_eq!(res.counts.skipped_nonlinear, 1);
+    }
+
+    /// An 8-bit register updated each cycle through a public-selector
+    /// mux between `state ∧ x` and `state ⊕ x` (`x` fresh from Bob), so
+    /// cycles mix garbled, skipped, aliased and public gates.
+    fn register_circuit() -> Circuit {
+        let mut b = CircuitBuilder::new("register");
+        let sel = b.input(Role::Public);
+        let x = b.inputs(Role::Bob, 8);
+        let q = b.dff_bus(8, |i| DffInit::Alice(i as u32));
+        let and = b.and_bus(&q, &x);
+        let xor = b.xor_bus(&q, &x);
+        let next = b.mux_bus(sel, &and, &xor);
+        b.connect_dff_bus(&q, &next);
+        b.outputs(&q);
+        b.build()
+    }
+
+    /// One lane's wire knowledge: fresh secret inputs each cycle, a
+    /// public selector drawn from the lane's pattern.
+    #[derive(Clone)]
+    struct Lane {
+        states: Vec<WireVal>,
+        alloc: TagAllocator,
+        pattern: u64,
+    }
+
+    impl Lane {
+        fn new(c: &Circuit, pattern: u64) -> Self {
+            let mut alloc = TagAllocator::new();
+            let mut states = vec![WireVal::Public(false); c.wire_count()];
+            for dff in c.dffs() {
+                states[dff.q.index()] = WireVal::Secret(alloc.fresh());
+            }
+            Self {
+                states,
+                alloc,
+                pattern,
+            }
+        }
+
+        fn set_inputs(&mut self, c: &Circuit, cycle: usize) {
+            for input in c.inputs() {
+                self.states[input.wire.index()] = match input.role {
+                    Role::Public => WireVal::Public(self.pattern >> (cycle % 64) & 1 == 1),
+                    _ => WireVal::Secret(self.alloc.fresh()),
+                };
+            }
+        }
+
+        fn copy_dffs(&mut self, c: &Circuit) {
+            let next: Vec<WireVal> = c.dffs().iter().map(|d| self.states[d.d.index()]).collect();
+            for (dff, v) in c.dffs().iter().zip(next) {
+                self.states[dff.q.index()] = v;
+            }
+        }
+    }
+
+    /// One context reused across cycles and two interleaved lanes —
+    /// including cycles after an `is_last` call dropped its scratch —
+    /// decides exactly what a fresh context per call decides.
+    #[test]
+    fn scratch_reuse_is_invisible() {
+        let c = register_circuit();
+        let ctx = DecideContext::new(&c);
+        let mut lanes = [
+            Lane::new(&c, 0x5a5a_0ff0_3c3c_9669),
+            Lane::new(&c, 0x0123_4567_89ab_cdef),
+        ];
+        let mut garbled = 0;
+        for cycle in 0..40 {
+            // Cycle 17 releases the scratch as a last cycle would; the
+            // run goes on past it.
+            let is_last = cycle == 17 || cycle == 39;
+            for lane in &mut lanes {
+                lane.set_inputs(&c, cycle);
+                let mut fresh = lane.clone();
+                let want = DecideContext::new(&c).decide_cycle(
+                    &mut fresh.states,
+                    &mut fresh.alloc,
+                    is_last,
+                );
+                let got = ctx.decide_cycle(&mut lane.states, &mut lane.alloc, is_last);
+                assert_eq!(got.decisions, want.decisions, "cycle {cycle}");
+                assert_eq!(got.counts, want.counts, "cycle {cycle}");
+                assert_eq!(lane.states, fresh.states, "cycle {cycle}");
+                assert_eq!(lane.alloc.allocated(), fresh.alloc.allocated());
+                garbled += got.counts.garbled;
+                lane.copy_dffs(&c);
+            }
+        }
+        assert!(garbled > 0, "the register garbles some cycles");
+    }
+
+    /// Tags whose halves fold to the same hash share a bucket chain but
+    /// never each other's entry: the map compares full 128-bit keys.
+    #[test]
+    fn folded_hash_collisions_keep_their_own_wire() {
+        let mut alloc = TagAllocator::new();
+        let h = alloc.fresh().hash;
+        let k = 0x0123_4567_89ab_cdef_u128;
+        let g = h ^ (k << 64 | k);
+        assert_ne!(h, g);
+        assert_eq!(FoldTag.hash_one(h), FoldTag.hash_one(g));
+
+        let mut rep = RepMap::default();
+        rep.insert(h, WireId(1));
+        rep.insert(g, WireId(2));
+        assert_eq!(rep.get(&h), Some(&WireId(1)));
+        assert_eq!(rep.get(&g), Some(&WireId(2)));
+
+        // Through the decision pass: `x ⊕ z ⊕ z` and `y ⊕ z ⊕ z` cancel
+        // back to `x` and `y`, whose tags fold alike; each aliases to
+        // its own source.
+        let mut b = CircuitBuilder::new("fold");
+        let x = b.input(Role::Alice);
+        let y = b.input(Role::Alice);
+        let z = b.input(Role::Bob);
+        let xz = b.xor(x, z);
+        let xzz = b.xor(xz, z);
+        let yz = b.xor(y, z);
+        let yzz = b.xor(yz, z);
+        b.outputs(&[xzz, yzz]);
+        let c = b.build();
+        let mut states = vec![WireVal::Public(false); c.wire_count()];
+        for (w, hash) in [(x, h), (y, g), (z, alloc.fresh().hash)] {
+            states[w.index()] = WireVal::Secret(SecretTag { hash, flip: false });
+        }
+        let res = DecideContext::new(&c).decide_cycle(&mut states, &mut alloc, true);
+        assert_eq!(
+            res.decisions[1],
+            GateDecision::Alias {
+                src: x,
+                flip: false
+            }
+        );
+        assert_eq!(
+            res.decisions[3],
+            GateDecision::Alias {
+                src: y,
+                flip: false
+            }
+        );
     }
 }

@@ -106,30 +106,31 @@ enum OutBit {
     Secret, // consumes the next slot of the colour exchange
 }
 
-/// Shared (party-independent) protocol state.
+/// The decision context a party's lanes share: one fanout table and
+/// one decision scratch, however many lanes the session runs.
+fn decide_context<'c>(circuit: &'c Circuit, opts: &SessionOptions) -> DecideContext<'c> {
+    let mut ctx = DecideContext::new(circuit);
+    ctx.filter_dead = opts.skipgate.filter_dead_gates;
+    ctx
+}
+
+/// Shared (party-independent) protocol state of one lane.
 struct Shared<'c> {
     circuit: &'c Circuit,
-    ctx: DecideContext<'c>,
     states: Vec<WireVal>,
     alloc: TagAllocator,
     frames: Vec<Vec<OutBit>>,
     stats: SkipGateStats,
-    /// Cycle-persistent scratch for the flip-flop state copy.
-    dff_scratch: Vec<WireVal>,
 }
 
 impl<'c> Shared<'c> {
-    fn new(circuit: &'c Circuit, filter_dead: bool) -> Self {
-        let mut ctx = DecideContext::new(circuit);
-        ctx.filter_dead = filter_dead;
+    fn new(circuit: &'c Circuit) -> Self {
         Self {
             circuit,
-            ctx,
             states: vec![WireVal::Public(false); circuit.wire_count()],
             alloc: TagAllocator::new(),
             frames: Vec::new(),
             stats: SkipGateStats::default(),
-            dff_scratch: Vec::new(),
         }
     }
 
@@ -193,26 +194,30 @@ impl<'c> Shared<'c> {
             .unwrap_or(false)
     }
 
-    fn copy_dffs(&mut self) {
+    /// Copies every flip-flop's `d` state to its `q`, through the
+    /// caller's cycle-persistent `scratch`.
+    fn copy_dffs(&mut self, scratch: &mut Vec<WireVal>) {
         let Shared {
-            circuit,
-            states,
-            dff_scratch,
-            ..
+            circuit, states, ..
         } = self;
-        dff_scratch.clear();
-        dff_scratch.extend(circuit.dffs().iter().map(|d| states[d.d.index()]));
-        for (dff, &v) in circuit.dffs().iter().zip(dff_scratch.iter()) {
+        scratch.clear();
+        scratch.extend(circuit.dffs().iter().map(|d| states[d.d.index()]));
+        for (dff, &v) in circuit.dffs().iter().zip(scratch.iter()) {
             states[dff.q.index()] = v;
         }
     }
 
-    fn absorb_counts(&mut self, counts: &crate::decide::DecisionCounts) {
+    /// Runs this lane's decision pass for one cycle through the party's
+    /// shared `ctx` and folds its counts into the lane's stats.
+    fn decide(&mut self, ctx: &DecideContext<'_>, is_last: bool) -> CycleDecisions {
+        let dec = ctx.decide_cycle(&mut self.states, &mut self.alloc, is_last);
+        let counts = &dec.counts;
         self.stats.public_gates += counts.public_out;
         self.stats.pass_gates += counts.pass + counts.aliased;
         self.stats.free_xor += counts.free_xor;
         self.stats.garbled_tables += counts.garbled;
         self.stats.skipped_nonlinear += counts.skipped_nonlinear;
+        dec
     }
 
     /// Merges the secret-output values from the colour exchange with the
@@ -331,7 +336,8 @@ pub(crate) fn garble_netlist(
         GarblerSession::establish_sharded(ch, shard_chs, ot, prg, opts.stream, shards)?;
     let d = session.delta().as_label();
     let garbler = HalfGateGarbler::new(session.delta());
-    let mut shared = Shared::new(circuit, opts.skipgate.filter_dead_gates);
+    let ctx = decide_context(circuit, opts);
+    let mut shared = Shared::new(circuit);
     let mut labels = vec![Label::ZERO; circuit.wire_count()];
 
     // --- Input labels ---------------------------------------------------
@@ -398,19 +404,14 @@ pub(crate) fn garble_netlist(
     let mut tweak = 0u64;
     let mut decode_bits: Vec<bool> = Vec::new();
     let mut next_dffs: Vec<Label> = Vec::new();
+    let mut dff_scratch: Vec<WireVal> = Vec::new();
     for (cycle, cycle_labels) in stream_labels.iter().enumerate() {
         shared.set_cycle_inputs(cycle, public);
         for &(w, x0) in cycle_labels {
             labels[w.index()] = x0;
         }
         let is_last = cycle + 1 == cycles;
-        let decisions = {
-            let Shared {
-                ctx, states, alloc, ..
-            } = &mut shared;
-            ctx.decide_cycle(states, alloc, is_last)
-        };
-        shared.absorb_counts(&decisions.counts);
+        let decisions = shared.decide(&ctx, is_last);
         session.begin_cycle(decisions.counts.garbled as usize);
 
         for (gate, decision) in circuit.gates().iter().zip(&decisions.decisions) {
@@ -451,7 +452,7 @@ pub(crate) fn garble_netlist(
         wavefront.flush(&garbler, &mut labels, &mut |t| {
             session.push_table(&t.to_bytes())
         })?;
-        session.end_cycle()?;
+        session.end_cycle(circuit.gates().len() as u64)?;
 
         if matches!(circuit.output_mode(), OutputMode::PerCycle) {
             shared.record_frame();
@@ -471,7 +472,7 @@ pub(crate) fn garble_netlist(
         for (dff, &l) in circuit.dffs().iter().zip(next_dffs.iter()) {
             labels[dff.q.index()] = l;
         }
-        shared.copy_dffs();
+        shared.copy_dffs(&mut dff_scratch);
         shared.stats.cycles_run = cycle + 1;
         if halted {
             break;
@@ -523,7 +524,8 @@ pub(crate) fn evaluate_netlist(
     let evaluator = HalfGateEvaluator::new();
     let mut session =
         EvaluatorSession::establish_sharded(ch, shard_chs, ot, GarbledTable::BYTES, shards)?;
-    let mut shared = Shared::new(circuit, opts.skipgate.filter_dead_gates);
+    let ctx = decide_context(circuit, opts);
+    let mut shared = Shared::new(circuit);
     let mut active = vec![Label::ZERO; circuit.wire_count()];
 
     // --- Input labels -----------------------------------------------------
@@ -580,19 +582,14 @@ pub(crate) fn evaluate_netlist(
     let mut tweak = 0u64;
     let mut my_colours: Vec<bool> = Vec::new();
     let mut next_dffs: Vec<Label> = Vec::new();
+    let mut dff_scratch: Vec<WireVal> = Vec::new();
     for (cycle, cycle_slots) in stream_slots.iter().enumerate() {
         shared.set_cycle_inputs(cycle, public);
         for &(w, l) in cycle_slots {
             active[w.index()] = l.expect("filled above");
         }
         let is_last = cycle + 1 == cycles;
-        let decisions = {
-            let Shared {
-                ctx, states, alloc, ..
-            } = &mut shared;
-            ctx.decide_cycle(states, alloc, is_last)
-        };
-        shared.absorb_counts(&decisions.counts);
+        let decisions = shared.decide(&ctx, is_last);
         session.begin_cycle(decisions.counts.garbled as usize);
 
         for (gate, decision) in circuit.gates().iter().zip(&decisions.decisions) {
@@ -647,7 +644,7 @@ pub(crate) fn evaluate_netlist(
         for (dff, &l) in circuit.dffs().iter().zip(next_dffs.iter()) {
             active[dff.q.index()] = l;
         }
-        shared.copy_dffs();
+        shared.copy_dffs(&mut dff_scratch);
         shared.stats.cycles_run = cycle + 1;
         if halted {
             break;
@@ -844,9 +841,8 @@ pub(crate) fn garble_instanced(
         GarblerSession::establish_instanced(ch, shard_chs, ot, prg, opts.stream, shards, n as u16)?;
     let d = session.delta().as_label();
     let garbler = HalfGateGarbler::new(session.delta());
-    let mut lanes: Vec<Shared> = (0..n)
-        .map(|_| Shared::new(circuit, opts.skipgate.filter_dead_gates))
-        .collect();
+    let ctx = decide_context(circuit, opts);
+    let mut lanes: Vec<Shared> = (0..n).map(|_| Shared::new(circuit)).collect();
     // Struct-of-arrays labels: wire `w`, lane `l` at `w * n + l`.
     let mut labels = vec![Label::ZERO; circuit.wire_count() * n];
 
@@ -935,6 +931,7 @@ pub(crate) fn garble_instanced(
     let mut lane_active = vec![true; n];
     let mut decode_bits: Vec<Vec<bool>> = vec![Vec::new(); n];
     let mut next_dffs: Vec<Label> = Vec::new();
+    let mut dff_scratch: Vec<WireVal> = Vec::new();
     // `cycle` indexes per-lane structures inside the lane loop, which
     // an enumerate over any single one of them cannot express.
     #[allow(clippy::needless_range_loop)]
@@ -953,14 +950,7 @@ pub(crate) fn garble_instanced(
             for &(w, x0) in &stream_labels[lane][cycle] {
                 labels[w.index() * n + lane] = x0;
             }
-            let dec = {
-                let Shared {
-                    ctx, states, alloc, ..
-                } = shared;
-                ctx.decide_cycle(states, alloc, is_last)
-            };
-            shared.absorb_counts(&dec.counts);
-            decisions[lane] = Some(dec);
+            decisions[lane] = Some(shared.decide(&ctx, is_last));
         }
 
         // Layering plans, with first-active-lane reuse when decision
@@ -1084,7 +1074,8 @@ pub(crate) fn garble_instanced(
             drv.end_level(&garbler, &mut labels);
         }
         drv.end_cycle(&mut |t| session.push_table(&t.to_bytes()))?;
-        session.end_cycle()?;
+        let active = decisions.iter().flatten().count();
+        session.end_cycle((circuit.gates().len() * active) as u64)?;
 
         for lane in 0..n {
             let Some(dec) = decisions[lane].as_ref() else {
@@ -1115,7 +1106,7 @@ pub(crate) fn garble_instanced(
             for (dff, &l) in circuit.dffs().iter().zip(next_dffs.iter()) {
                 labels[dff.q.index() * n + lane] = l;
             }
-            shared.copy_dffs();
+            shared.copy_dffs(&mut dff_scratch);
             shared.stats.cycles_run = cycle + 1;
             if halted {
                 lane_active[lane] = false;
@@ -1190,9 +1181,8 @@ pub(crate) fn evaluate_instanced(
         shards,
         n as u16,
     )?;
-    let mut lanes: Vec<Shared> = (0..n)
-        .map(|_| Shared::new(circuit, opts.skipgate.filter_dead_gates))
-        .collect();
+    let ctx = decide_context(circuit, opts);
+    let mut lanes: Vec<Shared> = (0..n).map(|_| Shared::new(circuit)).collect();
     let mut active = vec![Label::ZERO; circuit.wire_count() * n];
 
     // --- Input labels, lane-major -----------------------------------------
@@ -1273,6 +1263,7 @@ pub(crate) fn evaluate_instanced(
     let mut lane_active = vec![true; n];
     let mut my_colours: Vec<Vec<bool>> = vec![Vec::new(); n];
     let mut next_dffs: Vec<Label> = Vec::new();
+    let mut dff_scratch: Vec<WireVal> = Vec::new();
     // `cycle` indexes per-lane structures inside the lane loop, which
     // an enumerate over any single one of them cannot express.
     #[allow(clippy::needless_range_loop)]
@@ -1291,14 +1282,7 @@ pub(crate) fn evaluate_instanced(
             for &(w, l) in &stream_slots[lane][cycle] {
                 active[w.index() * n + lane] = l.expect("filled above");
             }
-            let dec = {
-                let Shared {
-                    ctx, states, alloc, ..
-                } = shared;
-                ctx.decide_cycle(states, alloc, is_last)
-            };
-            shared.absorb_counts(&dec.counts);
-            decisions[lane] = Some(dec);
+            decisions[lane] = Some(shared.decide(&ctx, is_last));
         }
 
         let mut first: Option<usize> = None;
@@ -1450,7 +1434,7 @@ pub(crate) fn evaluate_instanced(
             for (dff, &l) in circuit.dffs().iter().zip(next_dffs.iter()) {
                 active[dff.q.index() * n + lane] = l;
             }
-            shared.copy_dffs();
+            shared.copy_dffs(&mut dff_scratch);
             shared.stats.cycles_run = cycle + 1;
             if halted {
                 lane_active[lane] = false;
@@ -1626,6 +1610,26 @@ mod tests {
             .map(|l| l.lock().expect("lock").clone())
             .collect();
         (a, frames)
+    }
+
+    /// Table frame boundaries depend on public counts only, and
+    /// `compare_16384` (7 gates a cycle, 16,384 cycles) stays far below
+    /// the work-based cycle flush threshold, so its garbler sends exactly
+    /// the size-chunked `Tables` frames it always has.
+    #[test]
+    fn compare_16384_table_frame_count_is_pinned() {
+        let bc = bench_circuits::compare(16384, u64::MAX, 3);
+        let (_, frames) = session(&bc, 1, false);
+        let tables = frames[0]
+            .iter()
+            .filter(|f| {
+                matches!(
+                    arm2gc_proto::Message::decode(f),
+                    Ok(arm2gc_proto::Message::Tables(_))
+                )
+            })
+            .count();
+        assert_eq!(tables, 8, "garbler Tables frames");
     }
 
     /// The pin that licenses one loop per lane count: the layered walk

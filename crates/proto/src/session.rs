@@ -36,6 +36,15 @@ use crate::wire::{
 };
 
 /// How the garbler's table sink batches tables onto the wire.
+///
+/// A chunked stream flushes on two triggers: whenever more than
+/// `chunk_bytes` table bytes are buffered, and at a cycle boundary once
+/// [`CYCLE_FLUSH_VISITS`] gate visits have passed since the last
+/// boundary flush (see [`GarblerSession::end_cycle`]). The second keeps
+/// the evaluator busy on circuits whose many cycles garble few tables
+/// each, where a whole session's tables fit in one chunk. Both triggers
+/// read public counts only, so frame boundaries — and the transcript —
+/// are the same on every run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Flush whenever at least this many table bytes are buffered.
@@ -43,6 +52,15 @@ pub struct StreamConfig {
     /// every cycle boundary, regardless of size.
     pub chunk_bytes: Option<usize>,
 }
+
+/// Gate visits (gates × active lanes, summed over cycles) after which a
+/// chunked stream flushes its buffered tables at the next cycle
+/// boundary. 2²⁰ visits are about seven cycles of the garbled CPU
+/// (163,628 gates), some 19 ms of decision pass, so the evaluator never
+/// waits long for work, while small circuits (a 7-gate comparator for
+/// 16,384 cycles is 114,688 visits) never reach it and keep their
+/// size-chunked frames.
+pub const CYCLE_FLUSH_VISITS: u64 = 1 << 20;
 
 impl StreamConfig {
     /// Legacy per-cycle flushing (one `Tables` frame per clock cycle).
@@ -281,6 +299,10 @@ pub struct GarblerSession<'a> {
     instances: u16,
     stream: StreamConfig,
     tables: GarblerTables,
+    /// Gate visits since the last cycle-boundary flush.
+    visits_since_flush: u64,
+    /// `stats.garbled_tables` at the last cycle-boundary flush.
+    tables_at_flush: u64,
     stats: SessionStats,
 }
 
@@ -364,6 +386,8 @@ impl<'a> GarblerSession<'a> {
             instances,
             stream,
             tables,
+            visits_since_flush: 0,
+            tables_at_flush: 0,
             stats: SessionStats::default(),
         })
     }
@@ -488,18 +512,33 @@ impl<'a> GarblerSession<'a> {
         }
     }
 
-    /// Marks a clock-cycle boundary; in lockstep mode this flushes the
-    /// cycle's tables (on every shard). A sharded session also hands
-    /// the current shard's locally batched tables to its worker here,
-    /// so `pending` never spans a cycle boundary.
+    /// Marks a clock-cycle boundary after a cycle of `visits` gate
+    /// visits (the netlist's gate count times the lanes still running).
+    ///
+    /// A lockstep stream flushes the cycle's tables here (on every
+    /// shard). A chunked stream flushes here once at least
+    /// [`CYCLE_FLUSH_VISITS`] visits have passed since its last
+    /// boundary flush and a table was pushed in between; a sharded
+    /// session then sends `Flush` to every worker. Size-triggered
+    /// flushes in [`push_table`](Self::push_table) do not reset the
+    /// count. A sharded session also hands the current shard's locally
+    /// batched tables to its worker here, so `pending` never spans a
+    /// cycle boundary.
     ///
     /// # Errors
     /// Channel failures on flush.
-    pub fn end_cycle(&mut self) -> Result<(), ProtoError> {
-        let lockstep = self.stream.chunk_bytes.is_none();
+    pub fn end_cycle(&mut self, visits: u64) -> Result<(), ProtoError> {
+        self.visits_since_flush += visits;
+        let flush = match self.stream.chunk_bytes {
+            None => true,
+            Some(_) => {
+                self.visits_since_flush >= CYCLE_FLUSH_VISITS
+                    && self.stats.garbled_tables > self.tables_at_flush
+            }
+        };
         match &mut self.tables {
             GarblerTables::Inline { buf } => {
-                if lockstep {
+                if flush {
                     flush_inline(self.ch, buf)?;
                 }
             }
@@ -512,12 +551,16 @@ impl<'a> GarblerSession<'a> {
                 if !pending.is_empty() {
                     workers[*current].push(ShardCmd::Bytes(std::mem::take(pending)))?;
                 }
-                if lockstep {
+                if flush {
                     for w in workers {
                         w.push(ShardCmd::Flush)?;
                     }
                 }
             }
+        }
+        if flush {
+            self.visits_since_flush = 0;
+            self.tables_at_flush = self.stats.garbled_tables;
         }
         Ok(())
     }
@@ -999,6 +1042,8 @@ impl std::fmt::Debug for EvaluatorSession<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
     use super::*;
     use arm2gc_comm::duplex;
     use arm2gc_ot::InsecureOt;
@@ -1032,7 +1077,7 @@ mod tests {
                         s.push_table(&table).expect("push");
                         sent.push(table.to_vec());
                     }
-                    s.end_cycle().expect("end");
+                    s.end_cycle(7).expect("end");
                 }
                 let values = s.reveal_outputs(&[true, false, true]).expect("reveal");
                 assert_eq!(s.stats().garbled_tables, 30);
@@ -1072,7 +1117,7 @@ mod tests {
                         GarblerSession::establish(&mut counted, &mut ot, &mut prg, cfg).expect("g");
                     for _ in 0..4 {
                         s.push_table(&[7u8; 32]).expect("push");
-                        s.end_cycle().expect("end");
+                        s.end_cycle(7).expect("end");
                     }
                     s.reveal_outputs(&[]).expect("reveal");
                     // hello + table frames + decode bits.
@@ -1089,6 +1134,105 @@ mod tests {
             );
             assert_eq!(frames, expect_table_frames);
         }
+    }
+
+    /// Runs a chunked session over `cycles` of `(tables, visits)` with
+    /// chunks too large to fill, and returns the table-frame sizes (in
+    /// tables) the garbler sent, summed over every shard channel.
+    fn cycle_flush_frames(cycles: &[(usize, u64)], shards: usize) -> Vec<usize> {
+        let cycles = cycles.to_vec();
+        let plan = cycles.clone();
+        let (g_shards, e_shards) = if shards > 1 {
+            shard_duplexes(shards)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let sharding = ShardConfig::new(shards);
+        let (frames, ()) = pair_up(
+            move |ch| {
+                let mut rec = Recording::new(ch);
+                let (shard_chs, logs): (Vec<Box<dyn Channel>>, Vec<_>) = g_shards
+                    .into_iter()
+                    .map(|ch| {
+                        let rec = Recording::new(ch);
+                        let log = Arc::clone(&rec.sent);
+                        (Box::new(rec) as Box<dyn Channel>, log)
+                    })
+                    .unzip();
+                let mut ot = InsecureOt;
+                let mut prg = Prg::from_seed([4; 16]);
+                let mut s = GarblerSession::establish_sharded(
+                    &mut rec,
+                    shard_chs,
+                    &mut ot,
+                    &mut prg,
+                    StreamConfig::chunked(1 << 20),
+                    sharding,
+                )
+                .expect("g");
+                for &(tables, visits) in &cycles {
+                    s.begin_cycle(tables);
+                    for _ in 0..tables {
+                        s.push_table(&[7u8; 32]).expect("push");
+                    }
+                    s.end_cycle(visits).expect("end");
+                }
+                s.reveal_outputs(&[]).expect("reveal");
+                let mut frames = rec.frames();
+                for log in logs {
+                    frames.extend(log.lock().expect("frame log").drain(..));
+                }
+                frames
+                    .iter()
+                    .filter_map(|f| match f[0] {
+                        TAG_TABLES => Some((f.len() - 1) / 32),
+                        TAG_TABLE_SHARD => Some((f.len() - 2) / 32),
+                        _ => None,
+                    })
+                    .collect()
+            },
+            move |ch| {
+                let mut ot = InsecureOt;
+                let mut s =
+                    EvaluatorSession::establish_sharded(ch, e_shards, &mut ot, 32, sharding)
+                        .expect("e");
+                for &(tables, _) in &plan {
+                    s.begin_cycle(tables);
+                    for _ in 0..tables {
+                        s.next_table(32).expect("pull");
+                    }
+                }
+                s.reveal_outputs(&[]).expect("reveal");
+            },
+        );
+        frames
+    }
+
+    #[test]
+    fn chunked_stream_flushes_at_cycle_boundaries_by_gate_visits() {
+        const HALF: u64 = CYCLE_FLUSH_VISITS / 2;
+        // 2^19 visits a cycle: every second non-empty cycle flushes.
+        assert_eq!(cycle_flush_frames(&[(1, HALF); 8], 1), vec![2, 2, 2, 2]);
+        assert_eq!(
+            cycle_flush_frames(&[(1, HALF), (2, HALF), (3, HALF)], 1),
+            vec![3, 3],
+            "the tail goes out with the final flush"
+        );
+        // Sharded: a boundary flush reaches every worker, so each of the
+        // two shards sends one frame per flush.
+        assert_eq!(cycle_flush_frames(&[(2, HALF); 4], 2), vec![2; 4]);
+        // Fewer than 2^20 visits in all: only the final flush.
+        assert_eq!(
+            cycle_flush_frames(&[(1, CYCLE_FLUSH_VISITS / 8); 7], 1),
+            vec![7]
+        );
+        // An empty buffer never makes a frame; the count carries over to
+        // the first cycle that pushes a table.
+        assert!(cycle_flush_frames(&[(0, CYCLE_FLUSH_VISITS); 3], 1).is_empty());
+        assert_eq!(
+            cycle_flush_frames(&[(0, CYCLE_FLUSH_VISITS), (1, 0), (1, 0)], 1),
+            vec![1, 1]
+        );
     }
 
     #[test]
@@ -1349,7 +1493,7 @@ mod tests {
                             sess.push_table(&table).expect("push");
                             sent.push(table.to_vec());
                         }
-                        sess.end_cycle().expect("end");
+                        sess.end_cycle(7).expect("end");
                     }
                     sess.reveal_outputs(&[]).expect("reveal");
                     (sent, sess.stats())
@@ -1378,15 +1522,29 @@ mod tests {
         }
     }
 
-    /// Channel wrapper recording every frame the garbler sends.
-    struct Recording<'a> {
-        inner: &'a mut dyn Channel,
-        sent: Vec<Vec<u8>>,
+    /// Channel wrapper recording every frame the garbler sends; the log
+    /// is shared so a shard worker thread can own the channel.
+    struct Recording<C> {
+        inner: C,
+        sent: Arc<Mutex<Vec<Vec<u8>>>>,
     }
 
-    impl Channel for Recording<'_> {
+    impl<C: Channel> Recording<C> {
+        fn new(inner: C) -> Self {
+            Self {
+                inner,
+                sent: Arc::default(),
+            }
+        }
+
+        fn frames(&self) -> Vec<Vec<u8>> {
+            self.sent.lock().expect("frame log").clone()
+        }
+    }
+
+    impl<C: Channel> Channel for Recording<C> {
         fn send(&mut self, data: &[u8]) -> Result<(), ChannelError> {
-            self.sent.push(data.to_vec());
+            self.sent.lock().expect("frame log").push(data.to_vec());
             self.inner.send(data)
         }
 
@@ -1422,10 +1580,7 @@ mod tests {
         ] {
             let (frames, ()) = pair_up(
                 move |ch| {
-                    let mut rec = Recording {
-                        inner: ch,
-                        sent: Vec::new(),
-                    };
+                    let mut rec = Recording::new(ch);
                     let mut ot = InsecureOt;
                     let mut prg = Prg::from_seed([3; 16]);
                     let mut sess = GarblerSession::establish(&mut rec, &mut ot, &mut prg, cfg)
@@ -1435,10 +1590,10 @@ mod tests {
                         for t in 0..3u8 {
                             sess.push_table(&table(cycle * 3 + t + 1)).expect("push");
                         }
-                        sess.end_cycle().expect("end");
+                        sess.end_cycle(7).expect("end");
                     }
                     sess.reveal_outputs(&[]).expect("reveal");
-                    rec.sent
+                    rec.frames()
                 },
                 |ch| {
                     let mut ot = InsecureOt;

@@ -37,7 +37,7 @@
 //!
 //! [`Message::ServiceAttach`]: arm2gc_proto::Message::ServiceAttach
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -235,10 +235,16 @@ struct OtCacheEntry {
     deadline: Option<Instant>,
 }
 
+/// Finished-session records the service keeps: the most recent ones.
+/// A long-running service must not grow with every session it serves;
+/// the aggregate counters live in [`Metrics`].
+const RECORD_LOG: usize = 1024;
+
 struct Shared {
     config: ServiceConfig,
     metrics: Arc<Metrics>,
-    records: Mutex<Vec<SessionRecord>>,
+    /// The last [`RECORD_LOG`] finished sessions, oldest first.
+    records: Mutex<VecDeque<SessionRecord>>,
     pending: Mutex<HashMap<u64, Pending>>,
     /// Base-OT reuse cache: client token → parked IKNP sender state.
     ot_cache: Mutex<HashMap<u64, OtCacheEntry>>,
@@ -261,6 +267,16 @@ struct Shared {
 }
 
 impl Shared {
+    /// Appends a finished session's record, dropping the oldest one
+    /// once [`RECORD_LOG`] are kept.
+    fn record(&self, record: SessionRecord) {
+        let mut records = self.records.lock().unwrap();
+        if records.len() == RECORD_LOG {
+            records.pop_front();
+        }
+        records.push_back(record);
+    }
+
     /// Expires every pending bundle past its deadline (or all of them,
     /// when `expire_all` — shutdown). Returns the number expired.
     fn expire_pending(&self, expire_all: bool, reason: SessionError) -> usize {
@@ -294,7 +310,7 @@ impl Shared {
                     .encode(),
                 );
             }
-            self.records.lock().unwrap().push(SessionRecord {
+            self.record(SessionRecord {
                 session,
                 workload: entry.workload,
                 shards: entry.shards,
@@ -389,7 +405,7 @@ impl GarblerService {
         let shared = Arc::new(Shared {
             config,
             metrics: Arc::new(Metrics::default()),
-            records: Mutex::new(Vec::new()),
+            records: Mutex::new(VecDeque::new()),
             pending: Mutex::new(HashMap::new()),
             ot_cache: Mutex::new(HashMap::new()),
             ot_latest: Mutex::new(HashMap::new()),
@@ -422,9 +438,17 @@ impl GarblerService {
         self.shared.metrics.snapshot()
     }
 
-    /// Records of every finished session, ordered by session id.
+    /// Records of the most recent finished sessions (at most 1,024),
+    /// ordered by session id.
     pub fn records(&self) -> Vec<SessionRecord> {
-        let mut records = self.shared.records.lock().unwrap().clone();
+        let mut records: Vec<SessionRecord> = self
+            .shared
+            .records
+            .lock()
+            .unwrap()
+            .iter()
+            .cloned()
+            .collect();
         records.sort_by_key(|r| r.session);
         records
     }
@@ -593,7 +617,7 @@ fn handle_request(
     if let Err(e) = check.validate() {
         return reject(shared, pre, e.to_string());
     }
-    if workload::resolve(&workload, 1).is_none() {
+    if !workload::is_known(&workload) {
         return reject(shared, pre, format!("unknown workload {workload:?}"));
     }
     let queued = shared.metrics.snapshot().job_queue_depth;
@@ -834,11 +858,36 @@ fn run_session(
         // drop here, closing its sockets; nothing else is touched.
         Err(e) => shared.metrics.session_failed(e.reason()),
     }
-    shared.records.lock().unwrap().push(SessionRecord {
+    shared.record(SessionRecord {
         session,
         workload,
         shards,
         instances,
         result,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn record_log_keeps_only_the_most_recent_sessions() {
+        let svc = GarblerService::bind("127.0.0.1:0", ServiceConfig::new().workers(1))
+            .expect("bind loopback service");
+        for session in 0..RECORD_LOG as u64 + 10 {
+            svc.shared.record(SessionRecord {
+                session,
+                workload: "sum32:0".into(),
+                shards: 1,
+                instances: 1,
+                result: Ok(Vec::new()),
+            });
+        }
+        let records = svc.records();
+        assert_eq!(records.len(), RECORD_LOG);
+        assert_eq!(records[0].session, 10);
+        assert_eq!(records[RECORD_LOG - 1].session, RECORD_LOG as u64 + 9);
+        svc.shutdown();
+    }
 }

@@ -96,6 +96,13 @@ pub fn resolve(name: &str, instances: usize) -> Option<Workload> {
 /// load-generator mode mixing.
 pub const FAMILIES: [&str; 2] = ["compare32", "sum32"];
 
+/// Whether [`resolve`] accepts `name`, decided from the name alone:
+/// no circuit or party data is built.
+pub fn is_known(name: &str) -> bool {
+    name.split_once(':')
+        .is_some_and(|(family, seed)| seed.parse::<u64>().is_ok() && FAMILIES.contains(&family))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,6 +125,24 @@ mod tests {
         assert!(resolve("compare32", 1).is_none()); // no seed
         assert!(resolve("compare32:x", 1).is_none()); // bad seed
         assert!(resolve("aes512:1", 1).is_none()); // unknown family
+    }
+
+    #[test]
+    fn is_known_agrees_with_resolve() {
+        for name in [
+            "compare32:7",
+            "sum32:0",
+            "aes512:1",
+            "compare32:x",
+            "compare32",
+            "",
+        ] {
+            assert_eq!(is_known(name), resolve(name, 1).is_some(), "{name:?}");
+        }
+        for family in FAMILIES {
+            let name = format!("{family}:3");
+            assert!(is_known(&name) && resolve(&name, 1).is_some(), "{name}");
+        }
     }
 
     #[test]
