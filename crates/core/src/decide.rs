@@ -76,7 +76,7 @@ pub struct DecisionCounts {
 }
 
 /// All decisions for one cycle.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CycleDecisions {
     /// One decision per gate, in circuit order.
     pub decisions: Vec<GateDecision>,

@@ -1,64 +1,40 @@
 //! The two session drivers: [`drive_garbler`] and [`drive_evaluator`].
 //!
 //! One [`SessionOptions`] value selects everything a session can vary —
-//! engine, shard count, lane count, OT backend, streaming — and the
-//! drivers dispatch to the engine internals. The lane count also picks
-//! the schedule: one lane walks each cycle in netlist order, several
-//! lanes run the layered struct-of-arrays loop (see
-//! [`crate::engine`]). Both drivers validate the configuration *first*:
-//! a zero shard or lane count is a typed [`ConfigError`] carried as
-//! [`ProtocolError::Config`], raised before any protocol state exists.
+//! engine, shard count, lane count, OT backend, streaming. Both drivers
+//! validate the configuration *first*: a zero shard or lane count is a
+//! typed [`ConfigError`](crate::ConfigError) carried as
+//! [`ProtocolError::Config`], raised before any protocol state exists. Then they run the one session loop
+//! ([`crate::engine`]) as their party, on the walk the lane count
+//! selects: one lane walks each cycle in netlist order, several lanes
+//! run the layered struct-of-arrays loop.
 //!
 //! Inputs are always lane-shaped (`&[PartyData]`, one entry per
 //! configured instance) and the result is always an
 //! [`InstancedOutcome`]; a single-instance run is simply `lanes.len()
-//! == 1`. This keeps one signature across the whole mode matrix.
+//! == 1`. This keeps one signature across every configuration.
 
 use arm2gc_circuit::sim::PartyData;
 use arm2gc_circuit::Circuit;
 use arm2gc_comm::{duplex, Channel};
 use arm2gc_crypto::Prg;
 use arm2gc_ot::{OtReceiver, OtSender};
-use arm2gc_proto::{ConfigError, ProtoError as ProtocolError};
+use arm2gc_proto::ProtoError as ProtocolError;
 
-use crate::baseline;
-use crate::engine::{
-    evaluate_instanced, evaluate_netlist, garble_instanced, garble_netlist, shard_duplexes,
-    InstancedOutcome, SkipGateOutcome,
-};
-use crate::options::{EngineKind, SessionOptions};
-
-/// Checks the lane-shaped inputs against the configured instance count.
-fn check_lanes(opts: &SessionOptions, got: usize) -> Result<(), ProtocolError> {
-    if got != opts.instances {
-        return Err(ConfigError::LaneCount {
-            expected: opts.instances,
-            got,
-        }
-        .into());
-    }
-    Ok(())
-}
-
-fn singleton(outcome: SkipGateOutcome) -> InstancedOutcome {
-    let batching = outcome.batching;
-    InstancedOutcome {
-        lanes: vec![outcome],
-        batching,
-    }
-}
+use crate::engine::{run_session, shard_duplexes, InstancedOutcome};
+use crate::options::SessionOptions;
+use crate::party::{Evaluator, Garbler};
 
 /// Runs the garbler (Alice) side of a session described by `opts`.
 ///
 /// `alices` and `publics` carry one [`PartyData`] per configured lane
-/// (`opts.instances` entries each). Dispatch:
-///
-/// * [`EngineKind::Baseline`] — the classic engine, netlist walk
-///   (single lane only; [`ConfigError::BaselineInstanced`] otherwise);
-/// * [`EngineKind::SkipGate`], one lane — the netlist-order wavefront
-///   walk, streaming tables as they are hashed;
-/// * [`EngineKind::SkipGate`], several lanes — the cross-instance
-///   layered walk.
+/// (`opts.instances` entries each). The engine picks the decision
+/// policy: [`EngineKind::Baseline`](crate::EngineKind::Baseline)
+/// garbles every nonlinear gate (single lane only;
+/// [`ConfigError::BaselineInstanced`](crate::ConfigError::BaselineInstanced) otherwise),
+/// [`EngineKind::SkipGate`](crate::EngineKind::SkipGate) only what the
+/// shared decision pass keeps. One lane walks the netlist, streaming
+/// tables as they are hashed; several lanes run the layered walk.
 ///
 /// # Errors
 /// [`ProtocolError::Config`] when `opts` fails validation or the lane
@@ -76,41 +52,15 @@ pub fn drive_garbler(
     prg: &mut Prg,
     opts: &SessionOptions,
 ) -> Result<InstancedOutcome, ProtocolError> {
-    opts.validate()?;
-    let shards = opts.shard_config()?;
-    check_lanes(opts, alices.len())?;
-    check_lanes(opts, publics.len())?;
-    match (opts.engine, opts.instances) {
-        (EngineKind::Baseline, _) => baseline::garble(
-            circuit,
-            &alices[0],
-            &publics[0],
-            cycles,
-            ch,
-            shard_chs,
-            ot,
-            prg,
-            opts.stream,
-            shards,
-        )
-        .map(singleton),
-        (EngineKind::SkipGate, 1) => garble_netlist(
-            circuit,
-            &alices[0],
-            &publics[0],
-            cycles,
-            ch,
-            shard_chs,
-            ot,
-            prg,
-            opts,
-            shards,
-        )
-        .map(singleton),
-        (EngineKind::SkipGate, _) => garble_instanced(
-            circuit, alices, publics, cycles, ch, shard_chs, ot, prg, opts, shards,
-        ),
-    }
+    run_session::<Garbler>(
+        (ch, shard_chs, ot, prg),
+        circuit,
+        alices,
+        publics,
+        cycles,
+        opts,
+        false,
+    )
 }
 
 /// Runs the evaluator (Bob) side of a session described by `opts`; the
@@ -121,7 +71,8 @@ pub fn drive_garbler(
 /// # Errors
 /// [`ProtocolError::Config`] when `opts` fails validation or the lane
 /// arrays disagree with `opts.instances`; otherwise propagates channel
-/// and OT failures.
+/// and OT failures, and a garbler whose labels do not match the input
+/// plan ([`ProtocolError::Malformed`]).
 #[allow(clippy::too_many_arguments)]
 pub fn drive_evaluator(
     circuit: &Circuit,
@@ -133,30 +84,15 @@ pub fn drive_evaluator(
     ot: &mut dyn OtReceiver,
     opts: &SessionOptions,
 ) -> Result<InstancedOutcome, ProtocolError> {
-    opts.validate()?;
-    let shards = opts.shard_config()?;
-    check_lanes(opts, bobs.len())?;
-    check_lanes(opts, publics.len())?;
-    match (opts.engine, opts.instances) {
-        (EngineKind::Baseline, _) => {
-            baseline::evaluate(circuit, &bobs[0], cycles, ch, shard_chs, ot, shards).map(singleton)
-        }
-        (EngineKind::SkipGate, 1) => evaluate_netlist(
-            circuit,
-            &bobs[0],
-            &publics[0],
-            cycles,
-            ch,
-            shard_chs,
-            ot,
-            opts,
-            shards,
-        )
-        .map(singleton),
-        (EngineKind::SkipGate, _) => evaluate_instanced(
-            circuit, bobs, publics, cycles, ch, shard_chs, ot, opts, shards,
-        ),
-    }
+    run_session::<Evaluator>(
+        (ch, shard_chs, ot),
+        circuit,
+        bobs,
+        publics,
+        cycles,
+        opts,
+        false,
+    )
 }
 
 /// Convenience: drives both parties on two threads over in-memory
@@ -218,7 +154,7 @@ mod tests {
     use super::*;
     use arm2gc_circuit::{CircuitBuilder, Role};
     use arm2gc_ot::InsecureOt;
-    use arm2gc_proto::ProtoError;
+    use arm2gc_proto::{ConfigError, ProtoError};
 
     fn tiny_circuit() -> Circuit {
         let mut b = CircuitBuilder::new("and2");

@@ -1,55 +1,47 @@
-//! The two-party SkipGate protocol (Algorithms 1 and 2).
+//! The session loop (Algorithms 1 and 2): one loop for every engine,
+//! lane count and party.
 //!
-//! Differences from the classic baseline engine
-//! ([`EngineKind::Baseline`](crate::options::EngineKind::Baseline)):
+//! Each cycle is *planned* from public data only, so both parties hold
+//! the same plan without exchanging a byte, and *executed* by a party
+//! role: the garbler hashes and streams the tables, the evaluator pulls
+//! and evaluates them. The plan has three parts:
 //!
-//! * the public input `p` (constants, `Public` flip-flop initialisation,
-//!   `Public` input streams) never gets labels — both parties track its
-//!   values locally, for free;
-//! * each cycle first runs the shared [`DecideContext`] pass, then Alice
-//!   garbles / Bob evaluates only the surviving category-iv gates;
-//! * when the circuit's halt wire becomes publicly 1, both parties stop
-//!   without any extra communication;
-//! * output bits on public wires are reported without interaction; only
-//!   secret outputs go through the colour-bit exchange.
+//! * the **input plan**: every label the garbler draws, in draw order,
+//!   with the source of its bit (a constant, the public input, Alice or
+//!   Bob). The garbler walks it to draw labels and split them into
+//!   direct labels and OT pairs; the evaluator walks it to split what
+//!   it receives;
+//! * the **decision policy**: SkipGate runs the shared [`DecideContext`]
+//!   pass each cycle, so public wires never get labels and a public
+//!   halt stops both parties; the conventional-GC baseline
+//!   ([`EngineKind::Baseline`]) labels every wire and garbles every
+//!   nonlinear gate, with one decision vector for every cycle;
+//! * the **per-lane state**: wire knowledge, output frames, halting and
+//!   the flip-flop copy of states and labels.
 //!
-//! # Schedules
-//!
-//! The lane count picks the schedule; there is no other knob. A
-//! single-lane session walks each cycle in netlist order and batches
-//! wavefronts on the fly (`garble_netlist` / `evaluate_netlist`):
-//! tables stream out as they are hashed, so the evaluator overlaps with
-//! the garbler and the working set stays one cycle's labels. An
-//! instanced session executes a precomputed [`LayerSchedule`] across
-//! all lanes (`garble_instanced` / `evaluate_instanced`): each
-//! level hashes every lane's surviving gates in one batch, and a cycle
-//! whose alias edges cross static levels is re-leveled
-//! ([`LayerSchedule::relevel_cycle`]). Both walks emit tables in
-//! netlist order, so the transcript never depends on the schedule.
-//!
-//! Transport is the shared typed session layer ([`arm2gc_proto`]): both
-//! engines deliver labels, stream tables and reveal outputs through the
-//! same [`GarblerSession`]/[`EvaluatorSession`] code paths, optionally
-//! splitting the table stream across sub-channels ([`ShardConfig`]):
-//! the SkipGate decision pass is shared and deterministic, so each
-//! cycle's surviving-table count — and hence the per-cycle shard
-//! partition — is known to both parties without coordination.
+//! The lane count picks the walk. One lane walks each cycle in netlist
+//! order and batches wavefronts on the fly: tables stream out as they
+//! are hashed, so the evaluator overlaps with the garbler. Several
+//! lanes execute a [`LayerSchedule`]: each level hashes every lane's
+//! surviving gates in one batch, and a cycle whose alias edges cross
+//! static levels is re-leveled ([`LayerSchedule::relevel_cycle`]). Both
+//! walks emit tables in netlist order, so the transcript never depends
+//! on the walk. Each cycle's table count comes from the shared plan, so
+//! both parties know its partition over the [`ShardConfig`] sub-channels
+//! without coordination.
 
 use arm2gc_circuit::sim::PartyData;
 use arm2gc_circuit::{
     Circuit, CycleDep, CyclePatch, DffInit, LayerSchedule, Op, OutputMode, Role, WireId,
 };
 use arm2gc_comm::{duplex, Channel};
-use arm2gc_crypto::{Label, Prg};
-use arm2gc_garble::{
-    EvalLayered, EvalWavefront, GarbleLayered, GarbleWavefront, GarbledTable, HalfGateEvaluator,
-    HalfGateGarbler, WavefrontStats,
-};
-use arm2gc_ot::{OtReceiver, OtSender};
-use arm2gc_proto::{EvaluatorSession, GarblerSession, ProtoError as ProtocolError, ShardConfig};
+use arm2gc_crypto::Label;
+use arm2gc_garble::{GarbledTable, WavefrontStats};
+use arm2gc_proto::{ConfigError, ProtoError as ProtocolError, ShardConfig};
 
-use crate::decide::{CycleDecisions, DecideContext, GateDecision};
-use crate::options::SessionOptions;
+use crate::decide::{CycleDecisions, DecideContext, DecisionCounts, GateDecision};
+use crate::options::{EngineKind, SessionOptions};
+use crate::party::{Party, Pins, Walk};
 use crate::state::WireVal;
 use crate::tag::TagAllocator;
 
@@ -99,582 +91,6 @@ impl SkipGateOutcome {
     }
 }
 
-/// An output bit scheduled for revelation.
-#[derive(Clone, Copy, Debug)]
-enum OutBit {
-    Known(bool),
-    Secret, // consumes the next slot of the colour exchange
-}
-
-/// The decision context a party's lanes share: one fanout table and
-/// one decision scratch, however many lanes the session runs.
-fn decide_context<'c>(circuit: &'c Circuit, opts: &SessionOptions) -> DecideContext<'c> {
-    let mut ctx = DecideContext::new(circuit);
-    ctx.filter_dead = opts.skipgate.filter_dead_gates;
-    ctx
-}
-
-/// Shared (party-independent) protocol state of one lane.
-struct Shared<'c> {
-    circuit: &'c Circuit,
-    states: Vec<WireVal>,
-    alloc: TagAllocator,
-    frames: Vec<Vec<OutBit>>,
-    stats: SkipGateStats,
-}
-
-impl<'c> Shared<'c> {
-    fn new(circuit: &'c Circuit) -> Self {
-        Self {
-            circuit,
-            states: vec![WireVal::Public(false); circuit.wire_count()],
-            alloc: TagAllocator::new(),
-            frames: Vec::new(),
-            stats: SkipGateStats::default(),
-        }
-    }
-
-    /// Initialises constant wires and flip-flop states; returns the wires
-    /// (in deterministic order) that need Alice labels / Bob OT.
-    fn init_states(&mut self, public: &PartyData) -> (Vec<WireId>, Vec<WireId>) {
-        let mut alice_wires = Vec::new();
-        let mut bob_wires = Vec::new();
-        for &(w, v) in self.circuit.consts() {
-            self.states[w.index()] = WireVal::Public(v);
-        }
-        for dff in self.circuit.dffs() {
-            self.states[dff.q.index()] = match dff.init {
-                DffInit::Const(v) => WireVal::Public(v),
-                DffInit::Public(i) => WireVal::Public(public.init[i as usize]),
-                DffInit::Alice(_) => {
-                    alice_wires.push(dff.q);
-                    WireVal::Secret(self.alloc.fresh())
-                }
-                DffInit::Bob(_) => {
-                    bob_wires.push(dff.q);
-                    WireVal::Secret(self.alloc.fresh())
-                }
-            };
-        }
-        (alice_wires, bob_wires)
-    }
-
-    /// Sets the per-cycle input wire states; secret wires get fresh tags.
-    fn set_cycle_inputs(&mut self, cycle: usize, public: &PartyData) {
-        let mut pidx = 0usize;
-        for input in self.circuit.inputs() {
-            self.states[input.wire.index()] = match input.role {
-                Role::Public => {
-                    let v = public.stream[cycle][pidx];
-                    pidx += 1;
-                    WireVal::Public(v)
-                }
-                Role::Alice | Role::Bob => WireVal::Secret(self.alloc.fresh()),
-            };
-        }
-    }
-
-    fn record_frame(&mut self) {
-        let frame = self
-            .circuit
-            .outputs()
-            .iter()
-            .map(|w| match self.states[w.index()] {
-                WireVal::Public(v) => OutBit::Known(v),
-                WireVal::Secret(_) => OutBit::Secret,
-            })
-            .collect();
-        self.frames.push(frame);
-    }
-
-    fn halted(&self) -> bool {
-        self.circuit
-            .halt_wire()
-            .map(|w| self.states[w.index()] == WireVal::Public(true))
-            .unwrap_or(false)
-    }
-
-    /// Copies every flip-flop's `d` state to its `q`, through the
-    /// caller's cycle-persistent `scratch`.
-    fn copy_dffs(&mut self, scratch: &mut Vec<WireVal>) {
-        let Shared {
-            circuit, states, ..
-        } = self;
-        scratch.clear();
-        scratch.extend(circuit.dffs().iter().map(|d| states[d.d.index()]));
-        for (dff, &v) in circuit.dffs().iter().zip(scratch.iter()) {
-            states[dff.q.index()] = v;
-        }
-    }
-
-    /// Runs this lane's decision pass for one cycle through the party's
-    /// shared `ctx` and folds its counts into the lane's stats.
-    fn decide(&mut self, ctx: &DecideContext<'_>, is_last: bool) -> CycleDecisions {
-        let dec = ctx.decide_cycle(&mut self.states, &mut self.alloc, is_last);
-        let counts = &dec.counts;
-        self.stats.public_gates += counts.public_out;
-        self.stats.pass_gates += counts.pass + counts.aliased;
-        self.stats.free_xor += counts.free_xor;
-        self.stats.garbled_tables += counts.garbled;
-        self.stats.skipped_nonlinear += counts.skipped_nonlinear;
-        dec
-    }
-
-    /// Merges the secret-output values from the colour exchange with the
-    /// publicly known bits.
-    fn assemble_outputs(&self, secret_values: &[bool]) -> Vec<Vec<bool>> {
-        let mut it = secret_values.iter();
-        self.frames
-            .iter()
-            .map(|frame| {
-                frame
-                    .iter()
-                    .map(|ob| match ob {
-                        OutBit::Known(v) => *v,
-                        OutBit::Secret => *it.next().expect("secret output slot"),
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-/// Options for the SkipGate engines.
-#[derive(Clone, Copy, Debug)]
-pub struct SkipGateOptions {
-    /// Keep Alg. 4 line 18's dead-gate filtering on (default). Turn off
-    /// only for the ablation benchmark.
-    pub filter_dead_gates: bool,
-}
-
-impl Default for SkipGateOptions {
-    fn default() -> Self {
-        Self {
-            filter_dead_gates: true,
-        }
-    }
-}
-
-/// Per-cycle layering plan: fills `ordinals` with each gate's emission
-/// slot (its index among `Garble` decisions in netlist order, or
-/// `u32::MAX`) and prepares `patch` for the cycle. The decision pass
-/// may alias a gate's output to *any* earlier-netlist wire — including
-/// one produced at a deeper topological level — and for such a cycle
-/// the static levels are re-leveled incrementally: only the aliased
-/// gate and its transitively-late dependents move to deeper levels
-/// ([`LayerSchedule::relevel_cycle`]); everything else keeps its static
-/// slot. Both parties run identical decisions, so they compute the
-/// identical patch without coordination. Emission slots are netlist
-/// ordinals either way, so the wire transcript never depends on the
-/// patch.
-///
-/// Returns whether the cycle was re-leveled (`patch` is the identity
-/// otherwise).
-fn layer_cycle_plan(
-    sched: &LayerSchedule,
-    circuit: &Circuit,
-    decisions: &[GateDecision],
-    ordinals: &mut Vec<u32>,
-    patch: &mut CyclePatch,
-) -> bool {
-    ordinals.clear();
-    ordinals.resize(decisions.len(), u32::MAX);
-    let mut next = 0u32;
-    let mut safe = true;
-    for (gi, d) in decisions.iter().enumerate() {
-        match *d {
-            GateDecision::Garble => {
-                ordinals[gi] = next;
-                next += 1;
-            }
-            GateDecision::Alias { src, .. } => {
-                safe &= sched.copy_is_level_safe(gi, src.index());
-            }
-            _ => {}
-        }
-    }
-    if safe {
-        patch.clear();
-        return false;
-    }
-    sched.relevel_cycle(
-        circuit,
-        |gi| match decisions[gi] {
-            GateDecision::PublicOut(_) | GateDecision::Skipped | GateDecision::SkippedFree => {
-                CycleDep::Absent
-            }
-            GateDecision::Pass { from_a, .. } => {
-                let g = &circuit.gates()[gi];
-                CycleDep::Copy(if from_a { g.a } else { g.b }.index() as u32)
-            }
-            GateDecision::Alias { src, .. } => CycleDep::Copy(src.index() as u32),
-            GateDecision::FreeXor { .. } | GateDecision::Garble => CycleDep::Inputs,
-        },
-        patch,
-    )
-}
-
-/// Alice's side of a single-lane session (Algorithm 1): garbles only
-/// what SkipGate keeps. Each cycle is walked in netlist order through
-/// the wavefront batcher, which hands every table to the session as
-/// soon as its wavefront is hashed, so the evaluator starts consuming a
-/// cycle before the garbler has finished it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn garble_netlist(
-    circuit: &Circuit,
-    alice: &PartyData,
-    public: &PartyData,
-    cycles: usize,
-    ch: &mut dyn Channel,
-    shard_chs: Vec<Box<dyn Channel>>,
-    ot: &mut dyn OtSender,
-    prg: &mut Prg,
-    opts: &SessionOptions,
-    shards: ShardConfig,
-) -> Result<SkipGateOutcome, ProtocolError> {
-    let mut session =
-        GarblerSession::establish_sharded(ch, shard_chs, ot, prg, opts.stream, shards)?;
-    let d = session.delta().as_label();
-    let garbler = HalfGateGarbler::new(session.delta());
-    let ctx = decide_context(circuit, opts);
-    let mut shared = Shared::new(circuit);
-    let mut labels = vec![Label::ZERO; circuit.wire_count()];
-
-    // --- Input labels ---------------------------------------------------
-    let (alice_wires, bob_wires) = shared.init_states(public);
-    let mut direct = Vec::new();
-    let mut ot_pairs = Vec::new();
-    for (w, dff) in circuit
-        .dffs()
-        .iter()
-        .filter(|f| matches!(f.init, DffInit::Alice(_)))
-        .map(|f| (f.q, f))
-    {
-        let x0 = session.fresh_label();
-        labels[w.index()] = x0;
-        let DffInit::Alice(i) = dff.init else {
-            unreachable!()
-        };
-        direct.push(if alice.init[i as usize] { x0 ^ d } else { x0 });
-    }
-    for dff in circuit
-        .dffs()
-        .iter()
-        .filter(|f| matches!(f.init, DffInit::Bob(_)))
-    {
-        let x0 = session.fresh_label();
-        labels[dff.q.index()] = x0;
-        ot_pairs.push((x0, x0 ^ d));
-    }
-    debug_assert_eq!(alice_wires.len(), direct.len());
-    debug_assert_eq!(bob_wires.len(), ot_pairs.len());
-
-    // Per-cycle secret input labels, generated up front.
-    let mut stream_labels: Vec<Vec<(WireId, Label)>> = Vec::with_capacity(cycles);
-    for cycle in 0..cycles {
-        let mut per_cycle = Vec::new();
-        let mut aidx = 0usize;
-        for input in circuit.inputs() {
-            match input.role {
-                Role::Alice => {
-                    let x0 = session.fresh_label();
-                    let v = alice.stream[cycle][aidx];
-                    aidx += 1;
-                    direct.push(if v { x0 ^ d } else { x0 });
-                    per_cycle.push((input.wire, x0));
-                }
-                Role::Bob => {
-                    let x0 = session.fresh_label();
-                    ot_pairs.push((x0, x0 ^ d));
-                    per_cycle.push((input.wire, x0));
-                }
-                Role::Public => {}
-            }
-        }
-        stream_labels.push(per_cycle);
-    }
-    session.send_direct_labels(&direct)?;
-    session.ot_send(&ot_pairs)?;
-
-    // --- Cycle loop -------------------------------------------------------
-    // Surviving gates are batched for the wide AES core by wavefronts
-    // discovered inside the netlist-order walk; the table stream stays
-    // byte-identical to a sequential walk.
-    let mut wavefront = GarbleWavefront::new(circuit.wire_count());
-    let mut tweak = 0u64;
-    let mut decode_bits: Vec<bool> = Vec::new();
-    let mut next_dffs: Vec<Label> = Vec::new();
-    let mut dff_scratch: Vec<WireVal> = Vec::new();
-    for (cycle, cycle_labels) in stream_labels.iter().enumerate() {
-        shared.set_cycle_inputs(cycle, public);
-        for &(w, x0) in cycle_labels {
-            labels[w.index()] = x0;
-        }
-        let is_last = cycle + 1 == cycles;
-        let decisions = shared.decide(&ctx, is_last);
-        session.begin_cycle(decisions.counts.garbled as usize);
-
-        for (gate, decision) in circuit.gates().iter().zip(&decisions.decisions) {
-            match *decision {
-                GateDecision::PublicOut(_) | GateDecision::Skipped | GateDecision::SkippedFree => {}
-                GateDecision::Pass { from_a, flip } => {
-                    let src = if from_a { gate.a } else { gate.b };
-                    wavefront.copy(&garbler, &mut labels, src.index(), gate.out.index(), flip);
-                }
-                GateDecision::Alias { src, flip } => {
-                    wavefront.copy(&garbler, &mut labels, src.index(), gate.out.index(), flip);
-                }
-                GateDecision::FreeXor { flip } => {
-                    wavefront.xor(
-                        &garbler,
-                        &mut labels,
-                        gate.a.index(),
-                        gate.b.index(),
-                        gate.out.index(),
-                        flip,
-                    );
-                }
-                GateDecision::Garble => {
-                    wavefront.garble(
-                        &garbler,
-                        &mut labels,
-                        gate.op,
-                        gate.a.index(),
-                        gate.b.index(),
-                        gate.out.index(),
-                        tweak,
-                        &mut |t| session.push_table(&t.to_bytes()),
-                    )?;
-                    tweak += 1;
-                }
-            }
-        }
-        wavefront.flush(&garbler, &mut labels, &mut |t| {
-            session.push_table(&t.to_bytes())
-        })?;
-        session.end_cycle(circuit.gates().len() as u64)?;
-
-        if matches!(circuit.output_mode(), OutputMode::PerCycle) {
-            shared.record_frame();
-            decode_bits.extend(
-                circuit
-                    .outputs()
-                    .iter()
-                    .filter(|&w| shared.states[w.index()].is_secret())
-                    .map(|w| labels[w.index()].colour()),
-            );
-        }
-        let halted = shared.halted();
-
-        // Flip-flop copies: states and labels.
-        next_dffs.clear();
-        next_dffs.extend(circuit.dffs().iter().map(|f| labels[f.d.index()]));
-        for (dff, &l) in circuit.dffs().iter().zip(next_dffs.iter()) {
-            labels[dff.q.index()] = l;
-        }
-        shared.copy_dffs(&mut dff_scratch);
-        shared.stats.cycles_run = cycle + 1;
-        if halted {
-            break;
-        }
-    }
-    if matches!(circuit.output_mode(), OutputMode::FinalOnly) {
-        shared.record_frame();
-        decode_bits.extend(
-            circuit
-                .outputs()
-                .iter()
-                .filter(|&w| shared.states[w.index()].is_secret())
-                .map(|w| labels[w.index()].colour()),
-        );
-    }
-
-    // --- Output revelation -------------------------------------------------
-    let secret_values = session.reveal_outputs(&decode_bits)?;
-    let outputs = shared.assemble_outputs(&secret_values);
-    let mut stats = shared.stats;
-    stats.ots = session.stats().ots;
-    stats.table_bytes = session.stats().table_bytes;
-    stats.garbled_tables = session.stats().garbled_tables;
-    Ok(SkipGateOutcome {
-        outputs,
-        stats,
-        batching: wavefront.stats(),
-    })
-}
-
-/// Bob's side of a single-lane session (Algorithm 2), the mirror of
-/// [`garble_netlist`]: evaluates only what SkipGate keeps, pulling
-/// tables in gate order as the netlist walk reaches them.
-///
-/// Unlike the classic baseline, Bob needs the public input `p` — that is
-/// the whole point of SkipGate.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_netlist(
-    circuit: &Circuit,
-    bob: &PartyData,
-    public: &PartyData,
-    cycles: usize,
-    ch: &mut dyn Channel,
-    shard_chs: Vec<Box<dyn Channel>>,
-    ot: &mut dyn OtReceiver,
-    opts: &SessionOptions,
-    shards: ShardConfig,
-) -> Result<SkipGateOutcome, ProtocolError> {
-    let evaluator = HalfGateEvaluator::new();
-    let mut session =
-        EvaluatorSession::establish_sharded(ch, shard_chs, ot, GarbledTable::BYTES, shards)?;
-    let ctx = decide_context(circuit, opts);
-    let mut shared = Shared::new(circuit);
-    let mut active = vec![Label::ZERO; circuit.wire_count()];
-
-    // --- Input labels -----------------------------------------------------
-    let (alice_wires, bob_wires) = shared.init_states(public);
-    let mut direct = session.recv_direct_labels()?.into_iter();
-    for &w in &alice_wires {
-        active[w.index()] = direct
-            .next()
-            .ok_or(ProtocolError::Malformed("alice dffs"))?;
-    }
-
-    let mut choices = Vec::new();
-    for dff in circuit.dffs() {
-        if let DffInit::Bob(i) = dff.init {
-            choices.push(bob.init[i as usize]);
-        }
-    }
-    // Per-cycle stream: walk in garbler order, collecting Bob choices and
-    // Alice labels.
-    let mut stream_slots: Vec<Vec<(WireId, Option<Label>)>> = Vec::with_capacity(cycles);
-    for cycle in 0..cycles {
-        let mut per_cycle = Vec::new();
-        let mut bidx = 0usize;
-        for input in circuit.inputs() {
-            match input.role {
-                Role::Alice => {
-                    let l = direct.next().ok_or(ProtocolError::Malformed("stream"))?;
-                    per_cycle.push((input.wire, Some(l)));
-                }
-                Role::Bob => {
-                    choices.push(bob.stream[cycle][bidx]);
-                    bidx += 1;
-                    per_cycle.push((input.wire, None));
-                }
-                Role::Public => {}
-            }
-        }
-        stream_slots.push(per_cycle);
-    }
-    let mut ot_iter = session.ot_receive(&choices)?.into_iter();
-    for &w in &bob_wires {
-        active[w.index()] = ot_iter.next().ok_or(ProtocolError::Malformed("bob ot"))?;
-    }
-    for per_cycle in &mut stream_slots {
-        for (_, slot) in per_cycle.iter_mut() {
-            if slot.is_none() {
-                *slot = Some(ot_iter.next().ok_or(ProtocolError::Malformed("bob ot2"))?);
-            }
-        }
-    }
-
-    // --- Cycle loop ---------------------------------------------------------
-    let mut wavefront = EvalWavefront::new(circuit.wire_count());
-    let mut tweak = 0u64;
-    let mut my_colours: Vec<bool> = Vec::new();
-    let mut next_dffs: Vec<Label> = Vec::new();
-    let mut dff_scratch: Vec<WireVal> = Vec::new();
-    for (cycle, cycle_slots) in stream_slots.iter().enumerate() {
-        shared.set_cycle_inputs(cycle, public);
-        for &(w, l) in cycle_slots {
-            active[w.index()] = l.expect("filled above");
-        }
-        let is_last = cycle + 1 == cycles;
-        let decisions = shared.decide(&ctx, is_last);
-        session.begin_cycle(decisions.counts.garbled as usize);
-
-        for (gate, decision) in circuit.gates().iter().zip(&decisions.decisions) {
-            match *decision {
-                GateDecision::PublicOut(_) | GateDecision::Skipped | GateDecision::SkippedFree => {}
-                GateDecision::Pass { from_a, .. } => {
-                    let src = if from_a { gate.a } else { gate.b };
-                    wavefront.copy(&mut active, src.index(), gate.out.index());
-                }
-                GateDecision::Alias { src, .. } => {
-                    wavefront.copy(&mut active, src.index(), gate.out.index());
-                }
-                GateDecision::FreeXor { .. } => {
-                    wavefront.xor(
-                        &mut active,
-                        gate.a.index(),
-                        gate.b.index(),
-                        gate.out.index(),
-                    );
-                }
-                GateDecision::Garble => {
-                    let t = GarbledTable::from_bytes(session.next_table(GarbledTable::BYTES)?);
-                    wavefront.eval(
-                        &evaluator,
-                        &mut active,
-                        gate.a.index(),
-                        gate.b.index(),
-                        gate.out.index(),
-                        t,
-                        tweak,
-                    );
-                    tweak += 1;
-                }
-            }
-        }
-        wavefront.flush(&evaluator, &mut active);
-
-        if matches!(circuit.output_mode(), OutputMode::PerCycle) {
-            shared.record_frame();
-            my_colours.extend(
-                circuit
-                    .outputs()
-                    .iter()
-                    .filter(|&w| shared.states[w.index()].is_secret())
-                    .map(|w| active[w.index()].colour()),
-            );
-        }
-        let halted = shared.halted();
-
-        next_dffs.clear();
-        next_dffs.extend(circuit.dffs().iter().map(|f| active[f.d.index()]));
-        for (dff, &l) in circuit.dffs().iter().zip(next_dffs.iter()) {
-            active[dff.q.index()] = l;
-        }
-        shared.copy_dffs(&mut dff_scratch);
-        shared.stats.cycles_run = cycle + 1;
-        if halted {
-            break;
-        }
-    }
-    if matches!(circuit.output_mode(), OutputMode::FinalOnly) {
-        shared.record_frame();
-        my_colours.extend(
-            circuit
-                .outputs()
-                .iter()
-                .filter(|&w| shared.states[w.index()].is_secret())
-                .map(|w| active[w.index()].colour()),
-        );
-    }
-
-    // --- Output revelation ----------------------------------------------
-    let secret_values = session.reveal_outputs(&my_colours)?;
-    let outputs = shared.assemble_outputs(&secret_values);
-    let mut stats = shared.stats;
-    stats.ots = session.stats().ots;
-    stats.table_bytes = session.stats().table_bytes;
-    stats.garbled_tables = session.stats().garbled_tables;
-    Ok(SkipGateOutcome {
-        outputs,
-        stats,
-        batching: wavefront.stats(),
-    })
-}
-
 /// Result of one session, whichever driver ran it
 /// ([`drive_garbler`](crate::drive::drive_garbler) /
 /// [`drive_evaluator`](crate::drive::drive_evaluator)): one
@@ -696,789 +112,683 @@ pub struct InstancedOutcome {
     pub batching: WavefrontStats,
 }
 
-/// One lane's per-cycle streamed-input slots: Alice labels arrive with
-/// the direct batch; Bob slots start `None` and are filled from OT.
-type LaneStreamSlots = Vec<Vec<(WireId, Option<Label>)>>;
+/// Options for the SkipGate engines.
+#[derive(Clone, Copy, Debug)]
+pub struct SkipGateOptions {
+    /// Keep Alg. 4 line 18's dead-gate filtering on (default). Turn off
+    /// only for the ablation benchmark.
+    pub filter_dead_gates: bool,
+}
 
-/// Per-lane layering plan for one instanced cycle. Lanes diverge only
-/// through their public inputs, so decision vectors usually agree;
-/// when a lane's vector equals the cycle's first active lane's, the
-/// plan is not recomputed — `reuse_first` marks it and the level walk
-/// borrows the first lane's ordinals and patch instead.
+impl Default for SkipGateOptions {
+    fn default() -> Self {
+        Self {
+            filter_dead_gates: true,
+        }
+    }
+}
+
+/// Where the bit behind a drawn input label comes from: the same four
+/// places a flip-flop's initial value does (a constant, or an index
+/// into the public, Alice's or Bob's data). Bob's labels go through OT,
+/// every other label directly.
+type Source = DffInit;
+
+/// One label draw of an [`InputPlan`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Draw {
+    /// The lane the label belongs to.
+    pub lane: usize,
+    /// `None` for the lane's initial draws, else the cycle it feeds.
+    cycle: Option<usize>,
+    src: Source,
+}
+
+impl Draw {
+    /// Whether the garbler sends this label directly (not by OT).
+    pub fn direct(&self) -> bool {
+        !matches!(self.src, Source::Bob(_))
+    }
+
+    /// The draw's bit, read by a party that knows it: from `own` for
+    /// Alice's or Bob's bits, from `public` for public ones.
+    pub fn bit(&self, own: &PartyData, public: &PartyData) -> bool {
+        let pick = |data: &PartyData, i: u32| match self.cycle {
+            None => data.init[i as usize],
+            Some(c) => data.stream[c][i as usize],
+        };
+        match self.src {
+            Source::Const(v) => v,
+            Source::Public(i) => pick(public, i),
+            Source::Alice(i) | Source::Bob(i) => pick(own, i),
+        }
+    }
+}
+
+/// Every input label a session draws, derived by both parties from the
+/// circuit and the policy. Each lane draws `init` once, then `cycle`
+/// once per cycle; lanes draw in order, so lane 0 draws exactly what a
+/// single-lane session would.
+pub(crate) struct InputPlan {
+    init: Vec<(WireId, Source)>,
+    cycle: Vec<(WireId, Source)>,
+    cycles: usize,
+}
+
+impl InputPlan {
+    /// SkipGate labels only secret wires: Alice's flip-flops, then
+    /// Bob's, then each cycle's secret inputs. The baseline labels every
+    /// wire it starts from: constants, every flip-flop in order, then
+    /// every input of each cycle.
+    fn new(circuit: &Circuit, cycles: usize, label_public: bool) -> Self {
+        let mut init = Vec::new();
+        let dffs = circuit.dffs().iter().map(|d| (d.q, d.init));
+        if label_public {
+            init.extend(circuit.consts().iter().map(|&(w, v)| (w, Source::Const(v))));
+            init.extend(dffs);
+        } else {
+            init.extend(dffs.clone().filter(|(_, s)| matches!(s, Source::Alice(_))));
+            init.extend(dffs.filter(|(_, s)| matches!(s, Source::Bob(_))));
+        }
+        let mut seen = [0u32; 3];
+        let mut cycle = Vec::new();
+        for input in circuit.inputs() {
+            let (k, src): (usize, fn(u32) -> Source) = match input.role {
+                Role::Public => (0, Source::Public),
+                Role::Alice => (1, Source::Alice),
+                Role::Bob => (2, Source::Bob),
+            };
+            if label_public || input.role != Role::Public {
+                cycle.push((input.wire, src(seen[k])));
+            }
+            seen[k] += 1;
+        }
+        Self {
+            init,
+            cycle,
+            cycles,
+        }
+    }
+
+    /// Calls `f` with every draw for `lanes` lanes, in draw order.
+    pub fn each(&self, lanes: usize, mut f: impl FnMut(Draw)) {
+        for lane in 0..lanes {
+            for &(_, src) in &self.init {
+                let cycle = None;
+                f(Draw { lane, cycle, src });
+            }
+            for c in 0..self.cycles {
+                for &(_, src) in &self.cycle {
+                    let cycle = Some(c);
+                    f(Draw { lane, cycle, src });
+                }
+            }
+        }
+    }
+
+    /// Labels one lane draws that the garbler sends directly (`direct`)
+    /// or through OT (`!direct`).
+    pub fn per_lane(&self, direct: bool) -> usize {
+        let count = |draws: &[(WireId, Source)]| {
+            let by_ot = |(_, s): &&(WireId, Source)| matches!(s, Source::Bob(_));
+            draws.iter().filter(|d| by_ot(d) != direct).count()
+        };
+        count(&self.init) + self.cycles * count(&self.cycle)
+    }
+
+    /// Writes `lane`'s labels for `cycle` (`None`: its initial draws)
+    /// from `drawn`, the party's labels in draw order.
+    fn apply(&self, drawn: &[Label], labels: &mut [Label], lane: &Lane, cycle: Option<usize>) {
+        let mut from = lane.index * (self.init.len() + self.cycles * self.cycle.len());
+        let draws = match cycle {
+            None => &self.init,
+            Some(c) => {
+                from += self.init.len() + c * self.cycle.len();
+                &self.cycle
+            }
+        };
+        for (&(w, _), &l) in draws.iter().zip(&drawn[from..]) {
+            labels[lane.at(w)] = l;
+        }
+    }
+}
+
+/// What the parties know about one lane, and what it has cost.
+struct Lane {
+    /// Position in the session; the lane's labels sit at `w * lanes +
+    /// index` in the struct-of-arrays store.
+    index: usize,
+    lanes: usize,
+    states: Vec<WireVal>,
+    alloc: TagAllocator,
+    /// The current cycle's decisions.
+    dec: CycleDecisions,
+    /// Still running (a lane stops at a public halt).
+    live: bool,
+    /// Tweak of the lane's next garbled gate. Lanes are disjoint by the
+    /// lane tag in the high bits; lane 0 counts from zero, like a
+    /// single-lane session.
+    tweak: u64,
+    /// Output frames: public bits known, secret ones `None` until the
+    /// colour exchange.
+    frames: Vec<Vec<Option<bool>>>,
+    /// This party's colour bits of the secret outputs, in frame order.
+    colours: Vec<bool>,
+    /// Flip-flop `d` states and labels, kept across cycles.
+    next: Vec<(WireVal, Label)>,
+    stats: SkipGateStats,
+}
+
+impl Lane {
+    fn at(&self, w: WireId) -> usize {
+        w.index() * self.lanes + self.index
+    }
+
+    /// Folds the current cycle's decision counts into the stats.
+    fn count(&mut self) {
+        let (c, s) = (&self.dec.counts, &mut self.stats);
+        s.public_gates += c.public_out;
+        s.pass_gates += c.pass + c.aliased;
+        s.free_xor += c.free_xor;
+        s.garbled_tables += c.garbled;
+        s.skipped_nonlinear += c.skipped_nonlinear;
+    }
+
+    /// Records the output frame, and this party's colour bit for each
+    /// secret output.
+    fn record(&mut self, circuit: &Circuit, labels: &[Label]) {
+        let frame = circuit.outputs().iter().map(|&w| {
+            let known = self.states[w.index()].as_public();
+            if known.is_none() {
+                self.colours.push(labels[self.at(w)].colour());
+            }
+            known
+        });
+        let frame = frame.collect();
+        self.frames.push(frame);
+    }
+
+    fn halted(&self, circuit: &Circuit) -> bool {
+        circuit
+            .halt_wire()
+            .is_some_and(|w| self.states[w.index()] == WireVal::Public(true))
+    }
+
+    /// Copies every flip-flop's `d` state and label to its `q`.
+    fn clock(&mut self, circuit: &Circuit, labels: &mut [Label]) {
+        let mut next = std::mem::take(&mut self.next);
+        next.clear();
+        let d = circuit.dffs().iter().map(|f| f.d);
+        next.extend(d.map(|d| (self.states[d.index()], labels[self.at(d)])));
+        for (dff, &(v, l)) in circuit.dffs().iter().zip(&next) {
+            self.states[dff.q.index()] = v;
+            labels[self.at(dff.q)] = l;
+        }
+        self.next = next;
+    }
+
+    /// The lane's outcome, taking its secret outputs' values from the
+    /// front of the session's lane-major `values`.
+    fn outcome(
+        self,
+        values: &mut impl Iterator<Item = bool>,
+        ots: u64,
+        batching: WavefrontStats,
+    ) -> SkipGateOutcome {
+        let outputs = self
+            .frames
+            .iter()
+            .map(|frame| {
+                let bits = frame.iter().map(|bit| bit.or_else(|| values.next()));
+                bits.map(|bit| bit.expect("secret output slot")).collect()
+            })
+            .collect();
+        let mut stats = self.stats;
+        stats.table_bytes = stats.garbled_tables * GarbledTable::BYTES as u64;
+        stats.ots = ots;
+        SkipGateOutcome {
+            outputs,
+            stats,
+            batching,
+        }
+    }
+}
+
+/// What a cycle garbles, decided from public data alone.
+enum Policy<'c> {
+    /// SkipGate: constants and public inputs are tracked in the clear,
+    /// and the shared decision pass decides every cycle.
+    SkipGate(DecideContext<'c>),
+    /// The conventional-GC baseline: every wire is secret, so nothing
+    /// halts and every output is revealed; one decision vector serves
+    /// every cycle.
+    Baseline(CycleDecisions),
+}
+
+impl<'c> Policy<'c> {
+    fn new(circuit: &'c Circuit, opts: &SessionOptions) -> Self {
+        match opts.engine {
+            EngineKind::SkipGate => {
+                let mut ctx = DecideContext::new(circuit);
+                ctx.filter_dead = opts.skipgate.filter_dead_gates;
+                Policy::SkipGate(ctx)
+            }
+            EngineKind::Baseline => Policy::Baseline(baseline_decisions(circuit)),
+        }
+    }
+
+    /// Lane `index` of `lanes`, starting from `public`'s flip-flop
+    /// initialisation.
+    fn lane(&self, circuit: &Circuit, index: usize, lanes: usize, public: &PartyData) -> Lane {
+        let mut alloc = TagAllocator::new();
+        let mut states = vec![WireVal::Public(false); circuit.wire_count()];
+        let dec = match self {
+            Policy::SkipGate(_) => {
+                for &(w, v) in circuit.consts() {
+                    states[w.index()] = WireVal::Public(v);
+                }
+                for dff in circuit.dffs() {
+                    states[dff.q.index()] = match dff.init {
+                        DffInit::Const(v) => WireVal::Public(v),
+                        DffInit::Public(i) => WireVal::Public(public.init[i as usize]),
+                        DffInit::Alice(_) | DffInit::Bob(_) => WireVal::Secret(alloc.fresh()),
+                    };
+                }
+                CycleDecisions::default()
+            }
+            Policy::Baseline(dec) => {
+                states.fill(WireVal::Secret(alloc.fresh()));
+                dec.clone()
+            }
+        };
+        Lane {
+            index,
+            lanes,
+            states,
+            alloc,
+            dec,
+            live: true,
+            tweak: (index as u64) << 48,
+            frames: Vec::new(),
+            colours: Vec::new(),
+            next: Vec::new(),
+            stats: SkipGateStats::default(),
+        }
+    }
+
+    /// Decides `lane`'s `cycle` (the baseline's decisions never change)
+    /// and folds its counts into the lane.
+    fn decide(
+        &self,
+        circuit: &Circuit,
+        lane: &mut Lane,
+        cycle: usize,
+        public: &PartyData,
+        last: bool,
+    ) {
+        if let Policy::SkipGate(ctx) = self {
+            let mut pidx = 0usize;
+            for input in circuit.inputs() {
+                lane.states[input.wire.index()] = match input.role {
+                    Role::Public => {
+                        let v = public.stream[cycle][pidx];
+                        pidx += 1;
+                        WireVal::Public(v)
+                    }
+                    Role::Alice | Role::Bob => WireVal::Secret(lane.alloc.fresh()),
+                };
+            }
+            // Free the last cycle's decisions before the pass allocates
+            // this cycle's, so the two are never alive together.
+            drop(std::mem::take(&mut lane.dec));
+            lane.dec = ctx.decide_cycle(&mut lane.states, &mut lane.alloc, last);
+        }
+        lane.count();
+    }
+}
+
+/// The baseline's decisions, the same every cycle: nonlinear gates
+/// garble, XOR/XNOR are free, BUF/NOT copy a label. Only `garbled` is
+/// counted, so the SkipGate-only counters stay zero.
+fn baseline_decisions(circuit: &Circuit) -> CycleDecisions {
+    let decisions: Vec<GateDecision> = circuit
+        .gates()
+        .iter()
+        .map(|g| match g.op {
+            Op::XOR | Op::XNOR => GateDecision::FreeXor {
+                flip: g.op == Op::XNOR,
+            },
+            Op::BUF_A | Op::NOT_A | Op::BUF_B | Op::NOT_B => GateDecision::Pass {
+                from_a: matches!(g.op, Op::BUF_A | Op::NOT_A),
+                flip: matches!(g.op, Op::NOT_A | Op::NOT_B),
+            },
+            op if op.is_linear() => {
+                panic!("constant-valued gate {op} must not appear in a netlist")
+            }
+            _ => GateDecision::Garble,
+        })
+        .collect();
+    let counts = DecisionCounts {
+        garbled: circuit.non_xor_count(),
+        ..DecisionCounts::default()
+    };
+    CycleDecisions { decisions, counts }
+}
+
+/// One lane's layering of one cycle. Lanes diverge only through their
+/// public inputs, so decision vectors usually agree; when a lane's
+/// vector equals the cycle's first planned lane's, `reuse` names that
+/// lane and the level walk borrows its plan instead.
+#[derive(Default)]
 struct LanePlan {
+    /// Each gate's netlist ordinal among the lane's garbled gates
+    /// (`u32::MAX` for the rest): its tweak offset.
     ordinals: Vec<u32>,
     patch: CyclePatch,
     releveled: bool,
-    reuse_first: bool,
+    reuse: Option<usize>,
 }
 
-/// Applies one lane's decision for gate `gi` against the
-/// struct-of-arrays label store (wire `w`, lane `l` at `w * n + l`).
-/// `Garble` gates enqueue into the shared instanced driver: the merged
-/// slot (gate-major, lane-minor across active lanes) fixes the table's
-/// position in the cycle's wire stream, while the tweak stays
-/// lane-local (`lane_tweak` + the lane's netlist ordinal) so each
-/// lane's tables are bit-identical to its sequential run.
-#[allow(clippy::too_many_arguments)]
-fn apply_instanced_garble(
+impl LanePlan {
+    /// Fills `ordinals` and prepares `patch` for `decisions`. The
+    /// decision pass may alias a gate's output to *any* earlier-netlist
+    /// wire — including one produced at a deeper topological level —
+    /// and for such a cycle the static levels are re-leveled
+    /// incrementally: only the aliased gate and its transitively-late
+    /// dependents move to deeper levels
+    /// ([`LayerSchedule::relevel_cycle`]). Both parties run identical
+    /// decisions, so they compute the identical patch without
+    /// coordination, and emission slots stay netlist ordinals.
+    fn layer(&mut self, sched: &LayerSchedule, circuit: &Circuit, decisions: &[GateDecision]) {
+        self.ordinals.clear();
+        self.ordinals.resize(decisions.len(), u32::MAX);
+        let mut next = 0u32;
+        let mut safe = true;
+        for (gi, d) in decisions.iter().enumerate() {
+            match *d {
+                GateDecision::Garble => {
+                    self.ordinals[gi] = next;
+                    next += 1;
+                }
+                GateDecision::Alias { src, .. } => {
+                    safe &= sched.copy_is_level_safe(gi, src.index());
+                }
+                _ => {}
+            }
+        }
+        if safe {
+            self.patch.clear();
+            self.releveled = false;
+            return;
+        }
+        let dep = |gi: usize| match decisions[gi] {
+            GateDecision::PublicOut(_) | GateDecision::Skipped | GateDecision::SkippedFree => {
+                CycleDep::Absent
+            }
+            GateDecision::Pass { from_a, .. } => {
+                let g = &circuit.gates()[gi];
+                CycleDep::Copy(if from_a { g.a } else { g.b }.index() as u32)
+            }
+            GateDecision::Alias { src, .. } => CycleDep::Copy(src.index() as u32),
+            GateDecision::FreeXor { .. } | GateDecision::Garble => CycleDep::Inputs,
+        };
+        self.releveled = sched.relevel_cycle(circuit, dep, &mut self.patch);
+    }
+}
+
+/// The layered walk's cycle planner and executor, built only when the
+/// session runs it.
+struct Layering {
+    sched: LayerSchedule,
+    plans: Vec<LanePlan>,
+    /// Levels to walk this cycle, re-leveled patches included.
+    levels: usize,
+    /// Each (gate, lane)'s slot in the cycle's table stream:
+    /// gate-major, lane-minor over the live lanes, which reduces to
+    /// plain netlist ordinals at one lane.
+    merged: Vec<u32>,
+    releveled_cycles: u64,
+    patched_gates: u64,
+}
+
+impl Layering {
+    fn new(circuit: &Circuit, lanes: usize) -> Self {
+        Self {
+            sched: LayerSchedule::of(circuit),
+            plans: (0..lanes).map(|_| LanePlan::default()).collect(),
+            levels: 0,
+            merged: Vec::new(),
+            releveled_cycles: 0,
+            patched_gates: 0,
+        }
+    }
+
+    fn plan_of(&self, lane: usize) -> &LanePlan {
+        &self.plans[self.plans[lane].reuse.unwrap_or(lane)]
+    }
+
+    /// Plans the live lanes' cycle: per-lane layering (reusing the
+    /// first lane's when decisions agree), the level count and the
+    /// merged emission slots.
+    fn plan(&mut self, circuit: &Circuit, lanes: &[Lane]) {
+        let mut first: Option<usize> = None;
+        self.levels = self.sched.levels();
+        for lane in lanes.iter().filter(|l| l.live) {
+            let dec = &lane.dec.decisions;
+            let reuse = first.filter(|&f| lanes[f].dec.decisions == *dec);
+            let plan = &mut self.plans[lane.index];
+            plan.reuse = reuse;
+            if reuse.is_none() {
+                plan.layer(&self.sched, circuit, dec);
+                first.get_or_insert(lane.index);
+            }
+            let plan = &self.plans[reuse.unwrap_or(lane.index)];
+            if plan.releveled {
+                self.releveled_cycles += 1;
+                self.patched_gates += plan.patch.moved_gates();
+            }
+            self.levels = self.levels.max(plan.patch.levels());
+        }
+        let n = lanes.len();
+        self.merged.clear();
+        self.merged.resize(circuit.gates().len() * n, u32::MAX);
+        let mut slot = 0u32;
+        for gi in 0..circuit.gates().len() {
+            for lane in lanes.iter().filter(|l| l.live) {
+                if lane.dec.decisions[gi] == GateDecision::Garble {
+                    self.merged[gi * n + lane.index] = slot;
+                    slot += 1;
+                }
+            }
+        }
+    }
+
+    /// Walks the planned cycle level by level over every live lane.
+    fn walk<P: Party>(
+        &self,
+        party: &mut P,
+        circuit: &Circuit,
+        lanes: &[Lane],
+        labels: &mut [Label],
+    ) {
+        for level in 0..self.levels {
+            for lane in lanes.iter().filter(|l| l.live) {
+                let plan = self.plan_of(lane.index);
+                let fixed: &[u32] = if level < self.sched.levels() {
+                    self.sched.level_gates(level)
+                } else {
+                    &[]
+                };
+                let unmoved = fixed
+                    .iter()
+                    .filter(|&&gi| !plan.patch.is_moved(gi as usize));
+                for &gi in unmoved.chain(plan.patch.moved_at(level)) {
+                    let gi = gi as usize;
+                    let gate = &circuit.gates()[gi];
+                    let at = |w: WireId| lane.at(w);
+                    match lane.dec.decisions[gi] {
+                        GateDecision::PublicOut(_)
+                        | GateDecision::Skipped
+                        | GateDecision::SkippedFree => {}
+                        GateDecision::Pass { from_a, flip } => {
+                            let src = if from_a { gate.a } else { gate.b };
+                            labels[at(gate.out)] = labels[at(src)] ^ party.mask(flip);
+                        }
+                        GateDecision::Alias { src, flip } => {
+                            labels[at(gate.out)] = labels[at(src)] ^ party.mask(flip);
+                        }
+                        GateDecision::FreeXor { flip } => {
+                            let (a, b) = (labels[at(gate.a)], labels[at(gate.b)]);
+                            labels[at(gate.out)] = a ^ b ^ party.mask(flip);
+                        }
+                        GateDecision::Garble => {
+                            let tweak = lane.tweak + u64::from(plan.ordinals[gi]);
+                            let slot = self.merged[gi * lanes.len() + lane.index];
+                            party.enqueue(labels, Pins::of(gate, at), tweak, slot as usize);
+                        }
+                    }
+                }
+            }
+            party.end_level(labels);
+        }
+    }
+}
+
+/// Walks one lane's cycle in netlist order, garbled gates taking
+/// consecutive tweaks from the lane's.
+fn netlist_walk<P: Party>(
+    party: &mut P,
     circuit: &Circuit,
-    n: usize,
-    lane: usize,
-    d: Label,
-    dec: &CycleDecisions,
-    ordinals: &[u32],
-    merged: &[u32],
-    lane_tweak: u64,
-    gi: usize,
+    lane: &Lane,
     labels: &mut [Label],
-    drv: &mut GarbleLayered,
-) {
-    let gate = &circuit.gates()[gi];
-    let idx = |w: WireId| w.index() * n + lane;
-    match dec.decisions[gi] {
-        GateDecision::PublicOut(_) | GateDecision::Skipped | GateDecision::SkippedFree => {}
-        GateDecision::Pass { from_a, flip } => {
-            let src = if from_a { gate.a } else { gate.b };
-            labels[idx(gate.out)] = labels[idx(src)] ^ if flip { d } else { Label::ZERO };
-        }
-        GateDecision::Alias { src, flip } => {
-            labels[idx(gate.out)] = labels[idx(src)] ^ if flip { d } else { Label::ZERO };
-        }
-        GateDecision::FreeXor { flip } => {
-            labels[idx(gate.out)] =
-                labels[idx(gate.a)] ^ labels[idx(gate.b)] ^ if flip { d } else { Label::ZERO };
-        }
-        GateDecision::Garble => {
-            let lane_slot = ordinals[gi] as usize;
-            drv.garble(
-                labels,
-                gate.op,
-                idx(gate.a),
-                idx(gate.b),
-                idx(gate.out),
-                lane_tweak + lane_slot as u64,
-                merged[gi * n + lane] as usize,
-            );
+) -> Result<(), ProtocolError> {
+    let mut tweak = lane.tweak;
+    // Gate fields are read only in the arms that use them: most gates
+    // of a public-heavy cycle decide `PublicOut`/`Skipped`.
+    let pins = |gate| Pins::of(gate, WireId::index);
+    for (gate, decision) in circuit.gates().iter().zip(&lane.dec.decisions) {
+        match *decision {
+            GateDecision::PublicOut(_) | GateDecision::Skipped | GateDecision::SkippedFree => {}
+            GateDecision::Pass { from_a, flip } => {
+                let src = if from_a { gate.a } else { gate.b };
+                party.copy(labels, src.index(), gate.out.index(), flip);
+            }
+            GateDecision::Alias { src, flip } => {
+                party.copy(labels, src.index(), gate.out.index(), flip);
+            }
+            GateDecision::FreeXor { flip } => party.xor(labels, pins(gate), flip),
+            GateDecision::Garble => {
+                party.garble(labels, pins(gate), tweak)?;
+                tweak += 1;
+            }
         }
     }
+    Ok(())
 }
 
-/// Evaluator mirror of [`apply_instanced_garble`]: the merged slot
-/// selects the lane's table from the cycle's up-front pull.
-#[allow(clippy::too_many_arguments)]
-fn apply_instanced_eval(
-    circuit: &Circuit,
-    n: usize,
-    lane: usize,
-    dec: &CycleDecisions,
-    ordinals: &[u32],
-    merged: &[u32],
-    cycle_tables: &[GarbledTable],
-    lane_tweak: u64,
-    gi: usize,
-    active: &mut [Label],
-    drv: &mut EvalLayered,
-) {
-    let gate = &circuit.gates()[gi];
-    let idx = |w: WireId| w.index() * n + lane;
-    match dec.decisions[gi] {
-        GateDecision::PublicOut(_) | GateDecision::Skipped | GateDecision::SkippedFree => {}
-        GateDecision::Pass { from_a, .. } => {
-            let src = if from_a { gate.a } else { gate.b };
-            active[idx(gate.out)] = active[idx(src)];
-        }
-        GateDecision::Alias { src, .. } => {
-            active[idx(gate.out)] = active[idx(src)];
-        }
-        GateDecision::FreeXor { .. } => {
-            active[idx(gate.out)] = active[idx(gate.a)] ^ active[idx(gate.b)];
-        }
-        GateDecision::Garble => {
-            let lane_slot = ordinals[gi] as usize;
-            drv.eval(
-                active,
-                idx(gate.a),
-                idx(gate.b),
-                idx(gate.out),
-                cycle_tables[merged[gi * n + lane] as usize],
-                lane_tweak + lane_slot as u64,
-            );
-        }
-    }
-}
-
-/// Alice's side of an instanced session: `alices.len()` independent
-/// instances of the same circuit in one session. Lanes keep their own
-/// inputs and SkipGate decisions but share one [`LayerSchedule`] and
-/// one struct-of-arrays label store, so each level's surviving
-/// nonlinear gates across every active lane hash through the wide AES
-/// core in a single batch. Lanes halt independently; the session ends
-/// when every lane has halted or the cycle budget runs out.
+/// Runs one session of `own.len()` lanes as party `P`: `own` and
+/// `publics` hold one [`PartyData`] per lane. `opts` and the lane counts
+/// are validated first. More than one lane runs the layered walk, which
+/// needs the SkipGate policy; `force_layered` runs it for one lane too.
 ///
-/// Wire format: the handshake announces the lane count
-/// ([`arm2gc_proto::Message::Instances`], protocol v2); input labels,
-/// OT pairs and output decode bits are concatenated lane-major; each
-/// cycle's tables interleave gate-major/lane-minor. Lane 0 draws
-/// exactly the labels and tweaks a single-lane session would, and at
-/// one lane nothing is announced: the transcript is then byte-identical
-/// to [`garble_netlist`] (pinned by this module's tests).
+/// Wire format: the handshake announces the lane count when it is more
+/// than one ([`arm2gc_proto::Message::Instances`], protocol v2); input
+/// labels, OT pairs and output colour bits are concatenated lane-major;
+/// each cycle's tables interleave gate-major/lane-minor. Lane 0 draws
+/// exactly the labels and tweaks a single-lane session would, so a
+/// one-lane session's transcript does not depend on the walk.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn garble_instanced(
+pub(crate) fn run_session<P: Party>(
+    ends: P::Ends,
     circuit: &Circuit,
-    alices: &[PartyData],
+    own: &[PartyData],
     publics: &[PartyData],
     cycles: usize,
-    ch: &mut dyn Channel,
-    shard_chs: Vec<Box<dyn Channel>>,
-    ot: &mut dyn OtSender,
-    prg: &mut Prg,
     opts: &SessionOptions,
-    shards: ShardConfig,
+    force_layered: bool,
 ) -> Result<InstancedOutcome, ProtocolError> {
-    let n = alices.len();
-    debug_assert_eq!(n, publics.len(), "one public input set per lane");
-    let mut session =
-        GarblerSession::establish_instanced(ch, shard_chs, ot, prg, opts.stream, shards, n as u16)?;
-    let d = session.delta().as_label();
-    let garbler = HalfGateGarbler::new(session.delta());
-    let ctx = decide_context(circuit, opts);
-    let mut lanes: Vec<Shared> = (0..n).map(|_| Shared::new(circuit)).collect();
-    // Struct-of-arrays labels: wire `w`, lane `l` at `w * n + l`.
+    opts.validate()?;
+    let shards = opts.shard_config()?;
+    for got in [own.len(), publics.len()] {
+        if got != opts.instances {
+            let expected = opts.instances;
+            return Err(ConfigError::LaneCount { expected, got }.into());
+        }
+    }
+    let n = own.len();
+    let policy = Policy::new(circuit, opts);
+    let plan = InputPlan::new(circuit, cycles, matches!(policy, Policy::Baseline(_)));
+    let mut layering = (force_layered || n > 1).then(|| Layering::new(circuit, n));
+    let walk = match &layering {
+        None => Walk::Netlist(circuit.wire_count()),
+        Some(l) => Walk::Layered(l.sched.levels()),
+    };
+    let mut party = P::establish(ends, opts.stream, shards, n, walk)?;
+    let drawn = party.deliver(&plan, own, publics)?;
+
     let mut labels = vec![Label::ZERO; circuit.wire_count() * n];
-
-    // --- Input labels, lane-major ----------------------------------------
-    // Lane 0 draws exactly the labels a single-instance session would,
-    // so the N=1 transcript is pinned byte-identical.
-    let mut direct = Vec::new();
-    let mut ot_pairs = Vec::new();
-    let mut lane_ots = vec![0u64; n];
-    let mut stream_labels: Vec<Vec<Vec<(WireId, Label)>>> = Vec::with_capacity(n);
-    for (lane, shared) in lanes.iter_mut().enumerate() {
-        let (_alice_wires, _bob_wires) = shared.init_states(&publics[lane]);
-        let pairs_before = ot_pairs.len();
-        for dff in circuit
-            .dffs()
-            .iter()
-            .filter(|f| matches!(f.init, DffInit::Alice(_)))
-        {
-            let x0 = session.fresh_label();
-            labels[dff.q.index() * n + lane] = x0;
-            let DffInit::Alice(i) = dff.init else {
-                unreachable!()
-            };
-            direct.push(if alices[lane].init[i as usize] {
-                x0 ^ d
-            } else {
-                x0
-            });
-        }
-        for dff in circuit
-            .dffs()
-            .iter()
-            .filter(|f| matches!(f.init, DffInit::Bob(_)))
-        {
-            let x0 = session.fresh_label();
-            labels[dff.q.index() * n + lane] = x0;
-            ot_pairs.push((x0, x0 ^ d));
-        }
-        let mut per_lane = Vec::with_capacity(cycles);
-        for cycle in 0..cycles {
-            let mut per_cycle = Vec::new();
-            let mut aidx = 0usize;
-            for input in circuit.inputs() {
-                match input.role {
-                    Role::Alice => {
-                        let x0 = session.fresh_label();
-                        let v = alices[lane].stream[cycle][aidx];
-                        aidx += 1;
-                        direct.push(if v { x0 ^ d } else { x0 });
-                        per_cycle.push((input.wire, x0));
-                    }
-                    Role::Bob => {
-                        let x0 = session.fresh_label();
-                        ot_pairs.push((x0, x0 ^ d));
-                        per_cycle.push((input.wire, x0));
-                    }
-                    Role::Public => {}
-                }
-            }
-            per_lane.push(per_cycle);
-        }
-        stream_labels.push(per_lane);
-        lane_ots[lane] = (ot_pairs.len() - pairs_before) as u64;
-    }
-    session.send_direct_labels(&direct)?;
-    session.ot_send(&ot_pairs)?;
-
-    // --- Cycle loop -------------------------------------------------------
-    let sched = LayerSchedule::of(circuit);
-    let mut drv = GarbleLayered::new(sched.levels(), n);
-    let mut plans: Vec<LanePlan> = (0..n)
-        .map(|_| LanePlan {
-            ordinals: Vec::new(),
-            patch: CyclePatch::new(),
-            releveled: false,
-            reuse_first: false,
-        })
+    let mut lanes: Vec<Lane> = publics
+        .iter()
+        .enumerate()
+        .map(|(li, public)| policy.lane(circuit, li, n, public))
         .collect();
-    let mut decisions: Vec<Option<CycleDecisions>> = (0..n).map(|_| None).collect();
-    let mut merged: Vec<u32> = Vec::new();
-    let mut releveled_cycles = 0u64;
-    let mut patched_gates = 0u64;
-    // Per-lane tweak streams: disjoint by the lane tag in the high
-    // bits, and lane 0's stream matches a sequential run exactly.
-    let mut lane_tweaks: Vec<u64> = (0..n).map(|l| (l as u64) << 48).collect();
-    let mut lane_active = vec![true; n];
-    let mut decode_bits: Vec<Vec<bool>> = vec![Vec::new(); n];
-    let mut next_dffs: Vec<Label> = Vec::new();
-    let mut dff_scratch: Vec<WireVal> = Vec::new();
-    // `cycle` indexes per-lane structures inside the lane loop, which
-    // an enumerate over any single one of them cannot express.
-    #[allow(clippy::needless_range_loop)]
+    for lane in &lanes {
+        plan.apply(&drawn, &mut labels, lane, None);
+    }
+    let per_cycle = matches!(circuit.output_mode(), OutputMode::PerCycle);
     for cycle in 0..cycles {
-        if !lane_active.iter().any(|&a| a) {
+        if !lanes.iter().any(|l| l.live) {
             break;
         }
-        let is_last = cycle + 1 == cycles;
-        for lane in 0..n {
-            if !lane_active[lane] {
-                decisions[lane] = None;
-                continue;
-            }
-            let shared = &mut lanes[lane];
-            shared.set_cycle_inputs(cycle, &publics[lane]);
-            for &(w, x0) in &stream_labels[lane][cycle] {
-                labels[w.index() * n + lane] = x0;
-            }
-            decisions[lane] = Some(shared.decide(&ctx, is_last));
+        let (mut tables, mut live) = (0, 0);
+        for lane in lanes.iter_mut().filter(|l| l.live) {
+            plan.apply(&drawn, &mut labels, lane, Some(cycle));
+            let public = &publics[lane.index];
+            policy.decide(circuit, lane, cycle, public, cycle + 1 == cycles);
+            tables += lane.dec.counts.garbled as usize;
+            live += 1;
         }
+        if let Some(l) = &mut layering {
+            l.plan(circuit, &lanes);
+        }
+        party.begin_cycle(tables)?;
+        match &layering {
+            Some(l) => l.walk(&mut party, circuit, &lanes, &mut labels),
+            None => netlist_walk(&mut party, circuit, &lanes[0], &mut labels)?,
+        }
+        party.end_cycle(&mut labels, (circuit.gates().len() * live) as u64)?;
 
-        // Layering plans, with first-active-lane reuse when decision
-        // vectors agree.
-        let mut first: Option<usize> = None;
-        for lane in 0..n {
-            let Some(dec) = decisions[lane].as_ref() else {
-                continue;
-            };
-            let reuse = first.is_some_and(|f| {
-                decisions[f]
-                    .as_ref()
-                    .expect("first lane is active")
-                    .decisions
-                    == dec.decisions
-            });
-            plans[lane].reuse_first = reuse;
-            if reuse {
-                continue;
+        for lane in lanes.iter_mut().filter(|l| l.live) {
+            lane.tweak += lane.dec.counts.garbled;
+            if per_cycle {
+                lane.record(circuit, &labels);
             }
-            let plan = &mut plans[lane];
-            plan.releveled = layer_cycle_plan(
-                &sched,
-                circuit,
-                &dec.decisions,
-                &mut plan.ordinals,
-                &mut plan.patch,
-            );
-            if first.is_none() {
-                first = Some(lane);
-            }
-        }
-        let first = first.unwrap_or(0);
-        let plan_of = |lane: usize, plans: &'_ [LanePlan]| -> usize {
-            if plans[lane].reuse_first {
-                first
-            } else {
-                lane
-            }
-        };
-        let mut max_levels = sched.levels();
-        for lane in 0..n {
-            if decisions[lane].is_none() {
-                continue;
-            }
-            let plan = &plans[plan_of(lane, &plans)];
-            if plan.releveled {
-                releveled_cycles += 1;
-                patched_gates += plan.patch.moved_gates();
-            }
-            max_levels = max_levels.max(plan.patch.levels());
-        }
-
-        // Merged emission slots: gate-major, lane-minor over the
-        // active lanes, reducing to plain netlist ordinals at N=1.
-        let total: usize = decisions
-            .iter()
-            .flatten()
-            .map(|dec| dec.counts.garbled as usize)
-            .sum();
-        session.begin_cycle(total);
-        drv.begin_cycle(total);
-        merged.clear();
-        merged.resize(circuit.gates().len() * n, u32::MAX);
-        let mut next_slot = 0u32;
-        for gi in 0..circuit.gates().len() {
-            for (lane, dec) in decisions.iter().enumerate() {
-                if let Some(dec) = dec {
-                    if matches!(dec.decisions[gi], GateDecision::Garble) {
-                        merged[gi * n + lane] = next_slot;
-                        next_slot += 1;
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(next_slot as usize, total);
-
-        for level in 0..max_levels {
-            for lane in 0..n {
-                let Some(dec) = decisions[lane].as_ref() else {
-                    continue;
-                };
-                let plan = &plans[plan_of(lane, &plans)];
-                if level < sched.levels() {
-                    for &gi in sched.level_gates(level) {
-                        let gi = gi as usize;
-                        if plan.patch.is_moved(gi) {
-                            continue;
-                        }
-                        apply_instanced_garble(
-                            circuit,
-                            n,
-                            lane,
-                            d,
-                            dec,
-                            &plan.ordinals,
-                            &merged,
-                            lane_tweaks[lane],
-                            gi,
-                            &mut labels,
-                            &mut drv,
-                        );
-                    }
-                }
-                for &gi in plan.patch.moved_at(level) {
-                    apply_instanced_garble(
-                        circuit,
-                        n,
-                        lane,
-                        d,
-                        dec,
-                        &plan.ordinals,
-                        &merged,
-                        lane_tweaks[lane],
-                        gi as usize,
-                        &mut labels,
-                        &mut drv,
-                    );
-                }
-            }
-            drv.end_level(&garbler, &mut labels);
-        }
-        drv.end_cycle(&mut |t| session.push_table(&t.to_bytes()))?;
-        let active = decisions.iter().flatten().count();
-        session.end_cycle((circuit.gates().len() * active) as u64)?;
-
-        for lane in 0..n {
-            let Some(dec) = decisions[lane].as_ref() else {
-                continue;
-            };
-            lane_tweaks[lane] += dec.counts.garbled;
-            let shared = &mut lanes[lane];
-            if matches!(circuit.output_mode(), OutputMode::PerCycle) {
-                shared.record_frame();
-                decode_bits[lane].extend(
-                    circuit
-                        .outputs()
-                        .iter()
-                        .filter(|&w| shared.states[w.index()].is_secret())
-                        .map(|w| labels[w.index() * n + lane].colour()),
-                );
-            }
-            let halted = shared.halted();
-            // Flip-flop copies happen on the halt cycle too, exactly
-            // as in the sequential engines.
-            next_dffs.clear();
-            next_dffs.extend(
-                circuit
-                    .dffs()
-                    .iter()
-                    .map(|f| labels[f.d.index() * n + lane]),
-            );
-            for (dff, &l) in circuit.dffs().iter().zip(next_dffs.iter()) {
-                labels[dff.q.index() * n + lane] = l;
-            }
-            shared.copy_dffs(&mut dff_scratch);
-            shared.stats.cycles_run = cycle + 1;
-            if halted {
-                lane_active[lane] = false;
-            }
+            // Flip-flops copy on the halt cycle too.
+            lane.live = !lane.halted(circuit);
+            lane.clock(circuit, &mut labels);
+            lane.stats.cycles_run = cycle + 1;
         }
     }
-    if matches!(circuit.output_mode(), OutputMode::FinalOnly) {
-        for (lane, shared) in lanes.iter_mut().enumerate() {
-            shared.record_frame();
-            decode_bits[lane].extend(
-                circuit
-                    .outputs()
-                    .iter()
-                    .filter(|&w| shared.states[w.index()].is_secret())
-                    .map(|w| labels[w.index() * n + lane].colour()),
-            );
+    if !per_cycle {
+        for lane in &mut lanes {
+            lane.record(circuit, &labels);
         }
     }
 
-    // --- Output revelation: one lane-major colour exchange ----------------
-    let all_bits: Vec<bool> = decode_bits.iter().flatten().copied().collect();
-    let secret_values = session.reveal_outputs(&all_bits)?;
-    let mut batching = drv.stats();
-    batching.releveled_cycles = releveled_cycles;
-    batching.patched_gates = patched_gates;
-    let mut out_lanes = Vec::with_capacity(n);
-    let mut off = 0usize;
-    for (lane, shared) in lanes.into_iter().enumerate() {
-        let take = decode_bits[lane].len();
-        let outputs = shared.assemble_outputs(&secret_values[off..off + take]);
-        off += take;
-        let mut stats = shared.stats;
-        stats.table_bytes = stats.garbled_tables * GarbledTable::BYTES as u64;
-        stats.ots = lane_ots[lane];
-        out_lanes.push(SkipGateOutcome {
-            outputs,
-            stats,
-            batching,
-        });
+    // One lane-major colour exchange.
+    let colours: Vec<bool> = lanes.iter().flat_map(|l| &l.colours).copied().collect();
+    let (values, mut batching) = party.finish(&colours)?;
+    if let Some(l) = &layering {
+        batching.releveled_cycles = l.releveled_cycles;
+        batching.patched_gates = l.patched_gates;
     }
-    Ok(InstancedOutcome {
-        lanes: out_lanes,
-        batching,
-    })
-}
-
-/// Bob's side of an instanced session; the mirror of
-/// [`garble_instanced`]. Each cycle's merged table stream is pulled up
-/// front and indexed by the shared gate-major/lane-minor slot
-/// assignment, which both parties compute from the (deterministic,
-/// public-data-only) decision pass without coordination.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_instanced(
-    circuit: &Circuit,
-    bobs: &[PartyData],
-    publics: &[PartyData],
-    cycles: usize,
-    ch: &mut dyn Channel,
-    shard_chs: Vec<Box<dyn Channel>>,
-    ot: &mut dyn OtReceiver,
-    opts: &SessionOptions,
-    shards: ShardConfig,
-) -> Result<InstancedOutcome, ProtocolError> {
-    let n = bobs.len();
-    debug_assert_eq!(n, publics.len(), "one public input set per lane");
-    let evaluator = HalfGateEvaluator::new();
-    let mut session = EvaluatorSession::establish_instanced(
-        ch,
-        shard_chs,
-        ot,
-        GarbledTable::BYTES,
-        shards,
-        n as u16,
-    )?;
-    let ctx = decide_context(circuit, opts);
-    let mut lanes: Vec<Shared> = (0..n).map(|_| Shared::new(circuit)).collect();
-    let mut active = vec![Label::ZERO; circuit.wire_count() * n];
-
-    // --- Input labels, lane-major -----------------------------------------
-    let mut direct = session.recv_direct_labels()?.into_iter();
-    let mut choices = Vec::new();
-    let mut lane_ots = vec![0u64; n];
-    let mut bob_wires_by_lane: Vec<Vec<WireId>> = Vec::with_capacity(n);
-    let mut stream_slots: Vec<LaneStreamSlots> = Vec::with_capacity(n);
-    for (lane, shared) in lanes.iter_mut().enumerate() {
-        let (alice_wires, bob_wires) = shared.init_states(&publics[lane]);
-        for &w in &alice_wires {
-            active[w.index() * n + lane] = direct
-                .next()
-                .ok_or(ProtocolError::Malformed("alice dffs"))?;
-        }
-        let before = choices.len();
-        for dff in circuit.dffs() {
-            if let DffInit::Bob(i) = dff.init {
-                choices.push(bobs[lane].init[i as usize]);
-            }
-        }
-        let mut per_lane = Vec::with_capacity(cycles);
-        for cycle in 0..cycles {
-            let mut per_cycle = Vec::new();
-            let mut bidx = 0usize;
-            for input in circuit.inputs() {
-                match input.role {
-                    Role::Alice => {
-                        let l = direct.next().ok_or(ProtocolError::Malformed("stream"))?;
-                        per_cycle.push((input.wire, Some(l)));
-                    }
-                    Role::Bob => {
-                        choices.push(bobs[lane].stream[cycle][bidx]);
-                        bidx += 1;
-                        per_cycle.push((input.wire, None));
-                    }
-                    Role::Public => {}
-                }
-            }
-            per_lane.push(per_cycle);
-        }
-        stream_slots.push(per_lane);
-        bob_wires_by_lane.push(bob_wires);
-        lane_ots[lane] = (choices.len() - before) as u64;
-    }
-    let mut ot_iter = session.ot_receive(&choices)?.into_iter();
-    for (lane, bob_wires) in bob_wires_by_lane.iter().enumerate() {
-        for &w in bob_wires {
-            active[w.index() * n + lane] =
-                ot_iter.next().ok_or(ProtocolError::Malformed("bob ot"))?;
-        }
-        for per_cycle in &mut stream_slots[lane] {
-            for (_, slot) in per_cycle.iter_mut() {
-                if slot.is_none() {
-                    *slot = Some(ot_iter.next().ok_or(ProtocolError::Malformed("bob ot2"))?);
-                }
-            }
-        }
-    }
-
-    // --- Cycle loop ---------------------------------------------------------
-    let sched = LayerSchedule::of(circuit);
-    let mut drv = EvalLayered::new(sched.levels(), n);
-    let mut plans: Vec<LanePlan> = (0..n)
-        .map(|_| LanePlan {
-            ordinals: Vec::new(),
-            patch: CyclePatch::new(),
-            releveled: false,
-            reuse_first: false,
-        })
+    let ots = plan.per_lane(false) as u64;
+    let mut values = values.into_iter();
+    let lanes = lanes
+        .into_iter()
+        .map(|lane| lane.outcome(&mut values, ots, batching))
         .collect();
-    let mut decisions: Vec<Option<CycleDecisions>> = (0..n).map(|_| None).collect();
-    let mut merged: Vec<u32> = Vec::new();
-    let mut cycle_tables: Vec<GarbledTable> = Vec::new();
-    let mut releveled_cycles = 0u64;
-    let mut patched_gates = 0u64;
-    let mut lane_tweaks: Vec<u64> = (0..n).map(|l| (l as u64) << 48).collect();
-    let mut lane_active = vec![true; n];
-    let mut my_colours: Vec<Vec<bool>> = vec![Vec::new(); n];
-    let mut next_dffs: Vec<Label> = Vec::new();
-    let mut dff_scratch: Vec<WireVal> = Vec::new();
-    // `cycle` indexes per-lane structures inside the lane loop, which
-    // an enumerate over any single one of them cannot express.
-    #[allow(clippy::needless_range_loop)]
-    for cycle in 0..cycles {
-        if !lane_active.iter().any(|&a| a) {
-            break;
-        }
-        let is_last = cycle + 1 == cycles;
-        for lane in 0..n {
-            if !lane_active[lane] {
-                decisions[lane] = None;
-                continue;
-            }
-            let shared = &mut lanes[lane];
-            shared.set_cycle_inputs(cycle, &publics[lane]);
-            for &(w, l) in &stream_slots[lane][cycle] {
-                active[w.index() * n + lane] = l.expect("filled above");
-            }
-            decisions[lane] = Some(shared.decide(&ctx, is_last));
-        }
-
-        let mut first: Option<usize> = None;
-        for lane in 0..n {
-            let Some(dec) = decisions[lane].as_ref() else {
-                continue;
-            };
-            let reuse = first.is_some_and(|f| {
-                decisions[f]
-                    .as_ref()
-                    .expect("first lane is active")
-                    .decisions
-                    == dec.decisions
-            });
-            plans[lane].reuse_first = reuse;
-            if reuse {
-                continue;
-            }
-            let plan = &mut plans[lane];
-            plan.releveled = layer_cycle_plan(
-                &sched,
-                circuit,
-                &dec.decisions,
-                &mut plan.ordinals,
-                &mut plan.patch,
-            );
-            if first.is_none() {
-                first = Some(lane);
-            }
-        }
-        let first = first.unwrap_or(0);
-        let plan_of = |lane: usize, plans: &'_ [LanePlan]| -> usize {
-            if plans[lane].reuse_first {
-                first
-            } else {
-                lane
-            }
-        };
-        let mut max_levels = sched.levels();
-        for lane in 0..n {
-            if decisions[lane].is_none() {
-                continue;
-            }
-            let plan = &plans[plan_of(lane, &plans)];
-            if plan.releveled {
-                releveled_cycles += 1;
-                patched_gates += plan.patch.moved_gates();
-            }
-            max_levels = max_levels.max(plan.patch.levels());
-        }
-
-        let total: usize = decisions
-            .iter()
-            .flatten()
-            .map(|dec| dec.counts.garbled as usize)
-            .sum();
-        session.begin_cycle(total);
-        merged.clear();
-        merged.resize(circuit.gates().len() * n, u32::MAX);
-        let mut next_slot = 0u32;
-        for gi in 0..circuit.gates().len() {
-            for (lane, dec) in decisions.iter().enumerate() {
-                if let Some(dec) = dec {
-                    if matches!(dec.decisions[gi], GateDecision::Garble) {
-                        merged[gi * n + lane] = next_slot;
-                        next_slot += 1;
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(next_slot as usize, total);
-        cycle_tables.clear();
-        for _ in 0..total {
-            cycle_tables.push(GarbledTable::from_bytes(
-                session.next_table(GarbledTable::BYTES)?,
-            ));
-        }
-
-        for level in 0..max_levels {
-            for lane in 0..n {
-                let Some(dec) = decisions[lane].as_ref() else {
-                    continue;
-                };
-                let plan = &plans[plan_of(lane, &plans)];
-                if level < sched.levels() {
-                    for &gi in sched.level_gates(level) {
-                        let gi = gi as usize;
-                        if plan.patch.is_moved(gi) {
-                            continue;
-                        }
-                        apply_instanced_eval(
-                            circuit,
-                            n,
-                            lane,
-                            dec,
-                            &plan.ordinals,
-                            &merged,
-                            &cycle_tables,
-                            lane_tweaks[lane],
-                            gi,
-                            &mut active,
-                            &mut drv,
-                        );
-                    }
-                }
-                for &gi in plan.patch.moved_at(level) {
-                    apply_instanced_eval(
-                        circuit,
-                        n,
-                        lane,
-                        dec,
-                        &plan.ordinals,
-                        &merged,
-                        &cycle_tables,
-                        lane_tweaks[lane],
-                        gi as usize,
-                        &mut active,
-                        &mut drv,
-                    );
-                }
-            }
-            drv.end_level(&evaluator, &mut active);
-        }
-
-        for lane in 0..n {
-            let Some(dec) = decisions[lane].as_ref() else {
-                continue;
-            };
-            lane_tweaks[lane] += dec.counts.garbled;
-            let shared = &mut lanes[lane];
-            if matches!(circuit.output_mode(), OutputMode::PerCycle) {
-                shared.record_frame();
-                my_colours[lane].extend(
-                    circuit
-                        .outputs()
-                        .iter()
-                        .filter(|&w| shared.states[w.index()].is_secret())
-                        .map(|w| active[w.index() * n + lane].colour()),
-                );
-            }
-            let halted = shared.halted();
-            next_dffs.clear();
-            next_dffs.extend(
-                circuit
-                    .dffs()
-                    .iter()
-                    .map(|f| active[f.d.index() * n + lane]),
-            );
-            for (dff, &l) in circuit.dffs().iter().zip(next_dffs.iter()) {
-                active[dff.q.index() * n + lane] = l;
-            }
-            shared.copy_dffs(&mut dff_scratch);
-            shared.stats.cycles_run = cycle + 1;
-            if halted {
-                lane_active[lane] = false;
-            }
-        }
-    }
-    if matches!(circuit.output_mode(), OutputMode::FinalOnly) {
-        for (lane, shared) in lanes.iter_mut().enumerate() {
-            shared.record_frame();
-            my_colours[lane].extend(
-                circuit
-                    .outputs()
-                    .iter()
-                    .filter(|&w| shared.states[w.index()].is_secret())
-                    .map(|w| active[w.index() * n + lane].colour()),
-            );
-        }
-    }
-
-    // --- Output revelation ----------------------------------------------
-    let all_bits: Vec<bool> = my_colours.iter().flatten().copied().collect();
-    let secret_values = session.reveal_outputs(&all_bits)?;
-    let mut batching = drv.stats();
-    batching.releveled_cycles = releveled_cycles;
-    batching.patched_gates = patched_gates;
-    let mut out_lanes = Vec::with_capacity(n);
-    let mut off = 0usize;
-    for (lane, shared) in lanes.into_iter().enumerate() {
-        let take = my_colours[lane].len();
-        let outputs = shared.assemble_outputs(&secret_values[off..off + take]);
-        off += take;
-        let mut stats = shared.stats;
-        stats.table_bytes = stats.garbled_tables * GarbledTable::BYTES as u64;
-        stats.ots = lane_ots[lane];
-        out_lanes.push(SkipGateOutcome {
-            outputs,
-            stats,
-            batching,
-        });
-    }
-    Ok(InstancedOutcome {
-        lanes: out_lanes,
-        batching,
-    })
+    Ok(InstancedOutcome { lanes, batching })
 }
 
 /// Connected shard-channel bundles for an in-process sharded run: one
@@ -1500,26 +810,21 @@ pub fn shard_duplexes(shards: ShardConfig) -> (Vec<Box<dyn Channel>>, Vec<Box<dy
     (garbler, evaluator)
 }
 
-/// Sanity helper used by docs/tests: a netlist must not contain
-/// constant-valued gate ops (the builder never emits them).
-pub fn assert_no_constant_gates(circuit: &Circuit) {
-    for g in circuit.gates() {
-        assert!(
-            g.op != Op::FALSE && g.op != Op::TRUE,
-            "constant gate in netlist"
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::{Arc, Mutex};
 
     use arm2gc_circuit::bench_circuits::{self, BenchCircuit};
     use arm2gc_comm::ChannelError;
+    use arm2gc_crypto::Prg;
     use arm2gc_ot::InsecureOt;
 
     use super::*;
+    use crate::party::{Evaluator, Garbler};
+
+    fn first_lane(o: InstancedOutcome) -> SkipGateOutcome {
+        o.lanes.into_iter().next().expect("one lane")
+    }
 
     /// Frames sent on one channel, in order.
     type Frames = Arc<Mutex<Vec<Vec<u8>>>>;
@@ -1574,34 +879,22 @@ mod tests {
         let (a, b) = std::thread::scope(|s| {
             let garbler = s.spawn(|| {
                 let mut prg = Prg::from_seed([71; 16]);
-                let (c, ot) = (&bc.circuit, &mut InsecureOt);
-                if layered {
-                    garble_instanced(
-                        c, alice, public, bc.cycles, &mut ca, g_shards, ot, &mut prg, &opts, shards,
-                    )
-                    .map(|o| o.lanes.into_iter().next().expect("one lane"))
-                } else {
-                    garble_netlist(
-                        c, &alice[0], &public[0], bc.cycles, &mut ca, g_shards, ot, &mut prg,
-                        &opts, shards,
-                    )
-                }
-                .expect("garbler")
+                let ends = (
+                    &mut ca as &mut dyn Channel,
+                    g_shards,
+                    &mut InsecureOt as _,
+                    &mut prg,
+                );
+                run_session::<Garbler>(ends, &bc.circuit, alice, public, bc.cycles, &opts, layered)
+                    .expect("garbler")
             });
-            let (c, ot) = (&bc.circuit, &mut InsecureOt);
-            let b = if layered {
-                evaluate_instanced(
-                    c, bob, public, bc.cycles, &mut cb, e_shards, ot, &opts, shards,
-                )
-                .map(|o| o.lanes.into_iter().next().expect("one lane"))
-            } else {
-                evaluate_netlist(
-                    c, &bob[0], &public[0], bc.cycles, &mut cb, e_shards, ot, &opts, shards,
-                )
-            }
-            .expect("evaluator");
+            let ends = (&mut cb as &mut dyn Channel, e_shards, &mut InsecureOt as _);
+            let b =
+                run_session::<Evaluator>(ends, &bc.circuit, bob, public, bc.cycles, &opts, layered)
+                    .expect("evaluator");
             (garbler.join().expect("garbler thread"), b)
         });
+        let (a, b) = (first_lane(a), first_lane(b));
         assert_eq!(a.outputs, b.outputs, "{}: party outputs", bc.circuit.name());
         assert_eq!(a.outputs.concat(), bc.expected, "{}", bc.circuit.name());
         assert_eq!(a.batching, b.batching, "parties agree on batching");

@@ -61,11 +61,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod baseline;
 pub mod decide;
 pub mod drive;
 pub mod engine;
 pub mod options;
+mod party;
 pub mod state;
 pub mod tag;
 

@@ -1,29 +1,47 @@
 //! A misbehaving peer must surface as a clean [`ProtocolError`], never a
-//! panic: the classic-baseline evaluator is driven against hand-crafted
-//! bad frames.
+//! panic: the evaluator is driven against hand-crafted bad frames under
+//! every engine and walk — the baseline, SkipGate on one lane and
+//! SkipGate on two lanes.
 
 use arm2gc_circuit::sim::PartyData;
 use arm2gc_circuit::{Circuit, CircuitBuilder, Role};
 use arm2gc_comm::{duplex, Channel, MemChannel};
 use arm2gc_core::{drive_evaluator, EngineKind, ProtocolError, SessionOptions};
+use arm2gc_crypto::Label;
 use arm2gc_ot::InsecureOt;
 use arm2gc_proto::{Message, SessionRole, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+
+/// Alice inputs of [`alice_only_circuit`], one direct label each per
+/// lane under every engine.
+const ALICE_INPUTS: usize = 8;
 
 /// A circuit with no Bob inputs, so the evaluator needs no OT and every
 /// abuse below hits the label-distribution path.
 fn alice_only_circuit() -> Circuit {
     let mut b = CircuitBuilder::new("alice_only");
-    let a = b.inputs(Role::Alice, 8);
+    let a = b.inputs(Role::Alice, ALICE_INPUTS);
     let o: Vec<_> = a.windows(2).map(|w| b.and(w[0], w[1])).collect();
     b.outputs(&o);
     b.build()
 }
 
-/// Drives the baseline evaluator for one cycle of `circuit` with no
-/// inputs of its own.
-fn evaluate(circuit: &Circuit, ch: &mut MemChannel) -> Result<(), ProtocolError> {
-    let none = [PartyData::default()];
-    let opts = SessionOptions::new().engine(EngineKind::Baseline);
+/// The evaluator configurations every case runs against.
+fn configs() -> [SessionOptions; 3] {
+    [
+        SessionOptions::new().engine(EngineKind::Baseline),
+        SessionOptions::new(),
+        SessionOptions::new().instances(2),
+    ]
+}
+
+/// Drives the evaluator for one cycle of `circuit` with no inputs of
+/// its own.
+fn evaluate(
+    circuit: &Circuit,
+    ch: &mut MemChannel,
+    opts: &SessionOptions,
+) -> Result<(), ProtocolError> {
+    let none = vec![PartyData::default(); opts.instances];
     drive_evaluator(
         circuit,
         &none,
@@ -32,24 +50,40 @@ fn evaluate(circuit: &Circuit, ch: &mut MemChannel) -> Result<(), ProtocolError>
         ch,
         Vec::new(),
         &mut InsecureOt,
-        &opts,
+        opts,
     )
     .map(|_| ())
 }
 
-/// Plays garbler for the handshake, then hands the channel to `abuse`.
-fn against_fake_garbler(abuse: impl FnOnce(&mut dyn Channel) + Send) -> Result<(), ProtocolError> {
-    against_fake_garbler_at_version(PROTOCOL_VERSION, abuse)
+/// Runs `case` against every configuration: `abuse` gets the channel
+/// after the handshake (and the lane announcement of a two-lane
+/// session) and the lane count; every run must end malformed.
+fn each_config(what: &str, abuse: impl Fn(&mut dyn Channel, usize) + Sync) {
+    each_config_at_version(what, PROTOCOL_VERSION, abuse);
 }
 
-/// [`against_fake_garbler`] with the fake peer's hello advertising
-/// `version`.
-fn against_fake_garbler_at_version(
+/// [`each_config`] with the fake peer's hello advertising `version`.
+fn each_config_at_version(
+    what: &str,
+    version: u16,
+    abuse: impl Fn(&mut dyn Channel, usize) + Sync,
+) {
+    for opts in configs() {
+        let res = against_fake_garbler(&opts, version, |ch| abuse(ch, opts.instances));
+        assert_malformed(res, &format!("{what} ({opts:?})"));
+    }
+}
+
+/// Plays garbler for the handshake, announcing the lane count of a
+/// multi-lane session, then hands the channel to `abuse`.
+fn against_fake_garbler(
+    opts: &SessionOptions,
     version: u16,
     abuse: impl FnOnce(&mut dyn Channel) + Send,
 ) -> Result<(), ProtocolError> {
     let circuit = alice_only_circuit();
     let (mut ca, mut cb) = duplex();
+    let lanes = opts.instances;
     std::thread::scope(|s| {
         s.spawn(move || {
             ca.send(
@@ -61,9 +95,13 @@ fn against_fake_garbler_at_version(
             )
             .expect("hello");
             ca.recv().expect("peer hello");
+            if lanes > 1 {
+                ca.send(&Message::Instances(lanes as u16).encode())
+                    .expect("lane count");
+            }
             abuse(&mut ca);
         });
-        evaluate(&circuit, &mut cb)
+        evaluate(&circuit, &mut cb, opts)
     })
 }
 
@@ -78,48 +116,54 @@ fn assert_malformed(result: Result<(), ProtocolError>, what: &str) {
 
 #[test]
 fn garbage_frame_instead_of_labels() {
-    assert_malformed(
-        against_fake_garbler(|ch| {
-            ch.send(&[0xde, 0xad, 0xbe, 0xef]).expect("garbage");
-        }),
-        "garbage frame",
-    );
+    each_config("garbage frame", |ch, _| {
+        ch.send(&[0xde, 0xad, 0xbe, 0xef]).expect("garbage");
+    });
 }
 
 #[test]
 fn tables_frame_where_labels_expected() {
-    assert_malformed(
-        against_fake_garbler(|ch| {
-            ch.send(&Message::Tables(vec![0; 32]).encode())
-                .expect("tables");
-        }),
-        "wrong frame type",
-    );
+    each_config("wrong frame type", |ch, _| {
+        ch.send(&Message::Tables(vec![0; 32]).encode())
+            .expect("tables");
+    });
 }
 
 #[test]
 fn misaligned_direct_labels() {
-    assert_malformed(
-        against_fake_garbler(|ch| {
-            // 17 bytes: not a whole number of labels.
-            let mut raw = Message::DirectLabels(vec![]).encode();
-            raw.extend_from_slice(&[0u8; 17]);
-            ch.send(&raw).expect("misaligned");
-        }),
-        "misaligned labels",
-    );
+    each_config("misaligned labels", |ch, _| {
+        // 17 bytes: not a whole number of labels.
+        let mut raw = Message::DirectLabels(vec![]).encode();
+        raw.extend_from_slice(&[0u8; 17]);
+        ch.send(&raw).expect("misaligned");
+    });
 }
 
 #[test]
 fn truncated_label_vector() {
     // A valid frame carrying too few labels for the circuit.
-    assert_malformed(
-        against_fake_garbler(|ch| {
-            ch.send(&Message::DirectLabels(vec![]).encode())
-                .expect("empty labels");
-        }),
-        "too few labels",
-    );
+    each_config("too few labels", |ch, _| {
+        ch.send(&Message::DirectLabels(vec![]).encode())
+            .expect("empty labels");
+    });
+}
+
+#[test]
+fn surplus_direct_labels() {
+    // A valid frame carrying one label more than the circuit needs
+    // (nine for the eight inputs of a one-lane session), caught by the
+    // exact count check before any label is used.
+    for opts in configs() {
+        let surplus = opts.instances * ALICE_INPUTS + 1;
+        let res = against_fake_garbler(&opts, PROTOCOL_VERSION, |ch| {
+            ch.send(&Message::DirectLabels(vec![Label::ZERO; surplus]).encode())
+                .expect("surplus labels");
+        });
+        assert!(
+            matches!(res, Err(ProtocolError::Malformed("direct label count"))),
+            "{opts:?}: {res:?}"
+        );
+    }
 }
 
 #[test]
@@ -127,23 +171,25 @@ fn incompatible_version_is_clean() {
     // Versions negotiate to the lowest common one, so a *newer* peer is
     // fine; only a peer below the supported minimum must be rejected.
     let circuit = alice_only_circuit();
-    let (mut ca, mut cb) = duplex();
-    let res = std::thread::scope(|s| {
-        s.spawn(move || {
-            ca.send(
-                &Message::Hello {
-                    version: MIN_PROTOCOL_VERSION - 1,
-                    role: SessionRole::Garbler,
-                }
-                .encode(),
-            )
-            .expect("hello");
-            // Drain the peer hello so the evaluator's reply send succeeds.
-            let _ = ca.recv();
+    for opts in configs() {
+        let (mut ca, mut cb) = duplex();
+        let res = std::thread::scope(|s| {
+            s.spawn(move || {
+                ca.send(
+                    &Message::Hello {
+                        version: MIN_PROTOCOL_VERSION - 1,
+                        role: SessionRole::Garbler,
+                    }
+                    .encode(),
+                )
+                .expect("hello");
+                // Drain the peer hello so the evaluator's reply send succeeds.
+                let _ = ca.recv();
+            });
+            evaluate(&circuit, &mut cb, &opts)
         });
-        evaluate(&circuit, &mut cb)
-    });
-    assert_malformed(res, "incompatible version");
+        assert_malformed(res, &format!("incompatible version ({opts:?})"));
+    }
 }
 
 #[test]
@@ -151,11 +197,12 @@ fn newer_peer_version_is_compatible() {
     // A peer advertising a future version must get past the handshake
     // (the failure then comes from the missing label frame, not the
     // hello): lowest-common negotiation instead of exact match.
-    assert_malformed(
-        against_fake_garbler_at_version(PROTOCOL_VERSION + 40, |ch| {
+    each_config_at_version(
+        "too few labels from a newer peer",
+        PROTOCOL_VERSION + 40,
+        |ch, _| {
             ch.send(&Message::DirectLabels(vec![]).encode())
                 .expect("empty labels");
-        }),
-        "too few labels from a newer peer",
+        },
     );
 }

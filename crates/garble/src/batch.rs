@@ -15,8 +15,11 @@
 //! gate order. The protocol transcript is byte-identical either way —
 //! the pinned wire/stats tests enforce this.
 //!
-//! Both engines in `arm2gc-core` (the classic baseline and SkipGate)
-//! drive their cycle loops through these types.
+//! The session loop in `arm2gc-core` drives every cycle through these
+//! types, whichever decision policy (SkipGate or the baseline) planned
+//! it: a gate that garbles goes to `garble`/`eval`, a label copy
+//! (SkipGate's Pass/Alias, the baseline's BUF/NOT) to `copy`, and a
+//! free XOR/XNOR to `xor`.
 //!
 //! The wavefront types discover batches *within the netlist-order
 //! walk*, which single-lane sessions run; the
@@ -37,11 +40,9 @@ use crate::halfgate::{
 /// A deferred label computation, replayed at flush time in gate order.
 #[derive(Clone, Copy, Debug)]
 enum Pending {
-    /// `out = linear(op, a, b)` — the party's linear-gate rule.
-    Linear { op: Op, a: u32, b: u32, out: u32 },
-    /// `out = labels[src] (⊕ Δ if flip)` — SkipGate Pass/Alias.
+    /// `out = labels[src] (⊕ Δ if flip)` — a Pass, Alias or BUF/NOT.
     Copy { src: u32, out: u32, flip: bool },
-    /// `out = labels[a] ⊕ labels[b] (⊕ Δ if flip)` — SkipGate free XOR.
+    /// `out = labels[a] ⊕ labels[b] (⊕ Δ if flip)` — a free XOR/XNOR.
     Xor {
         a: u32,
         b: u32,
@@ -179,8 +180,8 @@ impl WavefrontStats {
 
 /// Garbler-side wavefront scheduler.
 ///
-/// Call [`GarbleWavefront::linear`]/[`copy`](GarbleWavefront::copy)/
-/// [`xor`](GarbleWavefront::xor)/[`garble`](GarbleWavefront::garble)
+/// Call [`copy`](GarbleWavefront::copy)/[`xor`](GarbleWavefront::xor)/
+/// [`garble`](GarbleWavefront::garble)
 /// per gate in netlist order, and [`GarbleWavefront::flush`] at the end
 /// of every cycle (before reading any output label). `emit` receives
 /// each gate's table in gate order, exactly as the sequential loop
@@ -211,29 +212,6 @@ impl GarbleWavefront {
             batched_gates: self.frontier.batched_gates,
             largest_batch: self.frontier.largest_batch,
             ..WavefrontStats::default()
-        }
-    }
-
-    /// Linear gate `out = linear(op, a, b)`.
-    pub fn linear(
-        &mut self,
-        g: &HalfGateGarbler,
-        labels: &mut [Label],
-        op: Op,
-        a: usize,
-        b: usize,
-        out: usize,
-    ) {
-        if self.frontier.is_dirty2(a, b) {
-            self.frontier.pending.push(Pending::Linear {
-                op,
-                a: a as u32,
-                b: b as u32,
-                out: out as u32,
-            });
-            self.frontier.mark(out);
-        } else {
-            labels[out] = g.linear_zero(op, labels[a], labels[b]);
         }
     }
 
@@ -333,10 +311,6 @@ impl GarbleWavefront {
         let mut next = 0usize;
         for p in &self.frontier.pending {
             match *p {
-                Pending::Linear { op, a, b, out } => {
-                    labels[out as usize] =
-                        g.linear_zero(op, labels[a as usize], labels[b as usize]);
-                }
                 Pending::Copy { src, out, flip } => {
                     labels[out as usize] = labels[src as usize] ^ self.flip_mask(g, flip);
                 }
@@ -399,29 +373,6 @@ impl EvalWavefront {
             batched_gates: self.frontier.batched_gates,
             largest_batch: self.frontier.largest_batch,
             ..WavefrontStats::default()
-        }
-    }
-
-    /// Linear gate `out = linear(op, a, b)`.
-    pub fn linear(
-        &mut self,
-        e: &HalfGateEvaluator,
-        labels: &mut [Label],
-        op: Op,
-        a: usize,
-        b: usize,
-        out: usize,
-    ) {
-        if self.frontier.is_dirty2(a, b) {
-            self.frontier.pending.push(Pending::Linear {
-                op,
-                a: a as u32,
-                b: b as u32,
-                out: out as u32,
-            });
-            self.frontier.mark(out);
-        } else {
-            labels[out] = e.linear_active(op, labels[a], labels[b]);
         }
     }
 
@@ -494,10 +445,6 @@ impl EvalWavefront {
         let mut next = 0usize;
         for p in &self.frontier.pending {
             match *p {
-                Pending::Linear { op, a, b, out } => {
-                    labels[out as usize] =
-                        e.linear_active(op, labels[a as usize], labels[b as usize]);
-                }
                 Pending::Copy { src, out, .. } => {
                     labels[out as usize] = labels[src as usize];
                 }
@@ -965,7 +912,7 @@ mod tests {
                 seq[8 + i] = c0;
                 tables.push(t);
             }
-            seq[12] = g.linear_zero(Op::XOR, seq[8], seq[9]);
+            seq[12] = seq[8] ^ seq[9];
             let (c0, t) = g.garble(Op::AND, seq[12], seq[10], tweak);
             seq[13] = c0;
             tables.push(t);
@@ -993,7 +940,7 @@ mod tests {
             .unwrap();
             tweak += 1;
         }
-        wf.linear(&g, &mut labels, Op::XOR, 8, 9, 12);
+        wf.xor(&g, &mut labels, 8, 9, 12, false);
         wf.garble(&g, &mut labels, Op::AND, 12, 10, 13, tweak, &mut emit)
             .unwrap();
         wf.flush(&g, &mut labels, &mut emit).unwrap();
@@ -1013,7 +960,7 @@ mod tests {
             ewf.eval(&e, &mut active, 2 * i, 2 * i + 1, 8 + i, table, tweak);
             tweak += 1;
         }
-        ewf.linear(&e, &mut active, Op::XOR, 8, 9, 12);
+        ewf.xor(&mut active, 8, 9, 12);
         ewf.eval(&e, &mut active, 12, 10, 13, emitted[4], tweak);
         ewf.flush(&e, &mut active);
         // Zero-label inputs evaluate to the zero labels everywhere.

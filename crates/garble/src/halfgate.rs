@@ -191,23 +191,6 @@ impl HalfGateGarbler {
             out.push(self.combine(job, [h[0], h[1], h[2], h[3]]));
         }
     }
-
-    /// Zero-label of a *linear* gate output (free on the wire).
-    ///
-    /// # Panics
-    /// Panics on constant-valued ops (the builder never emits them).
-    pub fn linear_zero(&self, op: Op, a0: Label, b0: Label) -> Label {
-        let d = self.delta.as_label();
-        match op {
-            Op::XOR => a0 ^ b0,
-            Op::XNOR => a0 ^ b0 ^ d,
-            Op::BUF_A => a0,
-            Op::NOT_A => a0 ^ d,
-            Op::BUF_B => b0,
-            Op::NOT_B => b0 ^ d,
-            _ => panic!("constant-valued gate {op} must not appear in a netlist"),
-        }
-    }
 }
 
 /// Evaluator-side half-gate context.
@@ -298,19 +281,6 @@ impl HalfGateEvaluator {
             .hash_batch_with(&scratch.inputs, &mut scratch.hash, &mut scratch.hashes);
         for (job, h) in jobs.iter().zip(scratch.hashes.chunks_exact(2)) {
             out.push(Self::combine(job, h[0], h[1]));
-        }
-    }
-
-    /// Active label of a *linear* gate output (free on the wire).
-    ///
-    /// # Panics
-    /// Panics on constant-valued ops (the builder never emits them).
-    pub fn linear_active(&self, op: Op, a: Label, b: Label) -> Label {
-        match op {
-            Op::XOR | Op::XNOR => a ^ b,
-            Op::BUF_A | Op::NOT_A => a,
-            Op::BUF_B | Op::NOT_B => b,
-            _ => panic!("constant-valued gate {op} must not appear in a netlist"),
         }
     }
 }

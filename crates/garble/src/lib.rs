@@ -1,10 +1,11 @@
-//! Garbling primitives and the batch drivers both engines run on.
+//! Garbling primitives and the batch drivers the session loop runs on.
 //!
 //! Implements Yao's garbling with all three standard optimisations the
 //! paper assumes — free-XOR, row reduction and half-gates — plus the
 //! schedulers that feed many independent gates through the wide AES
-//! core at once. The two-party sessions themselves (the classic
-//! baseline and SkipGate) live in `arm2gc_core`.
+//! core at once. The two-party session itself lives in `arm2gc_core`:
+//! one loop whose decision policy (SkipGate or the conventional-GC
+//! baseline) decides what each cycle garbles.
 //!
 //! * [`halfgate`] — the two-ciphertext half-gate garbling primitive for
 //!   any nonlinear 2-input gate, with batch entry points that hash many

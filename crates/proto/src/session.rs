@@ -317,45 +317,31 @@ impl<'a> GarblerSession<'a> {
         prg: &'a mut Prg,
         stream: StreamConfig,
     ) -> Result<Self, ProtoError> {
-        Self::establish_sharded(ch, Vec::new(), ot, prg, stream, ShardConfig::single())
+        Self::establish_instanced(ch, Vec::new(), ot, prg, stream, ShardConfig::single(), 1)
     }
 
-    /// [`GarblerSession::establish`] with a sharded table stream: each
-    /// of the `shards.shards` sub-streams gets a dedicated channel from
-    /// `shard_chs` and a worker thread that frames and sends its share
-    /// of every cycle's tables.
+    /// [`GarblerSession::establish`] with a sharded table stream, for
+    /// a session garbling `instances` independent runs of the same
+    /// circuit.
     ///
-    /// With `shards == 1` the transport is the legacy inline stream
-    /// (byte-identical to an unsharded session) and `shard_chs` must be
-    /// empty; engines must then still call
+    /// Each of the `shards.shards` sub-streams gets a dedicated channel
+    /// from `shard_chs` and a worker thread that frames and sends its
+    /// share of every cycle's tables. With `shards == 1` the transport
+    /// is the inline stream (byte-identical to an unsharded session)
+    /// and `shard_chs` must be empty; engines must then still call
     /// [`GarblerSession::begin_cycle`], which is a no-op.
+    ///
+    /// When `instances > 1` the garbler announces the count in a
+    /// [`Message::Instances`] frame right after the handshake
+    /// (requiring protocol version ≥ 2); with `instances == 1` no frame
+    /// is sent and the wire bytes are identical to a single-instance
+    /// session.
     ///
     /// # Errors
     /// Channel failures, a peer with an incompatible version or the
-    /// wrong role, or a `shard_chs` count not matching `shards`.
-    pub fn establish_sharded(
-        ch: &'a mut dyn Channel,
-        shard_chs: Vec<Box<dyn Channel>>,
-        ot: &'a mut dyn OtSender,
-        prg: &'a mut Prg,
-        stream: StreamConfig,
-        shards: ShardConfig,
-    ) -> Result<Self, ProtoError> {
-        Self::establish_instanced(ch, shard_chs, ot, prg, stream, shards, 1)
-    }
-
-    /// [`GarblerSession::establish_sharded`] for a cross-instance
-    /// batched session garbling `instances` independent runs of the
-    /// same circuit. When `instances > 1` the garbler announces the
-    /// count in a [`Message::Instances`] frame right after the
-    /// handshake (requiring protocol version ≥ 2); with `instances ==
-    /// 1` no frame is sent and the wire bytes are identical to a plain
-    /// sharded session.
-    ///
-    /// # Errors
-    /// Everything [`GarblerSession::establish_sharded`] can fail with,
-    /// plus a zero instance count or (when `instances > 1`) a peer
-    /// whose negotiated version predates instanced sessions.
+    /// wrong role, a `shard_chs` count not matching `shards`, a zero
+    /// instance count or (when `instances > 1`) a peer whose negotiated
+    /// version predates instanced sessions.
     pub fn establish_instanced(
         ch: &'a mut dyn Channel,
         shard_chs: Vec<Box<dyn Channel>>,
@@ -786,39 +772,26 @@ impl<'a> EvaluatorSession<'a> {
         ot: &'a mut dyn OtReceiver,
         table_align: usize,
     ) -> Result<Self, ProtoError> {
-        Self::establish_sharded(ch, Vec::new(), ot, table_align, ShardConfig::single())
+        Self::establish_instanced(ch, Vec::new(), ot, table_align, ShardConfig::single(), 1)
     }
 
-    /// [`EvaluatorSession::establish`] with a sharded table stream; the
-    /// mirror of [`GarblerSession::establish_sharded`]. Tables are
-    /// pulled lazily from each shard's channel and reassembled in gate
-    /// order using the partition both parties derive per cycle.
+    /// [`EvaluatorSession::establish`] with a sharded table stream, for
+    /// a session of `instances` runs; the mirror of
+    /// [`GarblerSession::establish_instanced`].
+    ///
+    /// Tables are pulled lazily from each shard's channel and
+    /// reassembled in gate order using the partition both parties
+    /// derive per cycle. Both parties configure the instance count out
+    /// of band (like the shard count); when it is greater than one the
+    /// garbler's [`Message::Instances`] announcement is received and
+    /// checked against it.
     ///
     /// # Errors
     /// Channel failures, a peer with an incompatible version or the
-    /// wrong role, or a `shard_chs` count not matching `shards`.
-    pub fn establish_sharded(
-        ch: &'a mut dyn Channel,
-        shard_chs: Vec<Box<dyn Channel>>,
-        ot: &'a mut dyn OtReceiver,
-        table_align: usize,
-        shards: ShardConfig,
-    ) -> Result<Self, ProtoError> {
-        Self::establish_instanced(ch, shard_chs, ot, table_align, shards, 1)
-    }
-
-    /// [`EvaluatorSession::establish_sharded`] for a cross-instance
-    /// batched session; the mirror of
-    /// [`GarblerSession::establish_instanced`]. Both parties configure
-    /// the instance count out of band (like the shard count); when it
-    /// is greater than one the garbler's [`Message::Instances`]
-    /// announcement is received and checked against it.
-    ///
-    /// # Errors
-    /// Everything [`EvaluatorSession::establish_sharded`] can fail
-    /// with, plus a zero instance count, a peer whose negotiated
-    /// version predates instanced sessions, or an announcement not
-    /// matching the configured count.
+    /// wrong role, a `shard_chs` count not matching `shards`, a zero
+    /// instance count, a peer whose negotiated version predates
+    /// instanced sessions, or an announcement not matching the
+    /// configured count.
     pub fn establish_instanced(
         ch: &'a mut dyn Channel,
         shard_chs: Vec<Box<dyn Channel>>,
@@ -1161,13 +1134,14 @@ mod tests {
                     .unzip();
                 let mut ot = InsecureOt;
                 let mut prg = Prg::from_seed([4; 16]);
-                let mut s = GarblerSession::establish_sharded(
+                let mut s = GarblerSession::establish_instanced(
                     &mut rec,
                     shard_chs,
                     &mut ot,
                     &mut prg,
                     StreamConfig::chunked(1 << 20),
                     sharding,
+                    1,
                 )
                 .expect("g");
                 for &(tables, visits) in &cycles {
@@ -1194,7 +1168,7 @@ mod tests {
             move |ch| {
                 let mut ot = InsecureOt;
                 let mut s =
-                    EvaluatorSession::establish_sharded(ch, e_shards, &mut ot, 32, sharding)
+                    EvaluatorSession::establish_instanced(ch, e_shards, &mut ot, 32, sharding, 1)
                         .expect("e");
                 for &(tables, _) in &plan {
                     s.begin_cycle(tables);
@@ -1474,13 +1448,14 @@ mod tests {
                 let g = s.spawn(move || {
                     let mut ot = InsecureOt;
                     let mut prg = Prg::from_seed([9; 16]);
-                    let mut sess = GarblerSession::establish_sharded(
+                    let mut sess = GarblerSession::establish_instanced(
                         &mut ca,
                         g_shards,
                         &mut ot,
                         &mut prg,
                         cfg,
                         ShardConfig::new(shards),
+                        1,
                     )
                     .expect("garbler");
                     let mut sent = Vec::new();
@@ -1499,12 +1474,13 @@ mod tests {
                     (sent, sess.stats())
                 });
                 let mut ot = InsecureOt;
-                let mut sess = EvaluatorSession::establish_sharded(
+                let mut sess = EvaluatorSession::establish_instanced(
                     &mut cb,
                     e_shards,
                     &mut ot,
                     32,
                     ShardConfig::new(shards),
+                    1,
                 )
                 .expect("evaluator");
                 let mut got = Vec::new();
@@ -1621,13 +1597,14 @@ mod tests {
         let (g_shards, _e_shards) = shard_duplexes(1);
         let mut ot = InsecureOt;
         let mut prg = Prg::from_seed([1; 16]);
-        let err = GarblerSession::establish_sharded(
+        let err = GarblerSession::establish_instanced(
             &mut ca,
             g_shards,
             &mut ot,
             &mut prg,
             StreamConfig::default(),
             ShardConfig::new(2),
+            1,
         )
         .expect_err("one channel for two shards");
         assert!(matches!(
@@ -1638,12 +1615,13 @@ mod tests {
         let (mut cb, _ca) = duplex();
         let (e_shards, _g_shards) = shard_duplexes(2);
         let mut ot = InsecureOt;
-        let err = EvaluatorSession::establish_sharded(
+        let err = EvaluatorSession::establish_instanced(
             &mut cb,
             e_shards,
             &mut ot,
             32,
             ShardConfig::single(),
+            1,
         )
         .expect_err("channels for an unsharded session");
         assert!(matches!(
@@ -1679,12 +1657,13 @@ mod tests {
                     .expect("misrouted frame");
             });
             let mut ot = InsecureOt;
-            let mut sess = EvaluatorSession::establish_sharded(
+            let mut sess = EvaluatorSession::establish_instanced(
                 &mut cb,
                 e_shards,
                 &mut ot,
                 32,
                 ShardConfig::new(2),
+                1,
             )
             .expect("evaluator");
             sess.begin_cycle(2);
