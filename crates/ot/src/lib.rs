@@ -4,13 +4,15 @@
 //! 1-out-of-2 OT (paper §2.2). This crate provides:
 //!
 //! * [`NaorPinkasSender`]/[`NaorPinkasReceiver`] — the Naor–Pinkas base
-//!   OT over a Mersenne-prime multiplicative group, built on our own
-//!   big-integer arithmetic (no external bignum crates),
+//!   OT over a Mersenne-prime multiplicative group, on our own
+//!   fixed-width [`Element`] arithmetic (no external bignum crates),
 //! * [`IknpSender`]/[`IknpReceiver`] — the IKNP OT extension, turning 128
 //!   base OTs into any number of fast symmetric-key OTs,
 //! * [`InsecureOt`] — a cleartext reference implementation used by unit
 //!   tests and gate-count benchmarks (clearly labelled; never use it for
-//!   actual privacy).
+//!   actual privacy),
+//! * [`BigUint`] — a minimal heap big integer, off the OT path: the
+//!   reference the group arithmetic is tested against.
 //!
 //! All implementations speak over an [`arm2gc_comm::Channel`] and
 //! transfer [`Label`]s.
@@ -25,7 +27,7 @@ mod insecure;
 mod naor_pinkas;
 
 pub use biguint::BigUint;
-pub use group::MersenneGroup;
+pub use group::{Element, Exponent, MersenneGroup};
 pub use iknp::{IknpReceiver, IknpSender};
 pub use insecure::InsecureOt;
 pub use naor_pinkas::{NaorPinkasReceiver, NaorPinkasSender};

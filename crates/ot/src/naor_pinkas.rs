@@ -18,11 +18,19 @@
 //! pads into derivable values). Hash tweaks advance with a
 //! batch-persistent counter on each side, so repeated base-OT batches on
 //! one endpoint never reuse a (key, tweak) pair.
+//!
+//! Each side pays one field inversion per batch: the sender inverts all
+//! received `PK_0` together, and the receiver all its `PK_b`, with
+//! [`MersenneGroup::batch_inv`]. The receiver inverts and multiplies by
+//! `C` for *every* OT and then selects `PK_0` without a branch, so its
+//! work before the `PK_0` frame does not depend on the choice bits: a
+//! delay that grew with each `b = 1` would reveal their Hamming weight
+//! to the peer — under IKNP, that of the garbler-side secret `s`.
 
 use arm2gc_comm::Channel;
 use arm2gc_crypto::{GarbleHash, Label, Prg};
 
-use crate::{BigUint, MersenneGroup, OtError, OtReceiver, OtSender};
+use crate::{Element, MersenneGroup, OtError, OtReceiver, OtSender};
 
 /// Sender side of the Naor–Pinkas base OT.
 #[derive(Debug)]
@@ -70,41 +78,39 @@ impl NaorPinkasReceiver {
     }
 }
 
-fn pad(hash: &GarbleHash, group: &MersenneGroup, elem: &BigUint, tweak: u64) -> Label {
+fn pad(hash: &GarbleHash, group: &MersenneGroup, elem: &Element, tweak: u64) -> Label {
     hash.hash_bytes(&group.element_bytes(elem), tweak)
 }
 
 impl OtSender for NaorPinkasSender {
     fn send(&mut self, ch: &mut dyn Channel, pairs: &[(Label, Label)]) -> Result<(), OtError> {
-        let g = self.group.base();
-        let c_exp = self.group.random_exponent(&mut self.prg);
-        let big_c = self.group.pow(&g, &c_exp);
-        ch.send(&self.group.element_bytes(&big_c))?;
+        let group = &self.group;
+        let c_exp = group.random_exponent(&mut self.prg);
+        let big_c = group.pow_base(&c_exp);
+        ch.send(&group.element_bytes(&big_c))?;
 
         // Receive all PK_0s, each a canonical fixed-width element.
         let pk0_raw = ch.recv()?;
-        let width = self.group.element_width();
+        let width = group.element_width();
         if pk0_raw.len() != width * pairs.len() {
             return Err(OtError::Protocol("PK batch has wrong length"));
         }
+        let pk0s = pk0_raw
+            .chunks_exact(width)
+            .map(|raw| group.element_from_wire(raw))
+            .collect::<Result<Vec<_>, _>>()?;
+        // PK_1 = C · PK_0^{−1}, with one inversion for the whole batch.
+        let pk0_invs = group.batch_inv(&pk0s);
 
         let mut payload = Vec::with_capacity(pairs.len() * (width + 32));
-        for (i, pair) in pairs.iter().enumerate() {
-            let pk0 = self
-                .group
-                .element_from_wire(&pk0_raw[i * width..(i + 1) * width])?;
-            let pk1 = self.group.mul(&big_c, &self.group.inv(&pk0));
-            let r = self.group.random_exponent(&mut self.prg);
-            let gr = self.group.pow(&g, &r);
+        for (i, ((pair, pk0), pk0_inv)) in pairs.iter().zip(&pk0s).zip(&pk0_invs).enumerate() {
+            let pk1 = group.mul(&big_c, pk0_inv);
+            let r = group.random_exponent(&mut self.prg);
+            let gr = group.pow_base(&r);
             let tweak = 2 * (self.counter + i as u64);
-            let e0 = pad(&self.hash, &self.group, &self.group.pow(&pk0, &r), tweak) ^ pair.0;
-            let e1 = pad(
-                &self.hash,
-                &self.group,
-                &self.group.pow(&pk1, &r),
-                tweak + 1,
-            ) ^ pair.1;
-            payload.extend_from_slice(&self.group.element_bytes(&gr));
+            let e0 = pad(&self.hash, group, &group.pow(pk0, &r), tweak) ^ pair.0;
+            let e1 = pad(&self.hash, group, &group.pow(&pk1, &r), tweak + 1) ^ pair.1;
+            payload.extend_from_slice(&group.element_bytes(&gr));
             payload.extend_from_slice(&e0.to_bytes());
             payload.extend_from_slice(&e1.to_bytes());
         }
@@ -130,26 +136,26 @@ impl NaorPinkasReceiver {
 
 impl OtReceiver for NaorPinkasReceiver {
     fn receive(&mut self, ch: &mut dyn Channel, choices: &[bool]) -> Result<Vec<Label>, OtError> {
-        let g = self.group.base();
+        let group = &self.group;
         // The element width is a group constant — never taken from the
         // frame, so a hostile length cannot steer later slicing or size
         // our allocations.
-        let width = self.group.element_width();
+        let width = group.element_width();
         let big_c_raw = ch.recv()?;
-        let big_c = self.group.element_from_wire(&big_c_raw)?;
+        let big_c = group.element_from_wire(&big_c_raw)?;
 
-        let mut exps = Vec::with_capacity(choices.len());
+        let exps: Vec<_> = choices
+            .iter()
+            .map(|_| group.random_exponent(&mut self.prg))
+            .collect();
+        let pk_bs: Vec<Element> = exps.iter().map(|x| group.pow_base(x)).collect();
+        // PK_{1−b} = C · PK_b^{−1} for every OT, whatever b, so the work
+        // does not depend on the choice bits; then PK_0 is selected.
+        let pk_b_invs = group.batch_inv(&pk_bs);
         let mut pk0s = Vec::with_capacity(choices.len() * width);
-        for &b in choices {
-            let x = self.group.random_exponent(&mut self.prg);
-            let pk_b = self.group.pow(&g, &x);
-            let pk0 = if b {
-                self.group.mul(&big_c, &self.group.inv(&pk_b))
-            } else {
-                pk_b
-            };
-            pk0s.extend_from_slice(&self.group.element_bytes(&pk0));
-            exps.push(x);
+        for ((&b, pk_b), pk_b_inv) in choices.iter().zip(&pk_bs).zip(&pk_b_invs) {
+            let pk_other = group.mul(&big_c, pk_b_inv);
+            pk0s.extend_from_slice(&group.element_bytes(&Element::select(pk_b, &pk_other, b)));
         }
         ch.send(&pk0s)?;
 
@@ -159,10 +165,14 @@ impl OtReceiver for NaorPinkasReceiver {
             return Err(OtError::Protocol("ciphertext batch has wrong length"));
         }
         let mut out = Vec::with_capacity(choices.len());
-        for (i, (&b, x)) in choices.iter().zip(&exps).enumerate() {
-            let rec = &payload[i * rec_width..(i + 1) * rec_width];
-            let gr = self.group.element_from_wire(&rec[..width])?;
-            let key = self.group.pow(&gr, x);
+        for (i, ((&b, x), rec)) in choices
+            .iter()
+            .zip(&exps)
+            .zip(payload.chunks_exact(rec_width))
+            .enumerate()
+        {
+            let gr = group.element_from_wire(&rec[..width])?;
+            let key = group.pow(&gr, x);
             let tweak = 2 * (self.counter + i as u64) + b as u64;
             let e = if b {
                 &rec[width + 16..width + 32]
@@ -170,7 +180,7 @@ impl OtReceiver for NaorPinkasReceiver {
                 &rec[width..width + 16]
             };
             let e = Label::from_bytes(e.try_into().expect("16 bytes"));
-            out.push(pad(&self.hash, &self.group, &key, tweak) ^ e);
+            out.push(pad(&self.hash, group, &key, tweak) ^ e);
         }
         self.counter += choices.len() as u64;
         Ok(out)
@@ -293,7 +303,7 @@ mod tests {
         // zero — the pad key would collapse to H(0).
         let (mut hostile, mut victim) = duplex();
         let mut prg = Prg::from_seed([23; 16]);
-        let c = group.pow(&group.base(), &group.random_exponent(&mut prg));
+        let c = group.pow_base(&group.random_exponent(&mut prg));
         hostile.send(&group.element_bytes(&c)).unwrap();
         let g2 = group.clone();
         let err = std::thread::scope(|s| {
@@ -357,7 +367,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow: 1279-bit base OT; run with --ignored"]
     fn transfers_chosen_labels_standard_group() {
         let group = MersenneGroup::standard();
         let (mut ca, mut cb) = duplex();

@@ -88,8 +88,8 @@ impl OtConfig {
     /// Builds the group.
     ///
     /// # Panics
-    /// Panics if the exponent is not a known Mersenne prime (see
-    /// [`MersenneGroup::new`]).
+    /// Panics if the exponent is not a known Mersenne prime, or the
+    /// exponent width exceeds 1280 bits (see [`MersenneGroup::new`]).
     pub fn group(&self) -> MersenneGroup {
         MersenneGroup::new(self.group_exponent, self.exp_bits)
     }
@@ -325,7 +325,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "slow: 1279-bit base OT; run with --ignored"]
     fn naor_pinkas_iknp_backend_over_standard_group() {
         exercise(OtBackend::NaorPinkasIknp, OtConfig::STANDARD);
     }
