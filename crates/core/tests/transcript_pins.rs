@@ -10,14 +10,27 @@
 //!
 //! Sessions run with fixed [`Prg::from_seed`] seeds and [`InsecureOt`],
 //! so nothing in a transcript is drawn from entropy.
+//!
+//! The Table 1 rows run lanes whose decisions are identical. Two more
+//! sessions pin lanes that diverge: a three-lane random sequential
+//! circuit with different public inputs per lane, and a two-lane
+//! garbled CPU running two public programs that halt at different
+//! cycles.
 
 use std::sync::{Arc, Mutex};
 
 use arm2gc_circuit::bench_circuits::{self, BenchCircuit};
+use arm2gc_circuit::random::{random_circuit, random_inputs, RandomCircuitParams, TestRng};
+use arm2gc_circuit::sim::{PartyData, Simulator};
+use arm2gc_circuit::words::bits_to_words;
+use arm2gc_circuit::{Circuit, OutputMode};
 use arm2gc_comm::{duplex, Channel, ChannelError};
 use arm2gc_core::{
     drive_evaluator, drive_garbler, shard_duplexes, EngineKind, InstancedOutcome, SessionOptions,
 };
+use arm2gc_cpu::asm::assemble;
+use arm2gc_cpu::machine::{CpuConfig, GcMachine};
+use arm2gc_cpu::programs;
 use arm2gc_crypto::Prg;
 use arm2gc_ot::InsecureOt;
 
@@ -127,21 +140,23 @@ const CONFIGS: [Config; 6] = [
     },
 ];
 
-/// Runs one session of `lanes` (the first `cfg.lanes` of them), checks
-/// both parties decode every lane's expected output, and returns the
-/// digest of everything both parties sent.
-fn digest(lanes: &[BenchCircuit], cfg: Config) -> u64 {
-    let lanes = &lanes[..cfg.lanes];
-    let bc = &lanes[0];
-    let opts = SessionOptions::new()
-        .engine(cfg.engine)
-        .instances(cfg.lanes)
-        .shards(cfg.shards);
-    let shards = opts.shard_config().expect("shard count");
-    let alices: Vec<_> = lanes.iter().map(|l| l.alice.clone()).collect();
-    let bobs: Vec<_> = lanes.iter().map(|l| l.bob.clone()).collect();
-    let publics: Vec<_> = lanes.iter().map(|l| l.public.clone()).collect();
+/// Every lane's data for one session: Alice's, Bob's and the public
+/// [`PartyData`], one entry per lane each.
+struct Lanes {
+    alices: Vec<PartyData>,
+    bobs: Vec<PartyData>,
+    publics: Vec<PartyData>,
+}
 
+/// Runs one session of `circuit` over `lanes`, and returns both
+/// parties' outcomes and the digest of everything both parties sent.
+fn session(
+    circuit: &Circuit,
+    lanes: &Lanes,
+    cycles: usize,
+    opts: &SessionOptions,
+) -> (InstancedOutcome, InstancedOutcome, u64) {
+    let shards = opts.shard_config().expect("shard count");
     let (ca, cb) = duplex();
     let (g_shards, e_shards) = shard_duplexes(shards);
     let mut g_logs = Vec::new();
@@ -155,41 +170,59 @@ fn digest(lanes: &[BenchCircuit], cfg: Config) -> u64 {
         let garbler = s.spawn(|| {
             let mut prg = Prg::from_seed([0x5a; 16]);
             drive_garbler(
-                &bc.circuit,
-                &alices,
-                &publics,
-                bc.cycles,
+                circuit,
+                &lanes.alices,
+                &lanes.publics,
+                cycles,
                 &mut ca,
                 g_shards,
                 &mut InsecureOt,
                 &mut prg,
-                &opts,
+                opts,
             )
             .expect("garbler")
         });
         let b = drive_evaluator(
-            &bc.circuit,
-            &bobs,
-            &publics,
-            bc.cycles,
+            circuit,
+            &lanes.bobs,
+            &lanes.publics,
+            cycles,
             &mut cb,
             e_shards,
             &mut InsecureOt,
-            &opts,
+            opts,
         )
         .expect("evaluator");
         (garbler.join().expect("garbler thread"), b)
     });
+    let mut h = Fnv::new();
+    absorb(&mut h, &g_logs);
+    absorb(&mut h, &e_logs);
+    (a, b, h.0)
+}
+
+/// Runs one session of `lanes` (the first `cfg.lanes` of them), checks
+/// both parties decode every lane's expected output, and returns the
+/// digest of everything both parties sent.
+fn digest(lanes: &[BenchCircuit], cfg: Config) -> u64 {
+    let lanes = &lanes[..cfg.lanes];
+    let bc = &lanes[0];
+    let opts = SessionOptions::new()
+        .engine(cfg.engine)
+        .instances(cfg.lanes)
+        .shards(cfg.shards);
+    let data = Lanes {
+        alices: lanes.iter().map(|l| l.alice.clone()).collect(),
+        bobs: lanes.iter().map(|l| l.bob.clone()).collect(),
+        publics: lanes.iter().map(|l| l.public.clone()).collect(),
+    };
+    let (a, b, digest) = session(&bc.circuit, &data, bc.cycles, &opts);
     for (lane, want) in lanes.iter().enumerate() {
         let name = bc.circuit.name();
         assert_eq!(a.lanes[lane].outputs.concat(), want.expected, "{name}");
         assert_eq!(b.lanes[lane].outputs.concat(), want.expected, "{name}");
     }
-
-    let mut h = Fnv::new();
-    absorb(&mut h, &g_logs);
-    absorb(&mut h, &e_logs);
-    h.0
+    digest
 }
 
 /// Checks every configuration of one circuit against its pinned row
@@ -298,5 +331,112 @@ fn transcript_aes128() {
             0xfe37d317024c5b51,
             0x4c7531551b188b3e,
         ],
+    );
+}
+
+/// Formats a measured digest row for a mismatch message.
+fn row(got: &[u64]) -> String {
+    let row: Vec<String> = got.iter().map(|d| format!("0x{d:016x}")).collect();
+    format!("[{}]", row.join(", "))
+}
+
+/// Three lanes of one random sequential circuit, every input drawn per
+/// lane, public ones included: the lanes' decision vectors diverge, so
+/// each cycle garbles a different gate set per lane. Pinned at one and
+/// two shards.
+#[test]
+fn transcript_random_divergent_lanes() {
+    const LANES: usize = 3;
+    const CYCLES: usize = 5;
+    let mut rng = TestRng::new(0x00d1_7e26);
+    let params = RandomCircuitParams {
+        inputs: (4, 4, 4),
+        dffs: 8,
+        gates: 300,
+        outputs: 8,
+        output_mode: OutputMode::PerCycle,
+    };
+    let c = random_circuit(&mut rng, params);
+    let drawn: Vec<_> = (0..LANES)
+        .map(|_| random_inputs(&mut rng, &c, CYCLES))
+        .collect();
+    let lanes = Lanes {
+        alices: drawn.iter().map(|l| l.0.clone()).collect(),
+        bobs: drawn.iter().map(|l| l.1.clone()).collect(),
+        publics: drawn.iter().map(|l| l.2.clone()).collect(),
+    };
+    let pinned = [0x35117edc0095cd01, 0x7fef19db981e160d];
+    let mut got = Vec::new();
+    for shards in [1, 2] {
+        let opts = SessionOptions::new().instances(LANES).shards(shards);
+        let (a, b, digest) = session(&c, &lanes, CYCLES, &opts);
+        for (lane, (al, bo, pu)) in drawn.iter().enumerate() {
+            let sim = Simulator::new(&c).run(al, bo, pu, CYCLES);
+            assert_eq!(a.lanes[lane].outputs, sim.outputs, "lane {lane}");
+            assert_eq!(b.lanes[lane].outputs, sim.outputs, "lane {lane}");
+        }
+        let tables: Vec<u64> = a.lanes.iter().map(|l| l.stats.garbled_tables).collect();
+        assert!(
+            tables.windows(2).any(|w| w[0] != w[1]),
+            "lanes garble alike ({tables:?}): their decisions do not diverge"
+        );
+        got.push(digest);
+    }
+    assert_eq!(
+        got,
+        pinned,
+        "random lanes: digests moved; measured row {}",
+        row(&got)
+    );
+}
+
+/// Two lanes of the small garbled CPU running different public programs
+/// (`sum32` and one-word `hamming`), so the lanes' decisions differ
+/// every cycle and the first lane halts while the second runs on.
+/// Pinned at one and two shards.
+#[test]
+fn transcript_cpu_divergent_programs() {
+    const MAX_CYCLES: usize = 64;
+    let m = GcMachine::new(CpuConfig::small());
+    let progs = [programs::sum32(), programs::hamming(1)];
+    let (alice, bob) = ([0x9e37_79b9u32], [0x7f4a_7c15u32]);
+    let mut lanes = Lanes {
+        alices: Vec::new(),
+        bobs: Vec::new(),
+        publics: Vec::new(),
+    };
+    let mut want = Vec::new();
+    for src in &progs {
+        let prog = assemble(src).expect("assembles");
+        let (a, b, p) = m.party_data(&prog, &alice, &bob);
+        lanes.alices.push(a);
+        lanes.bobs.push(b);
+        lanes.publics.push(p);
+        want.push(m.run_iss(&prog, &alice, &bob, MAX_CYCLES));
+    }
+    assert!(want.iter().all(|run| run.halted), "both programs halt");
+    assert_ne!(want[0].cycles, want[1].cycles, "lanes halt apart");
+
+    let pinned = [0xe5e806e82f3cebe9, 0x65123eab2d61fece];
+    let mut got = Vec::new();
+    let out_bits = m.config().out_words * 32;
+    for shards in [1, 2] {
+        let opts = SessionOptions::new().instances(2).shards(shards);
+        let (a, b, digest) = session(m.circuit(), &lanes, MAX_CYCLES, &opts);
+        for (lane, iss) in want.iter().enumerate() {
+            for party in [&a, &b] {
+                let run = &party.lanes[lane];
+                let output = bits_to_words(&run.final_output()[..out_bits]);
+                assert_eq!(output, iss.output, "lane {lane} output");
+                assert_eq!(run.stats.cycles_run, iss.cycles, "lane {lane} cycles");
+            }
+        }
+        got.push(digest);
+    }
+    assert_eq!(
+        got,
+        pinned,
+        "cpu lanes: digests moved; measured row {}",
+        row(&got)
     );
 }
