@@ -11,11 +11,6 @@
 //!   neither `--out` nor `--check` is given);
 //! * `--check BASELINE` — compare against `BASELINE` and exit non-zero
 //!   listing every drifted line.
-//!
-//! Independently of `--check`, the run fails whenever any circuit
-//! reports `fallback_cycles > 0`: per-cycle re-leveling made the
-//! layered fallback unreachable, and the gate keeps it that way even
-//! across intentional baseline regenerations.
 
 use arm2gc_bench::ci;
 use arm2gc_core::ShardConfig;
@@ -35,19 +30,6 @@ fn main() {
             .unwrap_or(1),
     );
     let report = ci::report(shards);
-
-    let fallbacks = ci::fallback_violations(&report);
-    if !fallbacks.is_empty() {
-        eprintln!(
-            "bench_ci: FAIL — layered schedule fell back to the netlist walk \
-             ({} circuit(s)):",
-            fallbacks.len()
-        );
-        for line in &fallbacks {
-            eprintln!("  {line}");
-        }
-        std::process::exit(1);
-    }
 
     let out = arg_after("--out");
     if let Some(path) = &out {

@@ -44,7 +44,12 @@
 //! `programs::bubble_sort(8)` on `CpuConfig::bench()`: the per-cycle
 //! decision pass over the CPU netlist is where the benchmark's CPU
 //! workloads spend their time, so its counts must hold still while
-//! that pass is optimised.
+//! that pass is optimised. Since v10 every lane count runs the one
+//! netlist walk, lanes interleaved per gate: the occupancy objects drop
+//! `fallback_cycles`, `releveled_cycles` and `patched_gates`, and an
+//! instanced run's occupancy is the single-lane wavefronts with every
+//! batch N× wider. The `schedule` object's `levels` and
+//! `widest_nonlinear_level` remain a static analysis of the circuit.
 
 use std::fmt::Write as _;
 
@@ -62,21 +67,15 @@ use arm2gc_server::{client, workload, GarblerService, ServiceConfig};
 use crate::runner::{run_session, table1_circuits};
 
 /// Identifies the report layout; bump when fields change.
-pub const SCHEMA: &str = "arm2gc-bench-ci/v9";
+pub const SCHEMA: &str = "arm2gc-bench-ci/v10";
 
 /// Lanes in the report's instanced runs.
 pub const INSTANCES: usize = 8;
 
 fn occupancy(w: &WavefrontStats) -> String {
     format!(
-        "{{ \"batches\": {}, \"batched_gates\": {}, \"largest_batch\": {}, \
-         \"fallback_cycles\": {}, \"releveled_cycles\": {}, \"patched_gates\": {} }}",
-        w.batches,
-        w.batched_gates,
-        w.largest_batch,
-        w.fallback_cycles,
-        w.releveled_cycles,
-        w.patched_gates
+        "{{ \"batches\": {}, \"batched_gates\": {}, \"largest_batch\": {} }}",
+        w.batches, w.batched_gates, w.largest_batch
     )
 }
 
@@ -473,40 +472,6 @@ fn failures_section() -> String {
     out
 }
 
-/// Scans a report for circuits whose layer-scheduled (instanced) runs
-/// fell back to the netlist walk; returns one line per violation
-/// (empty = gate passes).
-///
-/// Per-cycle re-leveling made the fallback unreachable, and the bench
-/// gate fails on any nonzero `fallback_cycles` — independently of
-/// baseline divergence — so the regression can never silently return.
-pub fn fallback_violations(report: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut circuit = "<unknown>";
-    for line in report.lines() {
-        if let Some(rest) = line.trim_start().strip_prefix("\"name\": \"") {
-            circuit = rest.trim_end_matches("\",");
-        }
-        let mut rest = line;
-        while let Some(pos) = rest.find("\"fallback_cycles\": ") {
-            rest = &rest[pos + "\"fallback_cycles\": ".len()..];
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            if digits.parse::<u64>().map(|n| n > 0).unwrap_or(true) {
-                out.push(format!(
-                    "{circuit}: fallback_cycles {} (layered schedule gave up instead \
-                     of re-leveling)",
-                    if digits.is_empty() {
-                        "<garbled>"
-                    } else {
-                        &digits
-                    }
-                ));
-            }
-        }
-    }
-    out
-}
-
 /// Line-by-line comparison of a fresh report against a baseline;
 /// returns the mismatching lines (empty = gate passes).
 pub fn diff(baseline: &str, current: &str) -> Vec<String> {
@@ -540,26 +505,5 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert!(d[0].contains("line 2"));
         assert!(d[1].contains("<missing>"));
-    }
-
-    #[test]
-    fn fallback_violations_flag_nonzero_counts_with_circuit_names() {
-        let clean = concat!(
-            "      \"name\": \"aes_128\",\n",
-            "        \"occupancy\": { \"batches\": 5, \"fallback_cycles\": 0, ",
-            "\"releveled_cycles\": 10 }\n",
-        );
-        assert!(fallback_violations(clean).is_empty());
-
-        let dirty = concat!(
-            "      \"name\": \"sum_32\",\n",
-            "        \"occupancy\": { \"fallback_cycles\": 0 }\n",
-            "      \"name\": \"aes_128\",\n",
-            "        \"skipgate_netlist\": { \"fallback_cycles\": 0 },\n",
-            "        \"occupancy\": { \"fallback_cycles\": 10 }\n",
-        );
-        let v = fallback_violations(dirty);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].starts_with("aes_128: fallback_cycles 10"));
     }
 }

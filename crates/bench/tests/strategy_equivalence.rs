@@ -1,11 +1,10 @@
 //! Cross-strategy differential harness: every way a session can run
 //! must be *indistinguishable* in what it computes and costs.
 //!
-//! The lane count picks the schedule: a single-lane session walks each
-//! cycle in netlist order (wavefront batching), an instanced session
-//! executes a precomputed topological layer schedule across its lanes
-//! and re-levels cycles whose alias edges cross static levels. Either
-//! runs over any shard count. Outputs and every per-lane cost counter
+//! Every lane count runs one walk: each cycle in netlist order over the
+//! gates that move a label, an instanced session visiting each gate's
+//! lanes in turn through one wavefront batcher. It runs over any shard
+//! count and any lane count. Outputs and every per-lane cost counter
 //! must match the unsharded single-lane run — on every pinned Table 1
 //! circuit and on proptest-random circuits — and an instanced lane's
 //! share of the transcript, garbled tables included, must be
@@ -213,15 +212,14 @@ fn canonical_lane(bc: &BenchCircuit) -> (PartyData, PartyData, PartyData) {
     (bc.alice.clone(), bc.bob.clone(), bc.public.clone())
 }
 
-/// The headline wire guarantee: the layered walk garbles byte-identical
-/// tables to the netlist walk. Two identical lanes share every
-/// decision, so lane 0 of a two-lane (layered) session must send
-/// exactly the one-lane (netlist) session's tables, in wire order, with
-/// identical PRG seeds. At 2 shards each cycle's tables are split
-/// across the sub-channels by position, so lane 0's share of a channel
-/// differs between lane counts; there each session must send the same
-/// tables as its unsharded run, the main channel none of them. aes_128
-/// re-levels every cycle, so patched schedules are covered too.
+/// The headline wire guarantee: an instanced session garbles
+/// byte-identical tables to a single-lane one. Two identical lanes
+/// share every decision, so lane 0 of a two-lane session must send
+/// exactly the one-lane session's tables, in wire order, with identical
+/// PRG seeds. At 2 shards each cycle's tables are split across the
+/// sub-channels by position, so lane 0's share of a channel differs
+/// between lane counts; there each session must send the same tables as
+/// its unsharded run, the main channel none of them.
 #[test]
 fn layered_transcript_is_byte_identical() {
     const N: usize = 2;
@@ -237,18 +235,13 @@ fn layered_transcript_is_byte_identical() {
         let lanes = vec![canonical_lane(bc); N];
         let (netlist, tx_n) =
             garbled_tables(&bc.circuit, &single, bc.cycles, &SessionOptions::new());
-        let (layered, tx_l) = garbled_tables(
+        let (instanced, tx_l) = garbled_tables(
             &bc.circuit,
             &lanes,
             bc.cycles,
             &SessionOptions::new().instances(N),
         );
-        assert_eq!(
-            netlist.batching.levels, 0,
-            "{name}: one lane walks the netlist"
-        );
-        assert!(layered.batching.levels > 0, "{name}: two lanes run layered");
-        for lane in &layered.lanes {
+        for lane in &instanced.lanes {
             assert_eq!(lane.outputs, netlist.lanes[0].outputs, "{name}: outputs");
             assert_eq!(lane.stats, netlist.lanes[0].stats, "{name}: cost counters");
         }
@@ -352,15 +345,15 @@ fn single_lane_instanced_transcript_is_byte_identical() {
 }
 
 /// Builds a circuit engineered to make the SkipGate decision pass emit
-/// `Alias` edges that *cross* static schedule levels — the case that
-/// used to force whole-cycle fallback to the netlist walk.
+/// `Alias` edges into wires at a deeper topological level than the
+/// aliasing gate's own.
 ///
 /// Per gadget: a garbled AND chain produces a deep wire `t`; the XOR
 /// ladder `z = (t ⊕ a ⊕ b) ⊕ t` cancels `t` out of the lineage, so `z`
 /// (living at a deep level) becomes the representative for `a ⊕ b`.
 /// A later plain `m = a ⊕ b` (static level 0) then aliases to `z` —
-/// an edge from level 0 into a deep wire — and the AND consuming `m`
-/// is dragged along transitively. Two patched gates per gadget.
+/// an edge from level 0 into a deep wire — feeding the AND that
+/// consumes `m`.
 fn alias_cross_circuit(gadgets: usize, depth: usize, mode: OutputMode) -> Circuit {
     let mut b = CircuitBuilder::new("alias_cross");
     b.set_output_mode(mode);
@@ -378,8 +371,8 @@ fn alias_cross_circuit(gadgets: usize, depth: usize, mode: OutputMode) -> Circui
         let y = b.xor(x, bb);
         let z = b.xor(y, t); // lineage a ⊕ b at a deep level
         let keep_z = b.and(z, p);
-        let m = b.xor(a, bb); // Alias { src: z } — crosses levels
-        let w = b.and(m, q); // transitively re-leveled consumer
+        let m = b.xor(a, bb); // Alias { src: z } — into a deeper wire
+        let w = b.and(m, q); // reads the aliased label
         outs.push(keep_z);
         outs.push(w);
     }
@@ -387,11 +380,10 @@ fn alias_cross_circuit(gadgets: usize, depth: usize, mode: OutputMode) -> Circui
     b.build()
 }
 
-/// Alias-heavy circuits whose alias edges cross static levels: a
-/// two-lane session must re-level (never fall back) on every lane,
-/// agree with the simulator and the single-lane netlist walk on outputs
-/// and every cost counter at every shard count, and send lane 0's
-/// tables byte-identical to the single-lane session's.
+/// Alias-heavy circuits whose alias edges reach into deeper wires: a
+/// two-lane session must agree with the simulator and the single-lane
+/// session on outputs and every cost counter at every shard count, and
+/// send lane 0's tables byte-identical to the single-lane session's.
 #[test]
 fn releveled_cycles_are_wire_identical_on_alias_crossing_circuits() {
     const N: usize = 2;
@@ -406,26 +398,11 @@ fn releveled_cycles_are_wire_identical_on_alias_crossing_circuits() {
         let (ref_a, ref_b) = two_party(&c, &single, cycles, &SessionOptions::new());
         let (ref_a, ref_b) = (&ref_a.lanes[0], &ref_b.lanes[0]);
         assert_eq!(ref_a.outputs, sim.outputs, "netlist outputs vs simulator");
-        assert_eq!(
-            ref_a.batching.releveled_cycles, 0,
-            "netlist never re-levels"
-        );
         let lanes = vec![inputs.clone(); N];
         for shards in SHARDS {
             let opts = SessionOptions::new().shards(shards).instances(N);
             let (ga, gb) = two_party(&c, &lanes, cycles, &opts);
-            assert_eq!(ga.batching, gb.batching, "parties agree on re-leveling");
-            assert_eq!(ga.batching.fallback_cycles, 0, "re-leveling, not fallback");
-            assert_eq!(
-                ga.batching.releveled_cycles,
-                (N * cycles) as u64,
-                "every cycle of every lane carries a crossing alias"
-            );
-            assert_eq!(
-                ga.batching.patched_gates,
-                (N * 2 * gadgets * cycles) as u64,
-                "alias + its consumer move, per gadget per cycle per lane"
-            );
+            assert_eq!(ga.batching, gb.batching, "parties agree on batching");
             for (la, lb) in ga.lanes.iter().zip(&gb.lanes) {
                 assert_eq!(la.outputs, sim.outputs, "lane outputs at {shards} shards");
                 assert_eq!(lb.outputs, sim.outputs);
@@ -433,7 +410,7 @@ fn releveled_cycles_are_wire_identical_on_alias_crossing_circuits() {
                 assert_eq!(lb.stats, ref_b.stats);
             }
         }
-        // The wire guarantee, covering re-leveled cycles.
+        // The wire guarantee, covering deep alias edges.
         let (_, tx_single) = garbled_tables(&c, &single, cycles, &SessionOptions::new());
         let (_, tx_inst) = garbled_tables(&c, &lanes, cycles, &SessionOptions::new().instances(N));
         assert_eq!(tx_inst.len(), N * tx_single.len());
@@ -445,52 +422,39 @@ fn releveled_cycles_are_wire_identical_on_alias_crossing_circuits() {
     }
 }
 
-/// The fix this harness exists to pin: aes_128 used to fall back on
-/// all 10 cycles (610 netlist-shaped batches); re-leveling must keep
-/// the instanced walk layered with strictly better per-lane occupancy
-/// than the netlist wavefronts and zero fallbacks.
+/// N identical lanes form exactly the single lane's wavefronts, each N×
+/// wider: every lane of a ready gate joins the same batch. mult_32 and
+/// matmul_3x3_32 interleave long dependency chains in netlist order,
+/// and aes_128's alias edges reach into deeper wires.
 #[test]
-fn aes128_relevels_instead_of_falling_back() {
-    const N: usize = 2;
+fn identical_lanes_widen_every_wavefront() {
+    const N: u64 = 2;
     let circuits = table1_circuits(true);
-    let bc = circuits
-        .iter()
-        .find(|bc| bc.circuit.name() == "aes_128")
-        .expect("aes_128 in the Table 1 quick set");
-    let netlist = run_session(bc, &SessionOptions::new()).batching;
-    let layered = run_session(bc, &SessionOptions::new().instances(N)).batching;
-    assert_eq!(layered.fallback_cycles, 0, "no cycle falls back any more");
-    assert_eq!(
-        layered.releveled_cycles,
-        (N * bc.cycles) as u64,
-        "every aes cycle of every lane carries a crossing alias and re-levels"
-    );
-    assert!(layered.patched_gates > 0);
-    assert_eq!(netlist.releveled_cycles, 0);
-    assert_eq!(netlist.fallback_cycles, 0);
-    assert_eq!(layered.batched_gates, N as u64 * netlist.batched_gates);
-    assert!(
-        layered.batches < 610,
-        "pre-fix fallback shape was 610 batches, got {}",
-        layered.batches
-    );
-    assert!(
-        layered.batches < netlist.batches,
-        "layered {} vs netlist {} batches",
-        layered.batches,
-        netlist.batches
-    );
-    assert!(
-        layered.mean_batch_per_instance() > netlist.mean_batch(),
-        "layered per-lane occupancy {:.2} not above wavefront {:.2}",
-        layered.mean_batch_per_instance(),
-        netlist.mean_batch()
-    );
+    for wanted in ["mult_32", "matmul_3x3_32", "aes_128"] {
+        let bc = circuits
+            .iter()
+            .find(|bc| bc.circuit.name() == wanted)
+            .unwrap_or_else(|| panic!("{wanted} missing from the Table 1 quick set"));
+        let single = run_session(bc, &SessionOptions::new()).batching;
+        let lanes = run_session(bc, &SessionOptions::new().instances(N as usize)).batching;
+        assert_eq!(lanes.batches, single.batches, "{wanted}: batch count");
+        assert_eq!(
+            lanes.batched_gates,
+            N * single.batched_gates,
+            "{wanted}: batched gates"
+        );
+        assert_eq!(
+            lanes.largest_batch as u64,
+            N * single.largest_batch as u64,
+            "{wanted}: largest batch"
+        );
+        assert_eq!(lanes.mean_batch_per_instance(), single.mean_batch());
+    }
 }
 
 /// An all-public circuit: SkipGate resolves every gate locally, so the
 /// run forms zero batches — occupancy reporting must stay clean (0.0,
-/// never NaN/garbage) end to end, under both schedules.
+/// never NaN/garbage) end to end, at one and two lanes.
 #[test]
 fn all_public_run_reports_zero_batches_cleanly() {
     let mut b = CircuitBuilder::new("all_public");
@@ -522,47 +486,6 @@ fn all_public_run_reports_zero_batches_cleanly() {
         assert_eq!(ga.batching.mean_batch_per_instance(), 0.0);
         assert_eq!(gb.batching.batches, 0);
         assert_eq!(gb.batching.mean_batch(), 0.0);
-    }
-}
-
-/// Layered batching is never worse than a cycle-per-batch floor, and on
-/// the chain-heavy Table 1 circuits each lane of the level schedule
-/// forms *wider* batches than the netlist-order wavefront — the whole
-/// point of the schedule.
-#[test]
-fn layered_beats_wavefront_on_chain_heavy_circuits() {
-    const N: u64 = 2;
-    // mult_32 (shift-add chains) and matmul_3x3_32 interleave long
-    // dependency chains in netlist order; the wavefront keeps breaking
-    // at chain boundaries while the level schedule regroups them.
-    let circuits = table1_circuits(true);
-    for wanted in ["mult_32", "matmul_3x3_32"] {
-        let bc = circuits
-            .iter()
-            .find(|bc| bc.circuit.name() == wanted)
-            .unwrap_or_else(|| panic!("{wanted} missing from the Table 1 quick set"));
-        let name = bc.circuit.name().to_string();
-        let netlist = run_session(bc, &SessionOptions::new()).batching;
-        let layered = run_session(bc, &SessionOptions::new().instances(N as usize)).batching;
-        assert_eq!(
-            N * netlist.batched_gates,
-            layered.batched_gates,
-            "{name}: same gates hashed per lane"
-        );
-        assert!(layered.levels > 0, "{name}: layered run reports levels");
-        assert_eq!(netlist.levels, 0, "{name}: the netlist walk has no levels");
-        assert!(
-            layered.largest_batch as u64 >= N * netlist.largest_batch as u64,
-            "{name}: layered largest batch {} < {N} x wavefront {}",
-            layered.largest_batch,
-            netlist.largest_batch
-        );
-        assert!(
-            layered.mean_batch_per_instance() > netlist.mean_batch(),
-            "{name}: layered per-lane mean batch {:.2} not above wavefront {:.2}",
-            layered.mean_batch_per_instance(),
-            netlist.mean_batch()
-        );
     }
 }
 
@@ -671,17 +594,11 @@ proptest! {
             let lanes = vec![inputs.clone(); instances];
             let opts = SessionOptions::new().shards(shards).instances(instances);
             let (ga, gb) = two_party(&c, &lanes, cycles, &opts);
-            // Re-leveling replaced the fallback entirely, and both
-            // parties must derive the identical patch schedule.
-            prop_assert_eq!(ga.batching.fallback_cycles, 0);
             prop_assert_eq!(ga.batching, gb.batching);
             prop_assert_eq!(
                 ga.batching.batched_gates,
                 instances as u64 * ref_a.batching.batched_gates
             );
-            if instances == 1 {
-                prop_assert_eq!(ga.batching.releveled_cycles, 0);
-            }
             for (la, lb) in ga.lanes.iter().zip(&gb.lanes) {
                 prop_assert_eq!(&la.outputs, &sim.outputs);
                 prop_assert_eq!(&lb.outputs, &sim.outputs);
@@ -691,8 +608,8 @@ proptest! {
     }
 
     /// Random circuits with *different* inputs per lane — public inputs
-    /// included, so the per-lane decision vectors diverge and the
-    /// per-lane re-leveling path is exercised. Every lane must equal
+    /// included, so the per-lane decision vectors diverge and the walk
+    /// merges the lanes' moving-gate lists. Every lane must equal
     /// its own single-lane session (simulator outputs + full cost
     /// counters).
     #[test]
@@ -706,7 +623,6 @@ proptest! {
         let (ia, ib) = two_party(&c, &lanes, cycles, &opts);
         prop_assert_eq!(ia.batching, ib.batching);
         prop_assert_eq!(ia.batching.instances, N as u64);
-        prop_assert_eq!(ia.batching.fallback_cycles, 0);
         for (lane, inputs) in lanes.iter().enumerate() {
             let sim = Simulator::new(&c).run(&inputs.0, &inputs.1, &inputs.2, cycles);
             let (sa, _) = two_party(&c, std::slice::from_ref(inputs), cycles, &SessionOptions::new());
@@ -719,10 +635,10 @@ proptest! {
 }
 
 /// Slow tier: a pathological all-chain circuit — every AND feeds the
-/// next — must degrade to one gate per lane per batch under the layer
-/// schedule (and lane 0 must still send the single-lane session's
-/// tables), while a maximally wide circuit must reach a batch of level
-/// size. `cargo test -- --ignored`.
+/// next — must degrade to one gate per lane per batch (and lane 0 must
+/// still send the single-lane session's tables), while a maximally wide
+/// circuit must hash every lane of every gate in one batch.
+/// `cargo test -- --ignored`.
 #[test]
 #[ignore = "slow tier: deep pathological schedules"]
 fn deep_chain_and_wide_parallel_extremes() {
@@ -749,7 +665,7 @@ fn deep_chain_and_wide_parallel_extremes() {
     let opts = SessionOptions::new().instances(LANES);
     let (chain_out, tx_inst) = garbled_tables(&chain, &lanes, 1, &opts);
     assert_eq!(chain_out.lanes[0].outputs, vec![vec![true]]);
-    assert_eq!(chain_out.batching.levels, N as u64, "one level per link");
+    assert_eq!(chain_out.batching.batches, N as u64, "one batch per link");
     assert_eq!(
         chain_out.batching.largest_batch, LANES,
         "chains cannot batch"
@@ -761,7 +677,7 @@ fn deep_chain_and_wide_parallel_extremes() {
         "deep chain: lane 0 tables match"
     );
 
-    // All-parallel: N independent ANDs — one level, one full-width batch.
+    // All-parallel: N independent ANDs — one full-width batch.
     let mut b = CircuitBuilder::new("wide_parallel");
     let xs = b.inputs(Role::Alice, N);
     let ys = b.inputs(Role::Bob, N);
@@ -774,11 +690,10 @@ fn deep_chain_and_wide_parallel_extremes() {
     let sim = Simulator::new(&wide).run(&inputs.0, &inputs.1, &inputs.2, 1);
     let (wide_out, _) = two_party(&wide, &vec![inputs; LANES], 1, &opts);
     assert_eq!(wide_out.lanes[0].outputs, sim.outputs);
-    assert_eq!(wide_out.batching.levels, 1, "all gates share one level");
     assert_eq!(
         wide_out.batching.largest_batch,
         N * LANES,
-        "wide circuit batches the whole level across lanes"
+        "wide circuit batches every gate across lanes"
     );
     assert_eq!(wide_out.batching.batches, 1);
 }

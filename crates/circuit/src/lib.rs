@@ -16,9 +16,9 @@
 //!   SHA3/Keccak-f\[1600\], AES-128),
 //! * [`analysis`] — gate-count statistics (the paper's cost metric is the
 //!   number of non-XOR gates),
-//! * [`schedule`] — precomputed ASAP topological layer schedules
-//!   ([`LayerSchedule`]) that the garbling engines reuse every clock
-//!   cycle to feed whole independent levels into the batched AES core.
+//! * [`schedule`] — ASAP topological layer schedules
+//!   ([`LayerSchedule`]): a circuit's depth and its widest nonlinear
+//!   level.
 //!
 //! # Example
 //!
@@ -51,6 +51,6 @@ pub mod words;
 
 pub use builder::{Bus, CircuitBuilder, Ram, RamConfig};
 pub use ir::{Circuit, Dff, DffInit, Gate, Op, OutputMode, Role, WireId};
-pub use schedule::{CycleDep, CyclePatch, LayerSchedule};
+pub use schedule::LayerSchedule;
 pub use sim::Simulator;
 pub use words::{bits_to_u32, bits_to_u64, u32_to_bits, u64_to_bits};

@@ -1,17 +1,12 @@
 //! Property tests for [`LayerSchedule`]: on random sequential circuits
 //! the schedule must be a *permutation* of the netlist that respects
-//! every dependency, and the emission-order bookkeeping must recover
-//! netlist order exactly — the invariant the engines rely on to keep
-//! layer-scheduled transcripts byte-identical. The per-cycle
-//! re-leveling patch gets the same treatment: on random effective
-//! dependency assignments (including level-crossing copies, the case
-//! that used to force whole-cycle fallback) the patched walk must stay
-//! a minimal, dependency-respecting permutation.
+//! every dependency, its nonlinear groups must hold exactly the
+//! netlist's nonlinear gates, and its width metrics must be exact.
 
 use proptest::prelude::*;
 
 use arm2gc_circuit::random::{random_circuit, RandomCircuitParams, TestRng};
-use arm2gc_circuit::{CycleDep, CyclePatch, LayerSchedule, OutputMode};
+use arm2gc_circuit::{LayerSchedule, OutputMode};
 
 fn cases_or(default_cases: u32) -> ProptestConfig {
     if std::env::var_os("PROPTEST_CASES").is_some() {
@@ -76,11 +71,9 @@ proptest! {
         prop_assert!(seen.iter().all(|&x| x));
     }
 
-    /// Emission slots are a bijection onto `0..non_xor` that is
-    /// *increasing in netlist index*: walking the schedule and sorting
-    /// garbled gates by slot recovers the exact netlist order of
-    /// nonlinear gates — so a slot-ordered table emission reproduces
-    /// the sequential stream byte for byte.
+    /// The levels' nonlinear groups, walked in level order and sorted by
+    /// netlist index, recover exactly the netlist's nonlinear gates, each
+    /// group already ascending: `non_xor_count` counts them.
     #[test]
     fn emission_order_recovers_netlist_order(
         seed in 1u64..100_000,
@@ -97,21 +90,16 @@ proptest! {
         let c = random_circuit(&mut rng, params);
         let s = LayerSchedule::of(&c);
 
-        // Collect (slot, gate index) pairs by walking the schedule in
-        // level order — the order a layered cycle garbles in.
-        let mut emitted: Vec<(u32, u32)> = Vec::new();
+        let mut walked: Vec<u32> = Vec::new();
         for level in 0..s.levels() {
             let (_, nonlinear) = s.level_split(level);
-            for &gi in nonlinear {
-                let slot = s.nonlinear_ordinal(gi as usize)
-                    .expect("nonlinear gates carry a slot");
-                emitted.push((slot, gi));
-            }
+            prop_assert!(nonlinear.windows(2).all(|w| w[0] < w[1]));
+            walked.extend_from_slice(nonlinear);
         }
-        prop_assert_eq!(emitted.len() as u32, s.non_xor_count());
+        prop_assert_eq!(walked.len() as u32, s.non_xor_count());
         prop_assert_eq!(u64::from(s.non_xor_count()), c.non_xor_count());
 
-        emitted.sort_unstable();
+        walked.sort_unstable();
         let netlist: Vec<u32> = c
             .gates()
             .iter()
@@ -119,203 +107,7 @@ proptest! {
             .filter(|(_, g)| !g.op.is_linear())
             .map(|(gi, _)| gi as u32)
             .collect();
-        let slots: Vec<u32> = emitted.iter().map(|&(s, _)| s).collect();
-        let order: Vec<u32> = emitted.iter().map(|&(_, g)| g).collect();
-        prop_assert_eq!(slots, (0..s.non_xor_count()).collect::<Vec<_>>());
-        prop_assert_eq!(order, netlist, "slot order == netlist order");
-
-        // Linear gates never get a slot.
-        for (gi, g) in c.gates().iter().enumerate() {
-            prop_assert_eq!(s.nonlinear_ordinal(gi).is_none(), g.op.is_linear());
-        }
-    }
-
-    /// Per-cycle re-leveling on random circuits with random effective
-    /// dependencies — including alias-style copies into *deeper-level*
-    /// wires, the crossing case that used to force a whole-cycle
-    /// fallback. The patch must be minimal (a gate moves iff its
-    /// effective dependencies settle after its static level, and then
-    /// exactly as far as needed), and walking static-minus-moved plus
-    /// `moved_at` per level must visit every gate exactly once with all
-    /// effective dependencies settled by earlier levels.
-    #[test]
-    fn relevel_patch_is_minimal_and_dependency_respecting(
-        seed in 1u64..100_000,
-        gates in 1usize..120,
-        dffs in 0usize..6,
-    ) {
-        let mut rng = TestRng::new(seed);
-        let params = RandomCircuitParams {
-            inputs: (3, 3, 2),
-            dffs,
-            gates,
-            outputs: 4,
-            output_mode: OutputMode::FinalOnly,
-        };
-        let c = random_circuit(&mut rng, params);
-        let s = LayerSchedule::of(&c);
-
-        // Random per-cycle deps mirroring the decision-pass invariants:
-        // a copy source is always an earlier-netlist *live* wire (a
-        // level-0 source or the output of a non-absent earlier gate) —
-        // possibly one produced at a deeper level than the copying
-        // gate — and absent gates produce nothing anyone reads.
-        let mut live: Vec<u32> = (0..c.wire_count())
-            .filter(|&w| s.wire_level(w) == 0)
-            .map(|w| w as u32)
-            .collect();
-        let mut wire_live = vec![false; c.wire_count()];
-        for &w in &live {
-            wire_live[w as usize] = true;
-        }
-        let mut deps = Vec::with_capacity(c.gates().len());
-        for g in c.gates() {
-            let inputs_ok = wire_live[g.a.index()] && wire_live[g.b.index()];
-            let d = match rng.below(8) {
-                0 => CycleDep::Absent,
-                1 | 2 => CycleDep::Copy(live[rng.below(live.len())]),
-                _ if inputs_ok => CycleDep::Inputs,
-                _ => CycleDep::Copy(live[rng.below(live.len())]),
-            };
-            if !matches!(d, CycleDep::Absent) {
-                wire_live[g.out.index()] = true;
-                live.push(g.out.index() as u32);
-            }
-            deps.push(d);
-        }
-
-        let mut patch = CyclePatch::new();
-        let moved = s.relevel_cycle(&c, |gi| deps[gi], &mut patch);
-
-        // Relevel triggers exactly on a direct level-crossing copy: if
-        // every copy source settles by its gate's static level, static
-        // levels already satisfy everything and nothing moves.
-        let crossing = deps.iter().enumerate().any(|(gi, d)| match *d {
-            CycleDep::Copy(w) => !s.copy_is_level_safe(gi, w as usize),
-            _ => false,
-        });
-        prop_assert_eq!(moved, crossing);
-        prop_assert_eq!(moved, !patch.is_identity());
-        if !moved {
-            prop_assert_eq!(patch.levels(), 0);
-            prop_assert_eq!(patch.moved_gates(), 0);
-        }
-
-        // Minimality and validity of every gate's effective level.
-        let mut moved_count = 0u64;
-        for (gi, g) in c.gates().iter().enumerate() {
-            if patch.is_moved(gi) {
-                moved_count += 1;
-            }
-            let lvl = patch.effective_gate_level(&s, gi);
-            let need = match deps[gi] {
-                CycleDep::Absent => {
-                    // Absent gates never move.
-                    prop_assert!(!patch.is_moved(gi));
-                    continue;
-                }
-                CycleDep::Copy(w) => patch.effective_wire_level(&s, w as usize),
-                CycleDep::Inputs => patch
-                    .effective_wire_level(&s, g.a.index())
-                    .max(patch.effective_wire_level(&s, g.b.index())),
-            };
-            // Earliest level satisfying the deps, never earlier than
-            // the static level (unmoved gates keep it exactly).
-            prop_assert_eq!(lvl, need.max(s.gate_level(gi)));
-            prop_assert_eq!(patch.is_moved(gi), need > s.gate_level(gi));
-            // The output settles one level later for downstream gates.
-            prop_assert_eq!(
-                patch.effective_wire_level(&s, g.out.index()),
-                lvl + 1
-            );
-        }
-        prop_assert_eq!(patch.moved_gates(), moved_count);
-
-        // The engines' patched walk — static levels minus moved gates,
-        // plus each level's moved bucket — is a permutation of the
-        // netlist in which every effective dependency settles strictly
-        // before its consumer's level executes.
-        let mut settled: Vec<bool> = (0..c.wire_count())
-            .map(|w| s.wire_level(w) == 0)
-            .collect();
-        let mut executed = vec![false; c.gates().len()];
-        let total_levels = s.levels().max(patch.levels());
-        for level in 0..total_levels {
-            let mut at_level: Vec<usize> = Vec::new();
-            if level < s.levels() {
-                at_level.extend(
-                    s.level_gates(level)
-                        .iter()
-                        .map(|&gi| gi as usize)
-                        .filter(|&gi| !patch.is_moved(gi)),
-                );
-            }
-            at_level.extend(patch.moved_at(level).iter().map(|&gi| gi as usize));
-            for &gi in &at_level {
-                prop_assert!(!executed[gi], "gate {} executed twice", gi);
-                executed[gi] = true;
-                let g = c.gates()[gi];
-                match deps[gi] {
-                    CycleDep::Absent => {}
-                    CycleDep::Copy(w) => prop_assert!(settled[w as usize]),
-                    CycleDep::Inputs => {
-                        prop_assert!(settled[g.a.index()]);
-                        prop_assert!(settled[g.b.index()]);
-                    }
-                }
-            }
-            // Outputs settle at the end of the level (mirrors the
-            // engines' end_level batch write).
-            for &gi in &at_level {
-                if !matches!(deps[gi], CycleDep::Absent) {
-                    settled[c.gates()[gi].out.index()] = true;
-                }
-            }
-        }
-        prop_assert!(executed.iter().all(|&x| x), "every gate runs once");
-    }
-
-    /// Static-fitting dependencies (plain inputs everywhere) always
-    /// yield the identity patch, and a buffer dirtied by a crossing
-    /// cycle fully recovers on the next identity cycle.
-    #[test]
-    fn relevel_identity_on_static_fitting_deps(
-        seed in 1u64..100_000,
-        gates in 1usize..120,
-    ) {
-        let mut rng = TestRng::new(seed);
-        let params = RandomCircuitParams {
-            gates,
-            ..RandomCircuitParams::default()
-        };
-        let c = random_circuit(&mut rng, params);
-        let s = LayerSchedule::of(&c);
-
-        let mut patch = CyclePatch::new();
-        prop_assert!(!s.relevel_cycle(&c, |_| CycleDep::Inputs, &mut patch));
-        prop_assert!(patch.is_identity());
-        prop_assert_eq!(patch.levels(), 0);
-
-        // Level-safe copies (source settles by the gate's static
-        // level) also fit the static schedule — the engines only call
-        // relevel when `copy_is_level_safe` fails somewhere.
-        let safe_deps = |gi: usize| {
-            let g = c.gates()[gi];
-            if s.copy_is_level_safe(gi, g.a.index()) && gi % 2 == 0 {
-                CycleDep::Copy(g.a.index() as u32)
-            } else {
-                CycleDep::Inputs
-            }
-        };
-        prop_assert!(!s.relevel_cycle(&c, safe_deps, &mut patch));
-        prop_assert!(patch.is_identity());
-        for gi in 0..c.gates().len() {
-            prop_assert!(!patch.is_moved(gi));
-            prop_assert_eq!(
-                patch.effective_gate_level(&s, gi),
-                s.gate_level(gi)
-            );
-        }
+        prop_assert_eq!(walked, netlist, "sorted walk == netlist order");
     }
 
     /// Width metrics match a direct recount.

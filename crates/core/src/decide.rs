@@ -56,6 +56,20 @@ pub enum GateDecision {
     SkippedFree,
 }
 
+impl GateDecision {
+    /// Whether a party computes a label for the gate's output: Pass,
+    /// Alias, FreeXor and Garble do; public and skipped gates do not.
+    fn moves_label(&self) -> bool {
+        matches!(
+            self,
+            GateDecision::Pass { .. }
+                | GateDecision::Alias { .. }
+                | GateDecision::FreeXor { .. }
+                | GateDecision::Garble
+        )
+    }
+}
+
 /// Per-cycle classification counts (feeds the evaluation tables).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DecisionCounts {
@@ -80,6 +94,10 @@ pub struct DecisionCounts {
 pub struct CycleDecisions {
     /// One decision per gate, in circuit order.
     pub decisions: Vec<GateDecision>,
+    /// The gates whose decision moves a label (Pass, Alias, FreeXor and
+    /// Garble), as ascending netlist indices: the only gates a party
+    /// has to visit this cycle.
+    pub moving: Vec<u32>,
     /// Aggregated counts.
     pub counts: DecisionCounts,
 }
@@ -232,12 +250,26 @@ impl<'c> DecideContext<'c> {
         alloc: &mut TagAllocator,
         is_last: bool,
     ) -> CycleDecisions {
+        let mut decided = CycleDecisions::default();
+        self.decide_into(states, alloc, is_last, &mut decided);
+        decided
+    }
+
+    /// [`decide_cycle`](Self::decide_cycle) into `out`, reusing its
+    /// buffers, so a lane deciding every cycle allocates nothing per
+    /// cycle.
+    pub(crate) fn decide_into(
+        &self,
+        states: &mut [WireVal],
+        alloc: &mut TagAllocator,
+        is_last: bool,
+        out: &mut CycleDecisions,
+    ) {
         let mut scratch = self.scratch.borrow_mut();
-        let decided = self.decide_with(&mut scratch, states, alloc, is_last);
+        self.decide_with(&mut scratch, states, alloc, is_last, out);
         if is_last {
             *scratch = DecideScratch::default();
         }
-        decided
     }
 
     fn decide_with(
@@ -246,11 +278,18 @@ impl<'c> DecideContext<'c> {
         states: &mut [WireVal],
         alloc: &mut TagAllocator,
         is_last: bool,
-    ) -> CycleDecisions {
+        out: &mut CycleDecisions,
+    ) {
         let circuit = self.circuit;
         let DecideScratch { fan, rep } = scratch;
         self.init_fan(fan, is_last);
-        let mut decisions = Vec::with_capacity(circuit.gates().len());
+        let CycleDecisions {
+            decisions,
+            moving,
+            counts,
+        } = out;
+        decisions.clear();
+        decisions.reserve(circuit.gates().len());
 
         let release = |fan: &mut [u32], states: &[WireVal], w: WireId| {
             if states[w.index()].is_secret() {
@@ -464,8 +503,9 @@ impl<'c> DecideContext<'c> {
             }
         }
 
-        let mut counts = DecisionCounts::default();
-        for d in &decisions {
+        *counts = DecisionCounts::default();
+        moving.clear();
+        for (gi, d) in decisions.iter().enumerate() {
             match d {
                 GateDecision::PublicOut(_) => counts.public_out += 1,
                 GateDecision::Pass { .. } => counts.pass += 1,
@@ -475,8 +515,10 @@ impl<'c> DecideContext<'c> {
                 GateDecision::Skipped => counts.skipped_nonlinear += 1,
                 GateDecision::SkippedFree => counts.skipped_free += 1,
             }
+            if d.moves_label() {
+                moving.push(gi as u32);
+            }
         }
-        CycleDecisions { decisions, counts }
     }
 }
 
@@ -705,7 +747,8 @@ mod tests {
 
     /// One context reused across cycles and two interleaved lanes —
     /// including cycles after an `is_last` call dropped its scratch —
-    /// decides exactly what a fresh context per call decides.
+    /// decides into reused buffers exactly what a fresh context per
+    /// call decides, and lists exactly the gates that move a label.
     #[test]
     fn scratch_reuse_is_invisible() {
         let c = register_circuit();
@@ -715,11 +758,12 @@ mod tests {
             Lane::new(&c, 0x0123_4567_89ab_cdef),
         ];
         let mut garbled = 0;
+        let mut reused = [CycleDecisions::default(), CycleDecisions::default()];
         for cycle in 0..40 {
             // Cycle 17 releases the scratch as a last cycle would; the
             // run goes on past it.
             let is_last = cycle == 17 || cycle == 39;
-            for lane in &mut lanes {
+            for (lane, got) in lanes.iter_mut().zip(&mut reused) {
                 lane.set_inputs(&c, cycle);
                 let mut fresh = lane.clone();
                 let want = DecideContext::new(&c).decide_cycle(
@@ -727,8 +771,13 @@ mod tests {
                     &mut fresh.alloc,
                     is_last,
                 );
-                let got = ctx.decide_cycle(&mut lane.states, &mut lane.alloc, is_last);
+                ctx.decide_into(&mut lane.states, &mut lane.alloc, is_last, got);
                 assert_eq!(got.decisions, want.decisions, "cycle {cycle}");
+                assert_eq!(got.moving, want.moving, "cycle {cycle}");
+                let listed: Vec<u32> = (0..c.gates().len() as u32)
+                    .filter(|&gi| got.decisions[gi as usize].moves_label())
+                    .collect();
+                assert_eq!(got.moving, listed, "cycle {cycle}");
                 assert_eq!(got.counts, want.counts, "cycle {cycle}");
                 assert_eq!(lane.states, fresh.states, "cycle {cycle}");
                 assert_eq!(lane.alloc.allocated(), fresh.alloc.allocated());

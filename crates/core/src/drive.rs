@@ -4,10 +4,10 @@
 //! engine, shard count, lane count, OT backend, streaming. Both drivers
 //! validate the configuration *first*: a zero shard or lane count is a
 //! typed [`ConfigError`](crate::ConfigError) carried as
-//! [`ProtocolError::Config`], raised before any protocol state exists. Then they run the one session loop
-//! ([`crate::engine`]) as their party, on the walk the lane count
-//! selects: one lane walks each cycle in netlist order, several lanes
-//! run the layered struct-of-arrays loop.
+//! [`ProtocolError::Config`], raised before any protocol state exists.
+//! Then they run the one session loop ([`crate::engine`]) as their
+//! party: every lane count walks each cycle in netlist order, lanes
+//! interleaved per gate.
 //!
 //! Inputs are always lane-shaped (`&[PartyData]`, one entry per
 //! configured instance) and the result is always an
@@ -33,8 +33,8 @@ use crate::party::{Evaluator, Garbler};
 /// garbles every nonlinear gate (single lane only;
 /// [`ConfigError::BaselineInstanced`](crate::ConfigError::BaselineInstanced) otherwise),
 /// [`EngineKind::SkipGate`](crate::EngineKind::SkipGate) only what the
-/// shared decision pass keeps. One lane walks the netlist, streaming
-/// tables as they are hashed; several lanes run the layered walk.
+/// shared decision pass keeps. Every lane count walks the netlist,
+/// streaming tables as they are hashed.
 ///
 /// # Errors
 /// [`ProtocolError::Config`] when `opts` fails validation or the lane
@@ -59,7 +59,6 @@ pub fn drive_garbler(
         publics,
         cycles,
         opts,
-        false,
     )
 }
 
@@ -84,15 +83,7 @@ pub fn drive_evaluator(
     ot: &mut dyn OtReceiver,
     opts: &SessionOptions,
 ) -> Result<InstancedOutcome, ProtocolError> {
-    run_session::<Evaluator>(
-        (ch, shard_chs, ot),
-        circuit,
-        bobs,
-        publics,
-        cycles,
-        opts,
-        false,
-    )
+    run_session::<Evaluator>((ch, shard_chs, ot), circuit, bobs, publics, cycles, opts)
 }
 
 /// Convenience: drives both parties on two threads over in-memory

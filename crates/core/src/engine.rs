@@ -19,21 +19,19 @@
 //! * the **per-lane state**: wire knowledge, output frames, halting and
 //!   the flip-flop copy of states and labels.
 //!
-//! The lane count picks the walk. One lane walks each cycle in netlist
-//! order and batches wavefronts on the fly: tables stream out as they
-//! are hashed, so the evaluator overlaps with the garbler. Several
-//! lanes execute a [`LayerSchedule`]: each level hashes every lane's
-//! surviving gates in one batch, and a cycle whose alias edges cross
-//! static levels is re-leveled ([`LayerSchedule::relevel_cycle`]). Both
-//! walks emit tables in netlist order, so the transcript never depends
-//! on the walk. Each cycle's table count comes from the shared plan, so
-//! both parties know its partition over the [`ShardConfig`] sub-channels
-//! without coordination.
+//! Every lane count and both parties run one walk: the netlist in
+//! order, over only the gates that move a label this cycle. Each lane's
+//! decision pass lists its moving gates; the walk takes the sorted union
+//! of the live lanes' lists and visits every gate's live lanes in turn,
+//! through one wavefront batcher over the struct-of-arrays label store.
+//! Tables stream out as they are hashed, gate-major and lane-minor, so
+//! the evaluator overlaps with the garbler and a one-lane session is the
+//! plain netlist walk. Each cycle's table count comes from the shared
+//! plan, so both parties know its partition over the [`ShardConfig`]
+//! sub-channels without coordination.
 
 use arm2gc_circuit::sim::PartyData;
-use arm2gc_circuit::{
-    Circuit, CycleDep, CyclePatch, DffInit, LayerSchedule, Op, OutputMode, Role, WireId,
-};
+use arm2gc_circuit::{Circuit, DffInit, Op, OutputMode, Role, WireId};
 use arm2gc_comm::{duplex, Channel};
 use arm2gc_crypto::Label;
 use arm2gc_garble::{GarbledTable, WavefrontStats};
@@ -41,7 +39,7 @@ use arm2gc_proto::{ConfigError, ProtoError as ProtocolError, ShardConfig};
 
 use crate::decide::{CycleDecisions, DecideContext, DecisionCounts, GateDecision};
 use crate::options::{EngineKind, SessionOptions};
-use crate::party::{Party, Pins, Walk};
+use crate::party::{Party, Pins};
 use crate::state::WireVal;
 use crate::tag::TagAllocator;
 
@@ -75,9 +73,8 @@ pub struct SkipGateOutcome {
     /// Cost counters.
     pub stats: SkipGateStats,
     /// How well the surviving nonlinear gates batched through the wide
-    /// AES core (wavefronts for one lane, schedule levels for several).
-    /// Not a protocol cost — identical transcripts can batch
-    /// differently.
+    /// AES core (the session's wavefronts). Not a protocol cost —
+    /// identical transcripts can batch differently.
     pub batching: WavefrontStats,
 }
 
@@ -104,11 +101,9 @@ pub struct InstancedOutcome {
     /// the session-wide [`InstancedOutcome::batching`]: batch widths
     /// are a property of the whole instanced run, not of one lane.
     pub lanes: Vec<SkipGateOutcome>,
-    /// Session-wide batching occupancy. In an instanced session every
-    /// level's surviving nonlinear gates across *all* active lanes hash
-    /// in one batch, so `instances` is the lane count and batch widths
-    /// grow up to N× over a single run; a single-lane session reports
-    /// its wavefronts, with `levels` and `instances` both 0.
+    /// Session-wide batching occupancy. Every lane of a ready gate joins
+    /// the same wavefront, so batch widths grow up to N× over a single
+    /// run; `instances` is the lane count.
     pub batching: WavefrontStats,
 }
 
@@ -261,7 +256,8 @@ struct Lane {
     lanes: usize,
     states: Vec<WireVal>,
     alloc: TagAllocator,
-    /// The current cycle's decisions.
+    /// The current cycle's decisions, decided into the last cycle's
+    /// buffers.
     dec: CycleDecisions,
     /// Still running (a lane stops at a public halt).
     live: bool,
@@ -438,10 +434,7 @@ impl<'c> Policy<'c> {
                     Role::Alice | Role::Bob => WireVal::Secret(lane.alloc.fresh()),
                 };
             }
-            // Free the last cycle's decisions before the pass allocates
-            // this cycle's, so the two are never alive together.
-            drop(std::mem::take(&mut lane.dec));
-            lane.dec = ctx.decide_cycle(&mut lane.states, &mut lane.alloc, last);
+            ctx.decide_into(&mut lane.states, &mut lane.alloc, last, &mut lane.dec);
         }
         lane.count();
     }
@@ -472,232 +465,87 @@ fn baseline_decisions(circuit: &Circuit) -> CycleDecisions {
         garbled: circuit.non_xor_count(),
         ..DecisionCounts::default()
     };
-    CycleDecisions { decisions, counts }
-}
-
-/// One lane's layering of one cycle. Lanes diverge only through their
-/// public inputs, so decision vectors usually agree; when a lane's
-/// vector equals the cycle's first planned lane's, `reuse` names that
-/// lane and the level walk borrows its plan instead.
-#[derive(Default)]
-struct LanePlan {
-    /// Each gate's netlist ordinal among the lane's garbled gates
-    /// (`u32::MAX` for the rest): its tweak offset.
-    ordinals: Vec<u32>,
-    patch: CyclePatch,
-    releveled: bool,
-    reuse: Option<usize>,
-}
-
-impl LanePlan {
-    /// Fills `ordinals` and prepares `patch` for `decisions`. The
-    /// decision pass may alias a gate's output to *any* earlier-netlist
-    /// wire — including one produced at a deeper topological level —
-    /// and for such a cycle the static levels are re-leveled
-    /// incrementally: only the aliased gate and its transitively-late
-    /// dependents move to deeper levels
-    /// ([`LayerSchedule::relevel_cycle`]). Both parties run identical
-    /// decisions, so they compute the identical patch without
-    /// coordination, and emission slots stay netlist ordinals.
-    fn layer(&mut self, sched: &LayerSchedule, circuit: &Circuit, decisions: &[GateDecision]) {
-        self.ordinals.clear();
-        self.ordinals.resize(decisions.len(), u32::MAX);
-        let mut next = 0u32;
-        let mut safe = true;
-        for (gi, d) in decisions.iter().enumerate() {
-            match *d {
-                GateDecision::Garble => {
-                    self.ordinals[gi] = next;
-                    next += 1;
-                }
-                GateDecision::Alias { src, .. } => {
-                    safe &= sched.copy_is_level_safe(gi, src.index());
-                }
-                _ => {}
-            }
-        }
-        if safe {
-            self.patch.clear();
-            self.releveled = false;
-            return;
-        }
-        let dep = |gi: usize| match decisions[gi] {
-            GateDecision::PublicOut(_) | GateDecision::Skipped | GateDecision::SkippedFree => {
-                CycleDep::Absent
-            }
-            GateDecision::Pass { from_a, .. } => {
-                let g = &circuit.gates()[gi];
-                CycleDep::Copy(if from_a { g.a } else { g.b }.index() as u32)
-            }
-            GateDecision::Alias { src, .. } => CycleDep::Copy(src.index() as u32),
-            GateDecision::FreeXor { .. } | GateDecision::Garble => CycleDep::Inputs,
-        };
-        self.releveled = sched.relevel_cycle(circuit, dep, &mut self.patch);
+    let moving = (0..decisions.len() as u32).collect();
+    CycleDecisions {
+        decisions,
+        moving,
+        counts,
     }
 }
 
-/// The layered walk's cycle planner and executor, built only when the
-/// session runs it.
-struct Layering {
-    sched: LayerSchedule,
-    plans: Vec<LanePlan>,
-    /// Levels to walk this cycle, re-leveled patches included.
-    levels: usize,
-    /// Each (gate, lane)'s slot in the cycle's table stream:
-    /// gate-major, lane-minor over the live lanes, which reduces to
-    /// plain netlist ordinals at one lane.
-    merged: Vec<u32>,
-    releveled_cycles: u64,
-    patched_gates: u64,
-}
-
-impl Layering {
-    fn new(circuit: &Circuit, lanes: usize) -> Self {
-        Self {
-            sched: LayerSchedule::of(circuit),
-            plans: (0..lanes).map(|_| LanePlan::default()).collect(),
-            levels: 0,
-            merged: Vec::new(),
-            releveled_cycles: 0,
-            patched_gates: 0,
-        }
-    }
-
-    fn plan_of(&self, lane: usize) -> &LanePlan {
-        &self.plans[self.plans[lane].reuse.unwrap_or(lane)]
-    }
-
-    /// Plans the live lanes' cycle: per-lane layering (reusing the
-    /// first lane's when decisions agree), the level count and the
-    /// merged emission slots.
-    fn plan(&mut self, circuit: &Circuit, lanes: &[Lane]) {
-        let mut first: Option<usize> = None;
-        self.levels = self.sched.levels();
-        for lane in lanes.iter().filter(|l| l.live) {
-            let dec = &lane.dec.decisions;
-            let reuse = first.filter(|&f| lanes[f].dec.decisions == *dec);
-            let plan = &mut self.plans[lane.index];
-            plan.reuse = reuse;
-            if reuse.is_none() {
-                plan.layer(&self.sched, circuit, dec);
-                first.get_or_insert(lane.index);
-            }
-            let plan = &self.plans[reuse.unwrap_or(lane.index)];
-            if plan.releveled {
-                self.releveled_cycles += 1;
-                self.patched_gates += plan.patch.moved_gates();
-            }
-            self.levels = self.levels.max(plan.patch.levels());
-        }
-        let n = lanes.len();
-        self.merged.clear();
-        self.merged.resize(circuit.gates().len() * n, u32::MAX);
-        let mut slot = 0u32;
-        for gi in 0..circuit.gates().len() {
-            for lane in lanes.iter().filter(|l| l.live) {
-                if lane.dec.decisions[gi] == GateDecision::Garble {
-                    self.merged[gi * n + lane.index] = slot;
-                    slot += 1;
-                }
-            }
-        }
-    }
-
-    /// Walks the planned cycle level by level over every live lane.
-    fn walk<P: Party>(
-        &self,
-        party: &mut P,
-        circuit: &Circuit,
-        lanes: &[Lane],
-        labels: &mut [Label],
-    ) {
-        for level in 0..self.levels {
-            for lane in lanes.iter().filter(|l| l.live) {
-                let plan = self.plan_of(lane.index);
-                let fixed: &[u32] = if level < self.sched.levels() {
-                    self.sched.level_gates(level)
-                } else {
-                    &[]
-                };
-                let unmoved = fixed
-                    .iter()
-                    .filter(|&&gi| !plan.patch.is_moved(gi as usize));
-                for &gi in unmoved.chain(plan.patch.moved_at(level)) {
-                    let gi = gi as usize;
-                    let gate = &circuit.gates()[gi];
-                    let at = |w: WireId| lane.at(w);
-                    match lane.dec.decisions[gi] {
-                        GateDecision::PublicOut(_)
-                        | GateDecision::Skipped
-                        | GateDecision::SkippedFree => {}
-                        GateDecision::Pass { from_a, flip } => {
-                            let src = if from_a { gate.a } else { gate.b };
-                            labels[at(gate.out)] = labels[at(src)] ^ party.mask(flip);
-                        }
-                        GateDecision::Alias { src, flip } => {
-                            labels[at(gate.out)] = labels[at(src)] ^ party.mask(flip);
-                        }
-                        GateDecision::FreeXor { flip } => {
-                            let (a, b) = (labels[at(gate.a)], labels[at(gate.b)]);
-                            labels[at(gate.out)] = a ^ b ^ party.mask(flip);
-                        }
-                        GateDecision::Garble => {
-                            let tweak = lane.tweak + u64::from(plan.ordinals[gi]);
-                            let slot = self.merged[gi * lanes.len() + lane.index];
-                            party.enqueue(labels, Pins::of(gate, at), tweak, slot as usize);
-                        }
-                    }
-                }
-            }
-            party.end_level(labels);
-        }
-    }
-}
-
-/// Walks one lane's cycle in netlist order, garbled gates taking
-/// consecutive tweaks from the lane's.
-fn netlist_walk<P: Party>(
+/// Walks one cycle over `gates` in netlist order, visiting each gate's
+/// live lanes in turn. A lane's garbled gates take consecutive tweaks.
+fn walk<P: Party>(
     party: &mut P,
     circuit: &Circuit,
-    lane: &Lane,
+    gates: &[u32],
+    lanes: &mut [Lane],
     labels: &mut [Label],
 ) -> Result<(), ProtocolError> {
-    let mut tweak = lane.tweak;
-    // Gate fields are read only in the arms that use them: most gates
-    // of a public-heavy cycle decide `PublicOut`/`Skipped`.
-    let pins = |gate| Pins::of(gate, WireId::index);
-    for (gate, decision) in circuit.gates().iter().zip(&lane.dec.decisions) {
-        match *decision {
-            GateDecision::PublicOut(_) | GateDecision::Skipped | GateDecision::SkippedFree => {}
-            GateDecision::Pass { from_a, flip } => {
-                let src = if from_a { gate.a } else { gate.b };
-                party.copy(labels, src.index(), gate.out.index(), flip);
-            }
-            GateDecision::Alias { src, flip } => {
-                party.copy(labels, src.index(), gate.out.index(), flip);
-            }
-            GateDecision::FreeXor { flip } => party.xor(labels, pins(gate), flip),
-            GateDecision::Garble => {
-                party.garble(labels, pins(gate), tweak)?;
-                tweak += 1;
+    for &gi in gates {
+        let gi = gi as usize;
+        let gate = &circuit.gates()[gi];
+        for lane in lanes.iter_mut().filter(|l| l.live) {
+            let at = |w: WireId| lane.at(w);
+            match lane.dec.decisions[gi] {
+                GateDecision::PublicOut(_) | GateDecision::Skipped | GateDecision::SkippedFree => {}
+                GateDecision::Pass { from_a, flip } => {
+                    let src = if from_a { gate.a } else { gate.b };
+                    party.copy(labels, at(src), at(gate.out), flip);
+                }
+                GateDecision::Alias { src, flip } => {
+                    party.copy(labels, at(src), at(gate.out), flip);
+                }
+                GateDecision::FreeXor { flip } => party.xor(labels, Pins::of(gate, at), flip),
+                GateDecision::Garble => {
+                    party.garble(labels, Pins::of(gate, at), lane.tweak)?;
+                    lane.tweak += 1;
+                }
             }
         }
     }
     Ok(())
 }
 
+/// Fills `gates` with the gates any live lane moves a label through
+/// this cycle, ascending: the first live lane's list, merged with every
+/// live lane's list that differs from it. `scratch` holds the merge.
+fn moving_union(lanes: &[Lane], gates: &mut Vec<u32>, scratch: &mut Vec<u32>) {
+    let mut lists = lanes.iter().filter(|l| l.live).map(|l| &l.dec.moving);
+    gates.clear();
+    let Some(first) = lists.next() else {
+        return;
+    };
+    gates.extend_from_slice(first);
+    for list in lists.filter(|&list| list != first) {
+        merge_sorted(gates, list, scratch);
+        std::mem::swap(gates, scratch);
+    }
+}
+
+/// Writes the union of two ascending lists into `out`, ascending.
+fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
 /// Runs one session of `own.len()` lanes as party `P`: `own` and
 /// `publics` hold one [`PartyData`] per lane. `opts` and the lane counts
-/// are validated first. More than one lane runs the layered walk, which
-/// needs the SkipGate policy; `force_layered` runs it for one lane too.
+/// are validated first.
 ///
 /// Wire format: the handshake announces the lane count when it is more
 /// than one ([`arm2gc_proto::Message::Instances`], protocol v2); input
 /// labels, OT pairs and output colour bits are concatenated lane-major;
 /// each cycle's tables interleave gate-major/lane-minor. Lane 0 draws
-/// exactly the labels and tweaks a single-lane session would, so a
-/// one-lane session's transcript does not depend on the walk.
-#[allow(clippy::too_many_arguments)]
+/// exactly the labels and tweaks a single-lane session would.
 pub(crate) fn run_session<P: Party>(
     ends: P::Ends,
     circuit: &Circuit,
@@ -705,7 +553,6 @@ pub(crate) fn run_session<P: Party>(
     publics: &[PartyData],
     cycles: usize,
     opts: &SessionOptions,
-    force_layered: bool,
 ) -> Result<InstancedOutcome, ProtocolError> {
     opts.validate()?;
     let shards = opts.shard_config()?;
@@ -718,12 +565,7 @@ pub(crate) fn run_session<P: Party>(
     let n = own.len();
     let policy = Policy::new(circuit, opts);
     let plan = InputPlan::new(circuit, cycles, matches!(policy, Policy::Baseline(_)));
-    let mut layering = (force_layered || n > 1).then(|| Layering::new(circuit, n));
-    let walk = match &layering {
-        None => Walk::Netlist(circuit.wire_count()),
-        Some(l) => Walk::Layered(l.sched.levels()),
-    };
-    let mut party = P::establish(ends, opts.stream, shards, n, walk)?;
+    let mut party = P::establish(ends, opts.stream, shards, n, circuit.wire_count())?;
     let drawn = party.deliver(&plan, own, publics)?;
 
     let mut labels = vec![Label::ZERO; circuit.wire_count() * n];
@@ -735,6 +577,7 @@ pub(crate) fn run_session<P: Party>(
     for lane in &lanes {
         plan.apply(&drawn, &mut labels, lane, None);
     }
+    let (mut gates, mut scratch) = (Vec::new(), Vec::new());
     let per_cycle = matches!(circuit.output_mode(), OutputMode::PerCycle);
     for cycle in 0..cycles {
         if !lanes.iter().any(|l| l.live) {
@@ -748,18 +591,12 @@ pub(crate) fn run_session<P: Party>(
             tables += lane.dec.counts.garbled as usize;
             live += 1;
         }
-        if let Some(l) = &mut layering {
-            l.plan(circuit, &lanes);
-        }
-        party.begin_cycle(tables)?;
-        match &layering {
-            Some(l) => l.walk(&mut party, circuit, &lanes, &mut labels),
-            None => netlist_walk(&mut party, circuit, &lanes[0], &mut labels)?,
-        }
+        party.begin_cycle(tables);
+        moving_union(&lanes, &mut gates, &mut scratch);
+        walk(&mut party, circuit, &gates, &mut lanes, &mut labels)?;
         party.end_cycle(&mut labels, (circuit.gates().len() * live) as u64)?;
 
         for lane in lanes.iter_mut().filter(|l| l.live) {
-            lane.tweak += lane.dec.counts.garbled;
             if per_cycle {
                 lane.record(circuit, &labels);
             }
@@ -778,10 +615,7 @@ pub(crate) fn run_session<P: Party>(
     // One lane-major colour exchange.
     let colours: Vec<bool> = lanes.iter().flat_map(|l| &l.colours).copied().collect();
     let (values, mut batching) = party.finish(&colours)?;
-    if let Some(l) = &layering {
-        batching.releveled_cycles = l.releveled_cycles;
-        batching.patched_gates = l.patched_gates;
-    }
+    batching.instances = n as u64;
     let ots = plan.per_lane(false) as u64;
     let mut values = values.into_iter();
     let lanes = lanes
@@ -852,15 +686,10 @@ mod tests {
         Recording { inner, sent }
     }
 
-    /// Runs one single-lane session with fixed PRG seeds through the
-    /// netlist walk or the layered walk at one lane, checks both
+    /// Runs one single-lane session with fixed PRG seeds, checks both
     /// parties agree, and returns the garbler's outcome plus its frames
     /// on the main channel and every shard sub-channel.
-    fn session(
-        bc: &BenchCircuit,
-        shards: usize,
-        layered: bool,
-    ) -> (SkipGateOutcome, Vec<Vec<Vec<u8>>>) {
+    fn session(bc: &BenchCircuit, shards: usize) -> (SkipGateOutcome, Vec<Vec<Vec<u8>>>) {
         let opts = SessionOptions::new().shards(shards);
         let shards = opts.shard_config().expect("shard count");
         let (ca, mut cb) = duplex();
@@ -885,13 +714,12 @@ mod tests {
                     &mut InsecureOt as _,
                     &mut prg,
                 );
-                run_session::<Garbler>(ends, &bc.circuit, alice, public, bc.cycles, &opts, layered)
+                run_session::<Garbler>(ends, &bc.circuit, alice, public, bc.cycles, &opts)
                     .expect("garbler")
             });
             let ends = (&mut cb as &mut dyn Channel, e_shards, &mut InsecureOt as _);
-            let b =
-                run_session::<Evaluator>(ends, &bc.circuit, bob, public, bc.cycles, &opts, layered)
-                    .expect("evaluator");
+            let b = run_session::<Evaluator>(ends, &bc.circuit, bob, public, bc.cycles, &opts)
+                .expect("evaluator");
             (garbler.join().expect("garbler thread"), b)
         });
         let (a, b) = (first_lane(a), first_lane(b));
@@ -912,7 +740,7 @@ mod tests {
     #[test]
     fn compare_16384_table_frame_count_is_pinned() {
         let bc = bench_circuits::compare(16384, u64::MAX, 3);
-        let (_, frames) = session(&bc, 1, false);
+        let (_, frames) = session(&bc, 1);
         let tables = frames[0]
             .iter()
             .filter(|f| {
@@ -923,52 +751,5 @@ mod tests {
             })
             .count();
         assert_eq!(tables, 8, "garbler Tables frames");
-    }
-
-    /// The pin that licenses one loop per lane count: the layered walk
-    /// at one lane sends the byte-identical frame sequence — main
-    /// channel and every shard sub-channel — as the netlist walk, with
-    /// equal outputs and cost counters. An instanced session's lane 0
-    /// therefore garbles exactly what a single-lane session does.
-    /// aes_128 re-levels every cycle, so patched schedules are covered.
-    #[test]
-    fn single_lane_layered_transcript_matches_netlist() {
-        let circuits = [
-            bench_circuits::sum(32, 0xdead_beef, 0x600d_f00d),
-            bench_circuits::compare(32, 77, 999),
-            bench_circuits::hamming(32, &[0x9e37_79b9], &[0x7f4a_7c15]),
-            bench_circuits::mult(32, 0xdead_beef, 0x1234_5678),
-            bench_circuits::matrix_mult(3, &[3, 1, 4, 1, 5, 9, 2, 6, 5], &[2; 9]),
-            bench_circuits::aes128(
-                core::array::from_fn(|i| i as u8),
-                core::array::from_fn(|i| 16 + i as u8),
-            ),
-        ];
-        for bc in &circuits {
-            let name = bc.circuit.name();
-            for shards in [1, 2] {
-                let (netlist, tx_netlist) = session(bc, shards, false);
-                let (layered, tx_layered) = session(bc, shards, true);
-                assert_eq!(netlist.outputs, layered.outputs, "{name}");
-                assert_eq!(netlist.stats, layered.stats, "{name}: cost counters");
-                assert_eq!(
-                    tx_netlist, tx_layered,
-                    "{name}: transcripts differ at {shards} shards"
-                );
-                assert_eq!(netlist.batching.levels, 0, "{name}: netlist has no levels");
-                assert_eq!(netlist.batching.releveled_cycles, 0);
-                assert!(layered.batching.levels > 0, "{name}: layered levels");
-                assert_eq!(
-                    layered.batching.batched_gates,
-                    netlist.batching.batched_gates
-                );
-                if name == "aes_128" {
-                    assert_eq!(
-                        layered.batching.releveled_cycles, bc.cycles as u64,
-                        "every aes cycle re-levels"
-                    );
-                }
-            }
-        }
     }
 }

@@ -78,7 +78,6 @@ pub use options::{EngineKind, SessionOptions};
 pub use state::WireVal;
 pub use tag::{SecretTag, TagAllocator};
 
-pub use arm2gc_circuit::LayerSchedule;
 pub use arm2gc_garble::WavefrontStats;
 pub use arm2gc_proto::{
     ConfigError, OtBackend, OtConfig, ProtoError as ProtocolError, ShardConfig, StreamConfig,

@@ -3,8 +3,7 @@
 //! Every knob a session can vary lives in one builder consumed by
 //! exactly two drivers ([`drive_garbler`](crate::drive::drive_garbler) /
 //! [`drive_evaluator`](crate::drive::drive_evaluator)). There is no
-//! schedule knob: the lane count picks it (one lane walks each cycle in
-//! netlist order, several lanes run the layered loop).
+//! schedule knob: every lane count runs the one netlist-order walk.
 //!
 //! # Migration map
 //!
@@ -15,7 +14,7 @@
 //! | instanced garbler/evaluator | `… .instances(n)` |
 //! | classic baseline garbler/evaluator | `… .engine(EngineKind::Baseline)` |
 //! | in-process two-party harnesses | [`run_two_party_opts`](crate::drive::run_two_party_opts) |
-//! | per-session schedule selection | none: the lane count decides |
+//! | per-session schedule selection | none: one walk for every lane count |
 //!
 //! Counts are validated when a driver starts — a zero shard or
 //! instance count is a typed [`ConfigError`] at the session boundary,
@@ -66,9 +65,9 @@ pub struct SessionOptions {
     /// stream). Validated into a [`ShardConfig`] at drive time.
     pub shards: usize,
     /// Independent circuit instances (lanes) batched through one
-    /// session. `1` is a plain single-instance run walked in netlist
-    /// order; more runs the layered struct-of-arrays loop and requires
-    /// the SkipGate engine.
+    /// session. `1` is a plain single-instance run; more interleaves
+    /// the lanes per gate through one struct-of-arrays label store and
+    /// requires the SkipGate engine.
     pub instances: usize,
     /// Which OT stack delivers the evaluator's input labels.
     pub ot: OtBackend,

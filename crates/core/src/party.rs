@@ -5,47 +5,22 @@
 //! parties hold the same plan; a [`Party`] executes that plan on its own
 //! side of the wire. The garbler draws zero-labels, hashes tables and
 //! streams them; the evaluator receives active labels and evaluates the
-//! tables it pulls. Each role owns its session and the batch driver of
-//! the walk the lane count selected: a wavefront batcher for the
-//! netlist walk, a layered driver for the level-by-level walk.
+//! tables it pulls. Each role owns its session and one wavefront batcher
+//! over every lane's labels, so the engine feeds it one gate and lane at
+//! a time and tables stream as they are hashed.
 
 use arm2gc_circuit::sim::PartyData;
 use arm2gc_circuit::{Gate, Op, WireId};
 use arm2gc_comm::Channel;
 use arm2gc_crypto::{Label, Prg};
 use arm2gc_garble::{
-    EvalLayered, EvalWavefront, GarbleLayered, GarbleWavefront, GarbledTable, HalfGateEvaluator,
-    HalfGateGarbler, WavefrontStats,
+    EvalWavefront, GarbleWavefront, GarbledTable, HalfGateEvaluator, HalfGateGarbler,
+    WavefrontStats,
 };
 use arm2gc_ot::{OtReceiver, OtSender};
 use arm2gc_proto::{EvaluatorSession, GarblerSession, ProtoError, ShardConfig, StreamConfig};
 
 use crate::engine::InputPlan;
-
-/// The walk a session runs: its size (wires or levels) when the engine
-/// picks it, a party's batch driver once established.
-pub(crate) enum Walk<N, L> {
-    /// One lane, gates in netlist order (a wavefront batcher).
-    Netlist(N),
-    /// Any lane count, gates level by level (a layered driver).
-    Layered(L),
-}
-
-impl<N, L> Walk<N, L> {
-    fn netlist(&mut self) -> &mut N {
-        match self {
-            Walk::Netlist(n) => n,
-            Walk::Layered(_) => unreachable!("netlist gate in a layered walk"),
-        }
-    }
-
-    fn layered(&mut self) -> &mut L {
-        match self {
-            Walk::Layered(l) => l,
-            Walk::Netlist(_) => unreachable!("layered gate in a netlist walk"),
-        }
-    }
-}
 
 /// A gate's operation and the positions of its labels.
 #[derive(Clone, Copy, Debug)]
@@ -71,21 +46,19 @@ impl Pins {
 /// One party's execution of the shared cycle plan.
 ///
 /// Label positions are flat indices into the session's struct-of-arrays
-/// store (wire `w`, lane `l` at `w * lanes + l`); the netlist walk runs
-/// one lane, so there they are plain wire indices.
+/// store: wire `w`, lane `l` at `w * lanes + l`.
 pub(crate) trait Party: Sized {
     /// The endpoints a session is established over.
     type Ends;
 
     /// Opens a session of `lanes` lanes (handshake, lane announcement)
-    /// and builds the driver of `walk`: a netlist walk over that many
-    /// wires, or a layered walk over that many levels.
+    /// and sizes its batcher for `wires` wires in every lane.
     fn establish(
         ends: Self::Ends,
         stream: StreamConfig,
         shards: ShardConfig,
         lanes: usize,
-        walk: Walk<usize, usize>,
+        wires: usize,
     ) -> Result<Self, ProtoError>;
 
     /// Delivers every label `plan` draws for `own.len()` lanes and
@@ -98,32 +71,20 @@ pub(crate) trait Party: Sized {
     ) -> Result<Vec<Label>, ProtoError>;
 
     /// Starts a cycle garbling `tables` gates over every live lane.
-    fn begin_cycle(&mut self, tables: usize) -> Result<(), ProtoError>;
+    fn begin_cycle(&mut self, tables: usize);
 
-    /// Finishes a cycle that visited `visits` gates: flushes the
-    /// netlist walk's last wavefront or emits the layered walk's tables.
+    /// Finishes a cycle that visited `visits` gates: flushes the last
+    /// wavefront.
     fn end_cycle(&mut self, labels: &mut [Label], visits: u64) -> Result<(), ProtoError>;
 
-    /// Netlist walk: `out = src` (a Pass or Alias), inverted if `flip`.
+    /// `out = src` (a Pass or Alias), inverted if `flip`.
     fn copy(&mut self, labels: &mut [Label], src: usize, out: usize, flip: bool);
 
-    /// Netlist walk: free XOR `out = a ⊕ b`, inverted if `flip`.
+    /// Free XOR `out = a ⊕ b`, inverted if `flip`.
     fn xor(&mut self, labels: &mut [Label], g: Pins, flip: bool);
 
-    /// Netlist walk: a gate that garbles, with its running `tweak`.
+    /// A gate that garbles, with its lane's running `tweak`.
     fn garble(&mut self, labels: &mut [Label], g: Pins, tweak: u64) -> Result<(), ProtoError>;
-
-    /// Layered walk: the label offset that inverts a wire's value (Δ
-    /// for the garbler's zero-labels, nothing for active labels).
-    fn mask(&self, flip: bool) -> Label;
-
-    /// Layered walk: queues one lane of a gate that garbles into the
-    /// current level; `slot` is its table's position in the cycle's
-    /// merged table stream.
-    fn enqueue(&mut self, labels: &[Label], g: Pins, tweak: u64, slot: usize);
-
-    /// Layered walk: hashes the level's queued gates in one batch.
-    fn end_level(&mut self, labels: &mut [Label]);
 
     /// Ends the session: exchanges this party's colour bits of the
     /// secret outputs for their values, and reports how its gates
@@ -135,7 +96,7 @@ pub(crate) trait Party: Sized {
 pub(crate) struct Garbler<'a> {
     session: GarblerSession<'a>,
     hg: HalfGateGarbler,
-    walk: Walk<GarbleWavefront, GarbleLayered>,
+    wf: GarbleWavefront,
 }
 
 impl<'a> Party for Garbler<'a> {
@@ -151,17 +112,14 @@ impl<'a> Party for Garbler<'a> {
         stream: StreamConfig,
         shards: ShardConfig,
         lanes: usize,
-        walk: Walk<usize, usize>,
+        wires: usize,
     ) -> Result<Self, ProtoError> {
         let n = lanes as u16;
         let session =
             GarblerSession::establish_instanced(ch, shard_chs, ot, prg, stream, shards, n)?;
         let hg = HalfGateGarbler::new(session.delta());
-        let walk = match walk {
-            Walk::Netlist(wires) => Walk::Netlist(GarbleWavefront::new(wires)),
-            Walk::Layered(levels) => Walk::Layered(GarbleLayered::new(levels, lanes)),
-        };
-        Ok(Self { session, hg, walk })
+        let wf = GarbleWavefront::new(wires * lanes);
+        Ok(Self { session, hg, wf })
     }
 
     fn deliver(
@@ -190,64 +148,34 @@ impl<'a> Party for Garbler<'a> {
         Ok(zeros)
     }
 
-    fn begin_cycle(&mut self, tables: usize) -> Result<(), ProtoError> {
+    fn begin_cycle(&mut self, tables: usize) {
         self.session.begin_cycle(tables);
-        if let Walk::Layered(drv) = &mut self.walk {
-            drv.begin_cycle(tables);
-        }
-        Ok(())
     }
 
     fn end_cycle(&mut self, labels: &mut [Label], visits: u64) -> Result<(), ProtoError> {
         let session = &mut self.session;
         let mut emit = |t: &GarbledTable| session.push_table(&t.to_bytes());
-        match &mut self.walk {
-            Walk::Netlist(wf) => wf.flush(&self.hg, labels, &mut emit)?,
-            Walk::Layered(drv) => drv.end_cycle(&mut emit)?,
-        }
+        self.wf.flush(&self.hg, labels, &mut emit)?;
         session.end_cycle(visits)
     }
 
     fn copy(&mut self, labels: &mut [Label], src: usize, out: usize, flip: bool) {
-        self.walk.netlist().copy(&self.hg, labels, src, out, flip);
+        self.wf.copy(&self.hg, labels, src, out, flip);
     }
 
     fn xor(&mut self, labels: &mut [Label], g: Pins, flip: bool) {
-        self.walk
-            .netlist()
-            .xor(&self.hg, labels, g.a, g.b, g.out, flip);
+        self.wf.xor(&self.hg, labels, g.a, g.b, g.out, flip);
     }
 
     fn garble(&mut self, labels: &mut [Label], g: Pins, tweak: u64) -> Result<(), ProtoError> {
         let session = &mut self.session;
         let mut emit = |t: &GarbledTable| session.push_table(&t.to_bytes());
-        let wf = self.walk.netlist();
-        wf.garble(&self.hg, labels, g.op, g.a, g.b, g.out, tweak, &mut emit)
-    }
-
-    fn mask(&self, flip: bool) -> Label {
-        if flip {
-            self.hg.delta().as_label()
-        } else {
-            Label::ZERO
-        }
-    }
-
-    fn enqueue(&mut self, labels: &[Label], g: Pins, tweak: u64, slot: usize) {
-        let drv = self.walk.layered();
-        drv.garble(labels, g.op, g.a, g.b, g.out, tweak, slot);
-    }
-
-    fn end_level(&mut self, labels: &mut [Label]) {
-        self.walk.layered().end_level(&self.hg, labels);
+        let (hg, wf) = (&self.hg, &mut self.wf);
+        wf.garble(hg, labels, g.op, g.a, g.b, g.out, tweak, &mut emit)
     }
 
     fn finish(&mut self, colours: &[bool]) -> Result<(Vec<bool>, WavefrontStats), ProtoError> {
-        let batching = match &self.walk {
-            Walk::Netlist(wf) => wf.stats(),
-            Walk::Layered(drv) => drv.stats(),
-        };
-        Ok((self.session.reveal_outputs(colours)?, batching))
+        Ok((self.session.reveal_outputs(colours)?, self.wf.stats()))
     }
 }
 
@@ -255,9 +183,7 @@ impl<'a> Party for Garbler<'a> {
 pub(crate) struct Evaluator<'a> {
     session: EvaluatorSession<'a>,
     he: HalfGateEvaluator,
-    walk: Walk<EvalWavefront, EvalLayered>,
-    /// The layered walk's tables of the current cycle, in slot order.
-    tables: Vec<GarbledTable>,
+    wf: EvalWavefront,
 }
 
 impl<'a> Party for Evaluator<'a> {
@@ -272,21 +198,13 @@ impl<'a> Party for Evaluator<'a> {
         _stream: StreamConfig,
         shards: ShardConfig,
         lanes: usize,
-        walk: Walk<usize, usize>,
+        wires: usize,
     ) -> Result<Self, ProtoError> {
         let (align, n) = (GarbledTable::BYTES, lanes as u16);
         let session = EvaluatorSession::establish_instanced(ch, shard_chs, ot, align, shards, n)?;
-        let walk = match walk {
-            Walk::Netlist(wires) => Walk::Netlist(EvalWavefront::new(wires)),
-            Walk::Layered(levels) => Walk::Layered(EvalLayered::new(levels, lanes)),
-        };
-        let (he, tables) = (HalfGateEvaluator::new(), Vec::new());
-        Ok(Self {
-            session,
-            he,
-            walk,
-            tables,
-        })
+        let he = HalfGateEvaluator::new();
+        let wf = EvalWavefront::new(wires * lanes);
+        Ok(Self { session, he, wf })
     }
 
     /// Checks the direct labels against the plan's exact count before
@@ -325,60 +243,30 @@ impl<'a> Party for Evaluator<'a> {
         Ok(labels)
     }
 
-    fn begin_cycle(&mut self, tables: usize) -> Result<(), ProtoError> {
+    fn begin_cycle(&mut self, tables: usize) {
         self.session.begin_cycle(tables);
-        if let Walk::Layered(_) = self.walk {
-            self.tables.clear();
-            for _ in 0..tables {
-                let t = self.session.next_table(GarbledTable::BYTES)?;
-                self.tables.push(GarbledTable::from_bytes(t));
-            }
-        }
-        Ok(())
     }
 
     fn end_cycle(&mut self, labels: &mut [Label], _visits: u64) -> Result<(), ProtoError> {
-        if let Walk::Netlist(wf) = &mut self.walk {
-            wf.flush(&self.he, labels);
-        }
+        self.wf.flush(&self.he, labels);
         Ok(())
     }
 
     fn copy(&mut self, labels: &mut [Label], src: usize, out: usize, _flip: bool) {
-        self.walk.netlist().copy(labels, src, out);
+        self.wf.copy(labels, src, out);
     }
 
     fn xor(&mut self, labels: &mut [Label], g: Pins, _flip: bool) {
-        self.walk.netlist().xor(labels, g.a, g.b, g.out);
+        self.wf.xor(labels, g.a, g.b, g.out);
     }
 
     fn garble(&mut self, labels: &mut [Label], g: Pins, tweak: u64) -> Result<(), ProtoError> {
         let t = GarbledTable::from_bytes(self.session.next_table(GarbledTable::BYTES)?);
-        let wf = self.walk.netlist();
-        wf.eval(&self.he, labels, g.a, g.b, g.out, t, tweak);
+        self.wf.eval(&self.he, labels, g.a, g.b, g.out, t, tweak);
         Ok(())
     }
 
-    fn mask(&self, _flip: bool) -> Label {
-        Label::ZERO
-    }
-
-    fn enqueue(&mut self, labels: &[Label], g: Pins, tweak: u64, slot: usize) {
-        let table = self.tables[slot];
-        self.walk
-            .layered()
-            .eval(labels, g.a, g.b, g.out, table, tweak);
-    }
-
-    fn end_level(&mut self, labels: &mut [Label]) {
-        self.walk.layered().end_level(&self.he, labels);
-    }
-
     fn finish(&mut self, colours: &[bool]) -> Result<(Vec<bool>, WavefrontStats), ProtoError> {
-        let batching = match &self.walk {
-            Walk::Netlist(wf) => wf.stats(),
-            Walk::Layered(drv) => drv.stats(),
-        };
-        Ok((self.session.reveal_outputs(colours)?, batching))
+        Ok((self.session.reveal_outputs(colours)?, self.wf.stats()))
     }
 }

@@ -177,10 +177,11 @@ fn xor_cancellation_detected_globally() {
     );
 }
 
-/// The lane count picks the schedule: a default session walks each
-/// cycle in netlist order (no levels, no lanes), while `instances(2)`
-/// runs the layered loop over two lanes — with every lane's outputs and
-/// cost counters equal to the single-lane session's.
+/// Every lane count runs the one netlist walk: a default session and an
+/// `instances(2)` session report their lane count, each of the two
+/// lanes' outputs and cost counters equals the single-lane session's,
+/// and identical lanes hash twice the single lane's gates in the same
+/// number of wavefronts.
 #[test]
 fn lane_count_selects_the_schedule() {
     let bc = bench_circuits::mult(32, 0xdead_beef, 0x1234_5678);
@@ -194,8 +195,7 @@ fn lane_count_selects_the_schedule() {
         &single,
     );
     assert_eq!(a.batching, b.batching);
-    assert_eq!(a.batching.levels, 0, "one lane walks the netlist");
-    assert_eq!(a.batching.instances, 0);
+    assert_eq!(a.batching.instances, 1);
     assert_eq!(a.lanes[0].outputs.concat(), bc.expected);
 
     let two = SessionOptions::new().instances(2);
@@ -208,8 +208,9 @@ fn lane_count_selects_the_schedule() {
         &two,
     );
     assert_eq!(ia.batching, ib.batching);
-    assert!(ia.batching.levels > 0, "two lanes run the level schedule");
     assert_eq!(ia.batching.instances, 2);
+    assert_eq!(ia.batching.batches, a.batching.batches);
+    assert_eq!(ia.batching.batched_gates, 2 * a.batching.batched_gates);
     for lane in &ia.lanes {
         assert_eq!(lane.outputs, a.lanes[0].outputs);
         assert_eq!(lane.stats, a.lanes[0].stats);

@@ -21,8 +21,6 @@ use arm2gc_circuit::words::{bits_to_words, u32_to_bits};
 use arm2gc_circuit::Circuit;
 use arm2gc_core::{run_two_party_opts, InstancedOutcome, SessionOptions};
 
-pub use arm2gc_circuit::LayerSchedule;
-
 use crate::asm::Program;
 use crate::circuit_gen::build_cpu;
 use crate::iss::Iss;
@@ -127,7 +125,6 @@ pub struct MachineRun {
 pub struct GcMachine {
     config: CpuConfig,
     circuit: Circuit,
-    schedule: std::sync::OnceLock<LayerSchedule>,
 }
 
 impl GcMachine {
@@ -137,7 +134,6 @@ impl GcMachine {
         Self {
             config,
             circuit: build_cpu(&config),
-            schedule: std::sync::OnceLock::new(),
         }
     }
 
@@ -149,15 +145,6 @@ impl GcMachine {
     /// The synthesised CPU netlist.
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
-    }
-
-    /// The CPU circuit's ASAP layer schedule, levelled on first use and
-    /// cached for the machine's lifetime — for inspecting the level
-    /// count and widths an instanced run (`instances ≥ 2`) will execute
-    /// with (the engines level an identical schedule internally).
-    pub fn layer_schedule(&self) -> &LayerSchedule {
-        self.schedule
-            .get_or_init(|| LayerSchedule::of(&self.circuit))
     }
 
     /// Packs a program into the public initialisation bit vector
@@ -245,8 +232,8 @@ impl GcMachine {
     /// protocol entry point. `alices`/`bobs` carry one input word set
     /// per configured lane (`opts.instances` entries each; one entry
     /// for a plain single-instance run). With several lanes, every
-    /// lane's surviving nonlinear gates hash through the wide AES core
-    /// together each cycle, and lanes halt independently.
+    /// lane of a ready gate hashes in the same wavefront, and lanes
+    /// halt independently.
     ///
     /// Returns one [`MachineRun`] per lane plus the garbler's
     /// [`InstancedOutcome`] (per-lane cost counters and the
@@ -292,7 +279,7 @@ impl GcMachine {
         );
         assert_eq!(
             alice_out.batching, bob_out.batching,
-            "parties disagree on batching/re-leveling stats"
+            "parties disagree on batching stats"
         );
         let runs = alice_out
             .lanes

@@ -5,6 +5,7 @@
 //! randomly generated instruction soup alike — and the SkipGate protocol
 //! run must agree with both while garbling only the data-path gates.
 
+use arm2gc_circuit::LayerSchedule;
 use arm2gc_core::{SessionOptions, SkipGateStats};
 use arm2gc_cpu::asm::{assemble, Program};
 use arm2gc_cpu::isa::{Cond, DpOp, Instr, MemOffset, Shift, ShiftAmount};
@@ -262,14 +263,14 @@ fn skipgate_reduction_factor_is_huge() {
     );
 }
 
-/// The garbled processor under the layer schedule (an instanced
-/// session, two lanes): every lane's output and cost counters equal the
-/// netlist-order single-lane run, and the machine's cached schedule
-/// reports the level structure the run executed with.
+/// The garbled processor over two lanes in one session: every lane's
+/// output and cost counters equal the single-lane run. The CPU circuit
+/// is deep and has parallel gates, and identical lanes hash twice the
+/// single lane's gates in the same number of wavefronts.
 #[test]
 fn skipgate_layer_scheduled_matches_netlist_on_cpu() {
     let m = GcMachine::new(CpuConfig::small());
-    let sched = m.layer_schedule();
+    let sched = LayerSchedule::of(m.circuit());
     assert!(sched.levels() > 1, "the CPU circuit is not one level deep");
     assert!(
         sched.max_nonlinear_width() > 1,
@@ -278,19 +279,30 @@ fn skipgate_layer_scheduled_matches_netlist_on_cpu() {
 
     let prog = assemble(&programs::sum32()).expect("assembles");
     let iss = m.run_iss(&prog, &[123_456], &[654_321], 64);
-    let (netlist, n_stats) = garbled_run(&m, &prog, &[123_456], &[654_321], 64);
+    let (mut single, solo) = m.run(
+        &prog,
+        &[vec![123_456]],
+        &[vec![654_321]],
+        64,
+        &SessionOptions::new(),
+    );
+    let netlist = single.remove(0);
     let inputs = |w: u32| vec![vec![w]; 2];
-    let (layered, outcome) = m.run(
+    let (lanes, outcome) = m.run(
         &prog,
         &inputs(123_456),
         &inputs(654_321),
         64,
         &SessionOptions::new().instances(2),
     );
-    assert_eq!(outcome.batching.levels, sched.levels() as u64);
-    for (run, lane) in layered.iter().zip(&outcome.lanes) {
+    assert_eq!(outcome.batching.batches, solo.batching.batches);
+    assert_eq!(
+        outcome.batching.batched_gates,
+        2 * solo.batching.batched_gates
+    );
+    for (run, lane) in lanes.iter().zip(&outcome.lanes) {
         assert_eq!(run.output, iss.output);
-        assert_eq!(*run, netlist, "layered lane matches the netlist run");
-        assert_eq!(lane.stats, n_stats, "cost counters are schedule-invariant");
+        assert_eq!(*run, netlist, "each lane matches the single-lane run");
+        assert_eq!(lane.stats, solo.lanes[0].stats, "cost counters match");
     }
 }

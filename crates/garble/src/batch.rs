@@ -1,34 +1,29 @@
-//! Wavefront and layer-scheduled batching for the engine hot loops.
+//! Wavefront batching for the engine hot loop.
 //!
 //! Half-gate labels are hash-derived, so the AES work of a cycle is
-//! *chained* wherever one garbled gate feeds another. These schedulers
-//! recover the parallelism that is actually there: gates are visited in
-//! netlist order, label computations whose inputs are still pending are
-//! deferred, and every maximal run of nonlinear gates with ready inputs
-//! — one *wavefront* — is hashed through the wide AES core in a single
-//! batch ([`HalfGateGarbler::garble_batch`] /
+//! *chained* wherever one garbled gate feeds another. The wavefront
+//! batchers recover the parallelism that is actually there: gates are
+//! visited in netlist order, label computations whose inputs are still
+//! pending are deferred, and every maximal run of nonlinear gates with
+//! ready inputs — one *wavefront* — is hashed through the wide AES core
+//! in a single batch ([`HalfGateGarbler::garble_batch`] /
 //! [`HalfGateEvaluator::eval_batch`]).
 //!
 //! Deferral only reorders *when* values are computed, never *what* is
 //! computed: every gate sees exactly the labels and tweak it would see
 //! in a strictly sequential walk, and tables are emitted/consumed in
-//! gate order. The protocol transcript is byte-identical either way —
+//! call order. The protocol transcript is byte-identical either way —
 //! the pinned wire/stats tests enforce this.
 //!
 //! The session loop in `arm2gc-core` drives every cycle through these
-//! types, whichever decision policy (SkipGate or the baseline) planned
-//! it: a gate that garbles goes to `garble`/`eval`, a label copy
-//! (SkipGate's Pass/Alias, the baseline's BUF/NOT) to `copy`, and a
-//! free XOR/XNOR to `xor`.
-//!
-//! The wavefront types discover batches *within the netlist-order
-//! walk*, which single-lane sessions run; the
-//! [`GarbleLayered`]/[`EvalLayered`] drivers instead execute a
-//! precomputed [`arm2gc_circuit::LayerSchedule`] level by level across
-//! any number of lanes — every level's nonlinear gates hash in one
-//! batch regardless of how the netlist interleaves dependency chains —
-//! while still emitting tables in exact netlist gate order via per-gate
-//! emission slots.
+//! types, whichever decision policy planned it and however many lanes
+//! the session runs: a gate that garbles goes to `garble`/`eval`, a
+//! label copy (SkipGate's Pass/Alias, the baseline's BUF/NOT) to
+//! `copy`, and a free XOR/XNOR to `xor`. Label positions are flat
+//! indices, so several lanes share one batcher over a struct-of-arrays
+//! label store: visiting each gate's lanes in turn puts every lane of a
+//! ready gate into the same wavefront, and emits tables gate-major,
+//! lane-minor.
 
 use arm2gc_circuit::Op;
 use arm2gc_crypto::Label;
@@ -104,38 +99,24 @@ impl Frontier {
 /// Statistics about how well a run's gates batched (benches, tests).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WavefrontStats {
-    /// Flushes that did work (= wavefronts formed, or schedule levels
-    /// that held at least one nonlinear gate; an empty flush/level is
+    /// Flushes that did work (= wavefronts formed; an empty flush is
     /// not counted).
     pub batches: u64,
     /// Nonlinear gates that went through batch hashing.
     pub batched_gates: u64,
-    /// Largest single batch (wavefront or level).
+    /// Largest single batch (wavefront).
     pub largest_batch: usize,
-    /// Topological levels of the schedule driving the run — 0 for
-    /// netlist-order wavefront runs, which have no level structure.
-    pub levels: u64,
-    /// Cycles a layer-scheduled run executed in netlist order instead,
-    /// because the SkipGate decision pass aliased a wire across levels
-    /// in a way the static schedule could not honour. Always 0 since
-    /// per-cycle re-leveling replaced the fallback; kept as a
-    /// regression guard (the bench gate fails on any nonzero value).
-    pub fallback_cycles: u64,
-    /// Cycles a layer-scheduled run patched with a per-cycle re-leveling
-    /// because an alias edge crossed static levels, counted per lane.
-    /// Always 0 for netlist-order runs.
+    /// Always 0: no walk re-levels a cycle. Kept only because the
+    /// wall-clock benchmark harness reads it.
     pub releveled_cycles: u64,
-    /// Total gates pushed off their static level across all re-leveled
-    /// cycles.
-    pub patched_gates: u64,
-    /// Circuit instances batched per cycle by a layer-scheduled run —
-    /// 0 for netlist-order wavefront runs, which have no lane structure.
+    /// Lanes of the session these stats came from (0 from a bare
+    /// batcher, which knows no lanes).
     pub instances: u64,
 }
 
 impl WavefrontStats {
     /// Mean nonlinear gates per formed batch (0.0 when nothing
-    /// batched) — the per-level occupancy of a layered run.
+    /// batched).
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0
@@ -144,15 +125,15 @@ impl WavefrontStats {
         }
     }
 
-    /// The amortization divisor: a cross-instance run spreads its work
-    /// over `instances` lanes, a single run over 1.
+    /// The amortization divisor: a session spreads its work over
+    /// `instances` lanes (at least 1).
     fn lanes(&self) -> u64 {
         self.instances.max(1)
     }
 
-    /// Nonlinear gates batched per instance — equals `batched_gates`
-    /// for single runs, `batched_gates / N` for an N-lane run (each
-    /// lane contributes the same gate count as a sequential run).
+    /// Nonlinear gates batched per instance — `batched_gates / N` for
+    /// an N-lane run (each lane contributes the same gate count as a
+    /// sequential run).
     pub fn batched_gates_per_instance(&self) -> f64 {
         self.batched_gates as f64 / self.lanes() as f64
     }
@@ -170,10 +151,7 @@ impl WavefrontStats {
         self.batches += other.batches;
         self.batched_gates += other.batched_gates;
         self.largest_batch = self.largest_batch.max(other.largest_batch);
-        self.levels = self.levels.max(other.levels);
-        self.fallback_cycles += other.fallback_cycles;
         self.releveled_cycles += other.releveled_cycles;
-        self.patched_gates += other.patched_gates;
         self.instances = self.instances.max(other.instances);
     }
 }
@@ -182,10 +160,10 @@ impl WavefrontStats {
 ///
 /// Call [`copy`](GarbleWavefront::copy)/[`xor`](GarbleWavefront::xor)/
 /// [`garble`](GarbleWavefront::garble)
-/// per gate in netlist order, and [`GarbleWavefront::flush`] at the end
-/// of every cycle (before reading any output label). `emit` receives
-/// each gate's table in gate order, exactly as the sequential loop
-/// would have pushed them.
+/// per gate (and lane) in netlist order, and [`GarbleWavefront::flush`]
+/// at the end of every cycle (before reading any output label). `emit`
+/// receives each gate's table in call order, exactly as the sequential
+/// loop would have pushed them.
 #[derive(Clone, Debug)]
 pub struct GarbleWavefront {
     frontier: Frontier,
@@ -195,7 +173,7 @@ pub struct GarbleWavefront {
 }
 
 impl GarbleWavefront {
-    /// A scheduler for a circuit with `wire_count` wires.
+    /// A scheduler over `wire_count` label positions (wires × lanes).
     pub fn new(wire_count: usize) -> Self {
         Self {
             frontier: Frontier::new(wire_count),
@@ -356,7 +334,7 @@ pub struct EvalWavefront {
 }
 
 impl EvalWavefront {
-    /// A scheduler for a circuit with `wire_count` wires.
+    /// A scheduler over `wire_count` label positions (wires × lanes).
     pub fn new(wire_count: usize) -> Self {
         Self {
             frontier: Frontier::new(wire_count),
@@ -463,246 +441,6 @@ impl EvalWavefront {
     }
 }
 
-const ZERO_TABLE: GarbledTable = GarbledTable {
-    tg: Label::ZERO,
-    te: Label::ZERO,
-};
-
-/// Garbler-side layer-scheduled driver over one or more lanes.
-///
-/// Unlike [`GarbleWavefront`], gates arrive pre-grouped: the engine
-/// walks a precomputed `LayerSchedule` and, per level, computes linear
-/// labels directly and enqueues nonlinear gates here with
-/// [`GarbleLayered::garble`]. [`end_level`](GarbleLayered::end_level)
-/// hashes the level in one batch (every input label is final by
-/// construction — levels only depend on earlier levels), and
-/// [`end_cycle`](GarbleLayered::end_cycle) emits the buffered tables in
-/// ascending emission slot, i.e. exact netlist gate order, keeping the
-/// wire transcript byte-identical to a sequential walk.
-///
-/// With N lanes (N independent instances of the same circuit, distinct
-/// inputs, shared schedule) labels live in one struct-of-arrays buffer,
-/// wire-major: wire `w`'s lanes occupy indices `w*N .. w*N + N`, and
-/// the engine passes those flat indices. It enqueues every active lane
-/// of every nonlinear gate of a level before
-/// [`end_level`](GarbleLayered::end_level), so one batch hash spans
-/// `level width × N` jobs. Emission slots are merged across lanes
-/// (gate-major, lane-minor), so `end_cycle` interleaves the lanes'
-/// tables deterministically.
-#[derive(Clone, Debug)]
-pub struct GarbleLayered {
-    jobs: Vec<GarbleJob>,
-    /// `(output wire, emission slot)` per queued job.
-    dests: Vec<(u32, u32)>,
-    results: Vec<(Label, GarbledTable)>,
-    /// Slot-indexed table buffer for the current cycle.
-    tables: Vec<GarbledTable>,
-    filled: usize,
-    scratch: BatchScratch,
-    levels: u64,
-    instances: u64,
-    batches: u64,
-    batched_gates: u64,
-    largest_batch: usize,
-}
-
-impl GarbleLayered {
-    /// A driver batching `instances` lanes over a schedule with
-    /// `levels` topological levels.
-    pub fn new(levels: usize, instances: usize) -> Self {
-        Self {
-            jobs: Vec::new(),
-            dests: Vec::new(),
-            results: Vec::new(),
-            tables: Vec::new(),
-            filled: 0,
-            scratch: BatchScratch::default(),
-            levels: levels as u64,
-            instances: instances as u64,
-            batches: 0,
-            batched_gates: 0,
-            largest_batch: 0,
-        }
-    }
-
-    /// Batching statistics accumulated so far, carrying the lane count.
-    pub fn stats(&self) -> WavefrontStats {
-        WavefrontStats {
-            batches: self.batches,
-            batched_gates: self.batched_gates,
-            largest_batch: self.largest_batch,
-            levels: self.levels,
-            instances: self.instances,
-            ..WavefrontStats::default()
-        }
-    }
-
-    /// Starts a cycle that will garble `expected_tables` gates summed
-    /// over every active lane.
-    pub fn begin_cycle(&mut self, expected_tables: usize) {
-        self.tables.clear();
-        self.tables.resize(expected_tables, ZERO_TABLE);
-        self.filled = 0;
-    }
-
-    /// Enqueues one lane of one nonlinear gate of the current level.
-    /// `a`/`b`/`out` are flat label indices; `slot` is its emission
-    /// position within the cycle (netlist order of garbled gates,
-    /// lanes merged); `tweak` is the lane's own running tweak. Input
-    /// labels are read now — the level invariant guarantees they are
-    /// final.
-    #[allow(clippy::too_many_arguments)]
-    pub fn garble(
-        &mut self,
-        labels: &[Label],
-        op: Op,
-        a: usize,
-        b: usize,
-        out: usize,
-        tweak: u64,
-        slot: usize,
-    ) {
-        self.jobs.push(GarbleJob {
-            op,
-            a0: labels[a],
-            b0: labels[b],
-            tweak,
-        });
-        self.dests.push((out as u32, slot as u32));
-    }
-
-    /// Hashes the level's queued gates in one batch, writing output
-    /// labels and parking each table in its emission slot. No-op on
-    /// levels without nonlinear work.
-    pub fn end_level(&mut self, g: &HalfGateGarbler, labels: &mut [Label]) {
-        if self.jobs.is_empty() {
-            return;
-        }
-        g.garble_batch_with(&self.jobs, &mut self.scratch, &mut self.results);
-        for (&(out, slot), &(c0, table)) in self.dests.iter().zip(&self.results) {
-            labels[out as usize] = c0;
-            self.tables[slot as usize] = table;
-        }
-        self.batches += 1;
-        self.batched_gates += self.jobs.len() as u64;
-        self.largest_batch = self.largest_batch.max(self.jobs.len());
-        self.filled += self.jobs.len();
-        self.jobs.clear();
-        self.dests.clear();
-    }
-
-    /// Emits the cycle's tables in ascending slot order — exactly the
-    /// stream a netlist-order walk would have produced.
-    ///
-    /// # Panics
-    /// Panics if the cycle garbled fewer gates than announced via
-    /// [`GarbleLayered::begin_cycle`] (an engine-side scheduling bug).
-    ///
-    /// # Errors
-    /// Propagates `emit` failures.
-    pub fn end_cycle<E>(
-        &mut self,
-        emit: &mut impl FnMut(&GarbledTable) -> Result<(), E>,
-    ) -> Result<(), E> {
-        assert_eq!(
-            self.filled,
-            self.tables.len(),
-            "layered cycle under-filled its emission slots"
-        );
-        for t in &self.tables {
-            emit(t)?;
-        }
-        self.tables.clear();
-        self.filled = 0;
-        Ok(())
-    }
-}
-
-/// Evaluator-side layer-scheduled driver over one or more lanes; the
-/// mirror of [`GarbleLayered`]. The engine pulls the cycle's (merged)
-/// tables from the stream up front (in netlist order — the byte
-/// consumption is unchanged) and hands each lane of each gate its
-/// table at enqueue time.
-#[derive(Clone, Debug)]
-pub struct EvalLayered {
-    jobs: Vec<EvalJob>,
-    outs: Vec<u32>,
-    results: Vec<Label>,
-    scratch: BatchScratch,
-    levels: u64,
-    instances: u64,
-    batches: u64,
-    batched_gates: u64,
-    largest_batch: usize,
-}
-
-impl EvalLayered {
-    /// A driver batching `instances` lanes over a schedule with
-    /// `levels` topological levels.
-    pub fn new(levels: usize, instances: usize) -> Self {
-        Self {
-            jobs: Vec::new(),
-            outs: Vec::new(),
-            results: Vec::new(),
-            scratch: BatchScratch::default(),
-            levels: levels as u64,
-            instances: instances as u64,
-            batches: 0,
-            batched_gates: 0,
-            largest_batch: 0,
-        }
-    }
-
-    /// Batching statistics accumulated so far, carrying the lane count.
-    pub fn stats(&self) -> WavefrontStats {
-        WavefrontStats {
-            batches: self.batches,
-            batched_gates: self.batched_gates,
-            largest_batch: self.largest_batch,
-            levels: self.levels,
-            instances: self.instances,
-            ..WavefrontStats::default()
-        }
-    }
-
-    /// Enqueues one lane of one garbled gate of the current level with
-    /// its table; `a`/`b`/`out` are flat label indices.
-    pub fn eval(
-        &mut self,
-        labels: &[Label],
-        a: usize,
-        b: usize,
-        out: usize,
-        table: GarbledTable,
-        tweak: u64,
-    ) {
-        self.jobs.push(EvalJob {
-            a: labels[a],
-            b: labels[b],
-            table,
-            tweak,
-        });
-        self.outs.push(out as u32);
-    }
-
-    /// Hashes the level's queued gates in one batch and writes the
-    /// output labels. No-op on levels without nonlinear work.
-    pub fn end_level(&mut self, e: &HalfGateEvaluator, labels: &mut [Label]) {
-        if self.jobs.is_empty() {
-            return;
-        }
-        e.eval_batch_with(&self.jobs, &mut self.scratch, &mut self.results);
-        for (&out, &l) in self.outs.iter().zip(&self.results) {
-            labels[out as usize] = l;
-        }
-        self.batches += 1;
-        self.batched_gates += self.jobs.len() as u64;
-        self.largest_batch = self.largest_batch.max(self.jobs.len());
-        self.jobs.clear();
-        self.outs.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,15 +457,13 @@ mod tests {
         assert_eq!(stats.mean_batch(), 0.0);
         assert!(!stats.mean_batch().is_nan());
 
-        // Fresh drivers that never saw a gate report the same.
+        // Fresh batchers that never saw a gate report the same.
         assert_eq!(GarbleWavefront::new(4).stats().mean_batch(), 0.0);
         assert_eq!(EvalWavefront::new(4).stats().mean_batch(), 0.0);
-        assert_eq!(GarbleLayered::new(3, 1).stats().mean_batch(), 0.0);
-        assert_eq!(EvalLayered::new(3, 1).stats().mean_batch(), 0.0);
 
         // Absorbing empty stats keeps the invariant.
         let mut merged = WavefrontStats::default();
-        merged.absorb(GarbleLayered::new(3, 1).stats());
+        merged.absorb(GarbleWavefront::new(4).stats());
         assert_eq!(merged.mean_batch(), 0.0);
 
         // Per-instance amortization guards the same way: a zero-batch
@@ -742,12 +478,10 @@ mod tests {
             assert_eq!(s.batched_gates_per_instance(), 0.0);
             assert!(!s.mean_batch_per_instance().is_nan());
         }
-        assert_eq!(GarbleLayered::new(3, 8).stats().mean_batch(), 0.0);
-        assert_eq!(EvalLayered::new(3, 8).stats().instances, 8);
     }
 
     /// Per-instance amortized counters divide by the lane count (a lane
-    /// count of 0 — single-run drivers — amortizes over 1), and
+    /// count of 0 — a bare batcher's — amortizes over 1), and
     /// `absorb` keeps the max lane count while summing gate counters.
     #[test]
     fn per_instance_amortization_and_absorb() {
@@ -785,106 +519,124 @@ mod tests {
         assert_eq!(merged.batches, 12);
     }
 
-    /// One instanced cycle over 2 lanes with distinct input labels is
-    /// byte-identical to two sequential layered runs: per-lane labels
-    /// match, and the merged table stream is gate-major/lane-minor.
+    /// An `emit` sink appending every table to `tables`.
+    fn collect(
+        tables: &mut Vec<GarbledTable>,
+    ) -> impl FnMut(&GarbledTable) -> Result<(), Infallible> + '_ {
+        move |t| {
+            tables.push(*t);
+            Ok(())
+        }
+    }
+
+    /// Two lanes with distinct input labels interleaved through one
+    /// batcher over a struct-of-arrays store equal two sequential
+    /// single-lane runs: per-lane labels match on both sides, and the
+    /// tables come out gate-major, lane-minor.
     #[test]
-    fn instanced_lanes_match_sequential_layered_runs() {
+    fn interleaved_lanes_match_sequential_runs() {
         let mut prg = Prg::from_seed([79; 16]);
         let delta = Delta::random(&mut prg);
         let g = HalfGateGarbler::new(delta);
+        let e = HalfGateEvaluator::new();
         const N: usize = 2;
+        const WIRES: usize = 5;
+        // Per lane: wires 0..2 inputs, 2 = AND(0,1), 3 = 2 ⊕ 0,
+        // 4 = AND(3,1), which waits on the first wavefront.
+        let gates = [(0, 1, 2), (2, 0, 3), (3, 1, 4)];
+        let inputs: Vec<[Label; 2]> = (0..N)
+            .map(|_| [Label::random(&mut prg), Label::random(&mut prg)])
+            .collect();
 
-        // Per-lane circuit: wires 0..2 inputs, 2 = AND(0,1), 3 = AND(2,0).
-        let lane_inputs: Vec<[Label; 2]> =
-            vec![[Label::random(&mut prg), Label::random(&mut prg)]; N]
-                .into_iter()
-                .enumerate()
-                .map(|(i, mut l)| {
-                    l[0] ^= Label::from_u128(i as u128);
-                    l
-                })
-                .collect();
-
-        // Sequential reference: each lane on its own layered driver.
+        // Sequential reference: each lane alone, tweaks from 0.
         let mut seq_labels = Vec::new();
-        let mut seq_tables: Vec<Vec<GarbledTable>> = Vec::new();
-        for inputs in &lane_inputs {
-            let mut labels = vec![Label::ZERO; 4];
-            labels[..2].copy_from_slice(inputs);
-            let mut ld = GarbleLayered::new(2, 1);
-            ld.begin_cycle(2);
-            ld.garble(&labels, Op::AND, 0, 1, 2, 0, 0);
-            ld.end_level(&g, &mut labels);
-            ld.garble(&labels, Op::AND, 2, 0, 3, 1, 1);
-            ld.end_level(&g, &mut labels);
+        let mut seq_tables = Vec::new();
+        for lane in &inputs {
+            let mut labels = vec![Label::ZERO; WIRES];
+            labels[..2].copy_from_slice(lane);
             let mut tables = Vec::new();
-            ld.end_cycle(&mut |t: &GarbledTable| -> Result<(), Infallible> {
-                tables.push(*t);
-                Ok(())
-            })
-            .unwrap();
+            let mut emit = collect(&mut tables);
+            let mut wf = GarbleWavefront::new(WIRES);
+            let (a, b, out) = gates[0];
+            wf.garble(&g, &mut labels, Op::AND, a, b, out, 0, &mut emit)
+                .unwrap();
+            let (a, b, out) = gates[1];
+            wf.xor(&g, &mut labels, a, b, out, false);
+            let (a, b, out) = gates[2];
+            wf.garble(&g, &mut labels, Op::AND, a, b, out, 1, &mut emit)
+                .unwrap();
+            wf.flush(&g, &mut labels, &mut emit).unwrap();
+            drop(emit);
             seq_labels.push(labels);
             seq_tables.push(tables);
         }
 
-        // Instanced run: SoA labels (wire-major), merged slots
-        // gate-major/lane-minor, per-lane tweaks.
-        let mut soa = vec![Label::ZERO; 4 * N];
-        for (lane, inputs) in lane_inputs.iter().enumerate() {
-            soa[lane] = inputs[0];
-            soa[N + lane] = inputs[1];
+        // Interleaved: wire `w` of lane `l` at `w * N + l`, each gate's
+        // lanes visited in turn.
+        let at = |w: usize, lane: usize| w * N + lane;
+        let mut soa = vec![Label::ZERO; WIRES * N];
+        for (lane, pair) in inputs.iter().enumerate() {
+            soa[at(0, lane)] = pair[0];
+            soa[at(1, lane)] = pair[1];
         }
-        let idx = |w: usize, lane: usize| w * N + lane;
-        let mut di = GarbleLayered::new(2, N);
-        di.begin_cycle(2 * N);
-        for lane in 0..N {
-            di.garble(
-                &soa,
-                Op::AND,
-                idx(0, lane),
-                idx(1, lane),
-                idx(2, lane),
-                0,
-                lane,
-            );
-        }
-        di.end_level(&g, &mut soa);
-        for lane in 0..N {
-            di.garble(
-                &soa,
-                Op::AND,
-                idx(2, lane),
-                idx(0, lane),
-                idx(3, lane),
-                1,
-                N + lane,
-            );
-        }
-        di.end_level(&g, &mut soa);
         let mut merged = Vec::new();
-        di.end_cycle(&mut |t: &GarbledTable| -> Result<(), Infallible> {
-            merged.push(*t);
-            Ok(())
-        })
-        .unwrap();
+        let mut emit = collect(&mut merged);
+        let mut wf = GarbleWavefront::new(WIRES * N);
+        for (k, &(a, b, out)) in gates.iter().enumerate() {
+            for lane in 0..N {
+                let (a, b, out) = (at(a, lane), at(b, lane), at(out, lane));
+                match k {
+                    1 => wf.xor(&g, &mut soa, a, b, out, false),
+                    _ => wf
+                        .garble(&g, &mut soa, Op::AND, a, b, out, k as u64 / 2, &mut emit)
+                        .unwrap(),
+                }
+            }
+        }
+        wf.flush(&g, &mut soa, &mut emit).unwrap();
+        drop(emit);
 
         for lane in 0..N {
-            for w in 0..4 {
+            for w in 0..WIRES {
                 assert_eq!(
-                    soa[idx(w, lane)],
+                    soa[at(w, lane)],
                     seq_labels[lane][w],
                     "lane {lane} wire {w}"
                 );
             }
-            assert_eq!(merged[lane], seq_tables[lane][0]);
-            assert_eq!(merged[N + lane], seq_tables[lane][1]);
         }
-        let stats = di.stats();
-        assert_eq!(stats.instances, N as u64);
+        let gate_major: Vec<GarbledTable> = (0..2)
+            .flat_map(|t| seq_tables.iter().map(move |lane| lane[t]))
+            .collect();
+        assert_eq!(merged, gate_major, "tables gate-major, lane-minor");
+        let stats = wf.stats();
+        assert_eq!(stats.batches, 2);
         assert_eq!(stats.batched_gates, 2 * N as u64);
-        assert_eq!(stats.largest_batch, N, "each level spans all lanes");
-        assert_eq!(stats.batched_gates_per_instance(), 2.0);
+        assert_eq!(stats.largest_batch, N, "each wavefront spans both lanes");
+
+        // Evaluator mirror on the zero labels, same interleaving.
+        let mut active = vec![Label::ZERO; WIRES * N];
+        for lane in 0..N {
+            for w in 0..2 {
+                active[at(w, lane)] = soa[at(w, lane)];
+            }
+        }
+        let mut ewf = EvalWavefront::new(WIRES * N);
+        let mut tables = merged.iter();
+        for (k, &(a, b, out)) in gates.iter().enumerate() {
+            for lane in 0..N {
+                let (a, b, out) = (at(a, lane), at(b, lane), at(out, lane));
+                match k {
+                    1 => ewf.xor(&mut active, a, b, out),
+                    _ => {
+                        let t = *tables.next().unwrap();
+                        ewf.eval(&e, &mut active, a, b, out, t, k as u64 / 2);
+                    }
+                }
+            }
+        }
+        ewf.flush(&e, &mut active);
+        assert_eq!(active, soa, "zero-label inputs evaluate to the zero labels");
     }
 
     /// A hand-built chained/parallel mix: four independent ANDs (one
@@ -965,74 +717,5 @@ mod tests {
         ewf.flush(&e, &mut active);
         // Zero-label inputs evaluate to the zero labels everywhere.
         assert_eq!(active, seq_labels.0);
-    }
-
-    /// Two interleaved AND chains — netlist order A0, B0(A0), A1,
-    /// B1(A1) — so level order (A0 A1 | B0 B1) differs from netlist
-    /// order. The layered driver must still compute the sequential
-    /// labels and emit tables in netlist order, via the emission slots.
-    #[test]
-    fn layered_reorders_computation_but_not_emission() {
-        let mut prg = Prg::from_seed([78; 16]);
-        let delta = Delta::random(&mut prg);
-        let g = HalfGateGarbler::new(delta);
-        let e = HalfGateEvaluator::new();
-
-        // Wires 0..6 inputs; 6 = A0, 7 = B0, 8 = A1, 9 = B1.
-        let mut labels = vec![Label::ZERO; 10];
-        for l in labels.iter_mut().take(6) {
-            *l = Label::random(&mut prg);
-        }
-        // Netlist-order reference walk (tweak = netlist position).
-        let (seq_labels, seq_tables) = {
-            let mut seq = labels.clone();
-            let mut tables = Vec::new();
-            let gates = [(0, 1, 6), (6, 2, 7), (3, 4, 8), (8, 5, 9)];
-            for (i, &(a, b, out)) in gates.iter().enumerate() {
-                let (c0, t) = g.garble(Op::AND, seq[a], seq[b], i as u64);
-                seq[out] = c0;
-                tables.push(t);
-            }
-            (seq, tables)
-        };
-
-        // Layered walk: level 0 = {A0 slot 0, A1 slot 2},
-        // level 1 = {B0 slot 1, B1 slot 3}.
-        let mut ld = GarbleLayered::new(2, 1);
-        ld.begin_cycle(4);
-        ld.garble(&labels, Op::AND, 0, 1, 6, 0, 0);
-        ld.garble(&labels, Op::AND, 3, 4, 8, 2, 2);
-        ld.end_level(&g, &mut labels);
-        ld.garble(&labels, Op::AND, 6, 2, 7, 1, 1);
-        ld.garble(&labels, Op::AND, 8, 5, 9, 3, 3);
-        ld.end_level(&g, &mut labels);
-        let mut emitted = Vec::new();
-        ld.end_cycle(&mut |t: &GarbledTable| -> Result<(), Infallible> {
-            emitted.push(*t);
-            Ok(())
-        })
-        .unwrap();
-
-        assert_eq!(labels, seq_labels, "layered labels match sequential");
-        assert_eq!(emitted, seq_tables, "tables emitted in netlist order");
-        let stats = ld.stats();
-        assert_eq!(stats.batches, 2);
-        assert_eq!(stats.batched_gates, 4);
-        assert_eq!(stats.largest_batch, 2);
-        assert_eq!(stats.levels, 2);
-        assert!((stats.mean_batch() - 2.0).abs() < f64::EPSILON);
-
-        // Evaluator mirror on the zero labels, same level order.
-        let mut active = seq_labels[..6].to_vec();
-        active.resize(10, Label::ZERO);
-        let mut le = EvalLayered::new(2, 1);
-        le.eval(&active, 0, 1, 6, emitted[0], 0);
-        le.eval(&active, 3, 4, 8, emitted[2], 2);
-        le.end_level(&e, &mut active);
-        le.eval(&active, 6, 2, 7, emitted[1], 1);
-        le.eval(&active, 8, 5, 9, emitted[3], 3);
-        le.end_level(&e, &mut active);
-        assert_eq!(active, seq_labels);
-        assert_eq!(le.stats().batched_gates, 4);
     }
 }

@@ -10,8 +10,8 @@
 //! * [`halfgate`] — the two-ciphertext half-gate garbling primitive for
 //!   any nonlinear 2-input gate, with batch entry points that hash many
 //!   independent gates through the wide AES core per call,
-//! * [`batch`] — the wavefront batchers (netlist-order walk) and the
-//!   layered drivers (precomputed level schedule, any lane count),
+//! * [`batch`] — the wavefront batchers the netlist-order walk feeds,
+//!   one gate and lane at a time,
 //! * [`rows4`] — the unoptimised 4-row and GRR3 garbling baselines used
 //!   by the ablation benchmarks.
 
@@ -22,8 +22,7 @@ pub mod batch;
 pub mod halfgate;
 pub mod rows4;
 
-pub use arm2gc_circuit::LayerSchedule;
-pub use batch::{EvalLayered, EvalWavefront, GarbleLayered, GarbleWavefront, WavefrontStats};
+pub use batch::{EvalWavefront, GarbleWavefront, WavefrontStats};
 pub use halfgate::{EvalJob, GarbleJob, GarbledTable, HalfGateEvaluator, HalfGateGarbler};
 
 use arm2gc_circuit::Circuit;
