@@ -30,8 +30,8 @@ pub struct CircuitStats {
     pub outputs: usize,
     /// ASAP topological depth (levels per cycle).
     pub levels: usize,
-    /// Widest topological level, in nonlinear gates — the largest hash
-    /// batch a layer-scheduled cycle can form.
+    /// Widest topological level, in nonlinear gates — the most hashes
+    /// that could run side by side in one cycle.
     pub widest_nonlinear_level: usize,
 }
 

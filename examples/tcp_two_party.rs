@@ -26,9 +26,8 @@
 //!
 //! With `--instances N` (> 1) the session runs in instanced mode: N
 //! independent millionaires' comparisons — each lane with its own
-//! inputs — garbled through one struct-of-arrays level schedule, so
-//! each level's nonlinear gates across all lanes flow through one
-//! batched AES call.
+//! inputs — garbled through one struct-of-arrays label store, so every
+//! lane of a ready gate flows through the same batched AES call.
 //! Like `--shards`, the lane count is out-of-band session
 //! configuration and must match on both sides in manual mode.
 
