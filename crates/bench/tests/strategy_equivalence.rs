@@ -422,33 +422,55 @@ fn releveled_cycles_are_wire_identical_on_alias_crossing_circuits() {
     }
 }
 
-/// N identical lanes form exactly the single lane's wavefronts, each N×
-/// wider: every lane of a ready gate joins the same batch. mult_32 and
-/// matmul_3x3_32 interleave long dependency chains in netlist order,
-/// and aes_128's alias edges reach into deeper wires.
-#[test]
-fn identical_lanes_widen_every_wavefront() {
+/// Checks that N identical lanes of `wanted` form exactly the single
+/// lane's wavefronts, each N× wider: every lane of a ready gate joins
+/// the same batch, and no cycle is re-leveled.
+fn assert_identical_lanes_widen_every_wavefront(wanted: &str) {
     const N: u64 = 2;
     let circuits = table1_circuits(true);
-    for wanted in ["mult_32", "matmul_3x3_32", "aes_128"] {
-        let bc = circuits
-            .iter()
-            .find(|bc| bc.circuit.name() == wanted)
-            .unwrap_or_else(|| panic!("{wanted} missing from the Table 1 quick set"));
-        let single = run_session(bc, &SessionOptions::new()).batching;
-        let lanes = run_session(bc, &SessionOptions::new().instances(N as usize)).batching;
-        assert_eq!(lanes.batches, single.batches, "{wanted}: batch count");
-        assert_eq!(
-            lanes.batched_gates,
-            N * single.batched_gates,
-            "{wanted}: batched gates"
-        );
-        assert_eq!(
-            lanes.largest_batch as u64,
-            N * single.largest_batch as u64,
-            "{wanted}: largest batch"
-        );
-        assert_eq!(lanes.mean_batch_per_instance(), single.mean_batch());
+    let bc = circuits
+        .iter()
+        .find(|bc| bc.circuit.name() == wanted)
+        .unwrap_or_else(|| panic!("{wanted} missing from the Table 1 quick set"));
+    let single = run_session(bc, &SessionOptions::new()).batching;
+    let lanes = run_session(bc, &SessionOptions::new().instances(N as usize)).batching;
+    assert_eq!(lanes.batches, single.batches, "{wanted}: batch count");
+    assert_eq!(
+        lanes.batched_gates,
+        N * single.batched_gates,
+        "{wanted}: batched gates"
+    );
+    assert_eq!(
+        lanes.largest_batch as u64,
+        N * single.largest_batch as u64,
+        "{wanted}: largest batch"
+    );
+    assert_eq!(lanes.mean_batch_per_instance(), single.mean_batch());
+    assert!(
+        lanes.mean_batch() > single.mean_batch(),
+        "{wanted}: {N}-lane mean batch {:.2} not above one lane's {:.2}",
+        lanes.mean_batch(),
+        single.mean_batch()
+    );
+    assert_eq!(lanes.releveled_cycles, 0, "{wanted}: no cycle re-levels");
+    assert_eq!(single.releveled_cycles, 0);
+}
+
+/// aes_128's alias edges reach into deeper wires; two lanes still only
+/// widen each of the single lane's wavefronts, with no per-lane
+/// fallback and no re-leveling.
+#[test]
+fn aes128_relevels_instead_of_falling_back() {
+    assert_identical_lanes_widen_every_wavefront("aes_128");
+}
+
+/// mult_32 (shift-add chains) and matmul_3x3_32 interleave long
+/// dependency chains in netlist order: two lanes form the same number
+/// of wavefronts as one, each twice as wide.
+#[test]
+fn layered_beats_wavefront_on_chain_heavy_circuits() {
+    for wanted in ["mult_32", "matmul_3x3_32"] {
+        assert_identical_lanes_widen_every_wavefront(wanted);
     }
 }
 

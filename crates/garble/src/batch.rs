@@ -529,12 +529,13 @@ mod tests {
         }
     }
 
-    /// Two lanes with distinct input labels interleaved through one
-    /// batcher over a struct-of-arrays store equal two sequential
-    /// single-lane runs: per-lane labels match on both sides, and the
-    /// tables come out gate-major, lane-minor.
+    /// Two instanced lanes with distinct input labels interleaved
+    /// through one batcher over a struct-of-arrays store equal two
+    /// sequential single-lane runs, each hashed wavefront by wavefront:
+    /// per-lane labels match on both sides, and the tables come out
+    /// gate-major, lane-minor.
     #[test]
-    fn interleaved_lanes_match_sequential_runs() {
+    fn instanced_lanes_match_sequential_layered_runs() {
         let mut prg = Prg::from_seed([79; 16]);
         let delta = Delta::random(&mut prg);
         let g = HalfGateGarbler::new(delta);
@@ -637,6 +638,68 @@ mod tests {
         }
         ewf.flush(&e, &mut active);
         assert_eq!(active, soa, "zero-label inputs evaluate to the zero labels");
+    }
+
+    /// Two interleaved AND chains — netlist order A0, B0(A0), A1,
+    /// B1(A1). The wavefront defers A1 into B0's batch, so labels are
+    /// computed in the layers {A0} | {B0, A1} | {B1} rather than one
+    /// gate at a time, yet every label equals the sequential walk's and
+    /// tables are emitted (and consumed) in netlist order.
+    #[test]
+    fn layered_reorders_computation_but_not_emission() {
+        let mut prg = Prg::from_seed([78; 16]);
+        let delta = Delta::random(&mut prg);
+        let g = HalfGateGarbler::new(delta);
+        let e = HalfGateEvaluator::new();
+
+        // Wires 0..6 inputs; 6 = A0, 7 = B0, 8 = A1, 9 = B1.
+        let gates = [(0, 1, 6), (6, 2, 7), (3, 4, 8), (8, 5, 9)];
+        let mut labels = vec![Label::ZERO; 10];
+        for l in labels.iter_mut().take(6) {
+            *l = Label::random(&mut prg);
+        }
+        // Netlist-order reference walk (tweak = netlist position).
+        let (seq_labels, seq_tables) = {
+            let mut seq = labels.clone();
+            let mut tables = Vec::new();
+            for (i, &(a, b, out)) in gates.iter().enumerate() {
+                let (c0, t) = g.garble(Op::AND, seq[a], seq[b], i as u64);
+                seq[out] = c0;
+                tables.push(t);
+            }
+            (seq, tables)
+        };
+
+        let mut emitted = Vec::new();
+        let mut emit = collect(&mut emitted);
+        let mut wf = GarbleWavefront::new(10);
+        for (i, &(a, b, out)) in gates.iter().enumerate() {
+            wf.garble(&g, &mut labels, Op::AND, a, b, out, i as u64, &mut emit)
+                .unwrap();
+        }
+        wf.flush(&g, &mut labels, &mut emit).unwrap();
+        drop(emit);
+
+        assert_eq!(labels, seq_labels, "wavefront labels match sequential");
+        assert_eq!(emitted, seq_tables, "tables emitted in netlist order");
+        let stats = wf.stats();
+        assert_eq!(stats.batches, 3);
+        assert_eq!(stats.batched_gates, 4);
+        assert_eq!(stats.largest_batch, 2, "B0 and A1 hash together");
+        assert!((stats.mean_batch() - 4.0 / 3.0).abs() < f64::EPSILON);
+
+        // Evaluator mirror on the zero labels, tables in netlist order.
+        let mut active = seq_labels[..6].to_vec();
+        active.resize(10, Label::ZERO);
+        let mut ewf = EvalWavefront::new(10);
+        for (i, (&(a, b, out), &t)) in gates.iter().zip(&emitted).enumerate() {
+            ewf.eval(&e, &mut active, a, b, out, t, i as u64);
+        }
+        ewf.flush(&e, &mut active);
+        assert_eq!(active, seq_labels);
+        let stats = ewf.stats();
+        assert_eq!(stats.batches, 3);
+        assert_eq!(stats.batched_gates, 4);
     }
 
     /// A hand-built chained/parallel mix: four independent ANDs (one
