@@ -50,11 +50,15 @@
 //! instanced run's occupancy is the single-lane wavefronts with every
 //! batch N× wider. The `schedule` object's `levels` and
 //! `widest_nonlinear_level` remain a static analysis of the circuit.
+//! Since v11 a service session is one connection: the service section's
+//! four sessions all run unsharded (instances 1, 1, 8, 8) and their rows
+//! drop the `shards` key, and the `failures` object loses the attach
+//! expiry scenario with the shutdown and attach-expiry buckets.
 
 use std::fmt::Write as _;
 
 use arm2gc_circuit::LayerSchedule;
-use arm2gc_comm::{Channel, TcpChannel};
+use arm2gc_comm::Channel;
 use arm2gc_core::{
     run_two_party_opts, EngineKind, OtBackend, OtConfig, SessionOptions, ShardConfig,
 };
@@ -67,7 +71,7 @@ use arm2gc_server::{client, workload, GarblerService, ServiceConfig};
 use crate::runner::{run_session, table1_circuits};
 
 /// Identifies the report layout; bump when fields change.
-pub const SCHEMA: &str = "arm2gc-bench-ci/v10";
+pub const SCHEMA: &str = "arm2gc-bench-ci/v11";
 
 /// Lanes in the report's instanced runs.
 pub const INSTANCES: usize = 8;
@@ -223,9 +227,8 @@ fn cpu_section(opts: &SessionOptions) -> String {
     out
 }
 
-/// The modes the service section runs, matching the load generator's
-/// mix.
-const SERVICE_MODES: [(usize, usize); 4] = [(1, 1), (2, 1), (1, 8), (2, 8)];
+/// The lane counts of the service section's sessions, in order.
+const SERVICE_LANES: [usize; 4] = [1, 1, 8, 8];
 
 /// Runs four sequential sessions over a real loopback garbler service
 /// and renders the deterministic service-level counters: per-session
@@ -246,12 +249,10 @@ fn service_section() -> String {
     };
     let mut out = String::new();
     out.push_str("  \"service\": {\n    \"sessions\": [\n");
-    for (k, &(session_shards, instances)) in SERVICE_MODES.iter().enumerate() {
+    for (k, instances) in SERVICE_LANES.into_iter().enumerate() {
         let family = workload::FAMILIES[k % workload::FAMILIES.len()];
         let name = format!("{family}:{k}");
-        let opts = SessionOptions::new()
-            .shards(session_shards)
-            .instances(instances);
+        let opts = SessionOptions::new().instances(instances);
         let run = client::run_session(addr, &name, &opts).expect("service session");
         let wl = workload::resolve(&name, instances).expect("known workload");
         let (solo_a, solo_b) = run_two_party_opts(
@@ -276,13 +277,13 @@ fn service_section() -> String {
         let lane = run.outcome.lanes[0].stats;
         let _ = writeln!(
             out,
-            "      {{ \"workload\": \"{name}\", \"shards\": {session_shards}, \
-             \"instances\": {instances}, \"per_lane\": {{ \"garbled_tables\": {}, \
-             \"table_bytes\": {}, \"ots\": {} }}, \"matches_solo\": {matches_solo} }}{}",
+            "      {{ \"workload\": \"{name}\", \"instances\": {instances}, \
+             \"per_lane\": {{ \"garbled_tables\": {}, \"table_bytes\": {}, \"ots\": {} }}, \
+             \"matches_solo\": {matches_solo} }}{}",
             lane.garbled_tables,
             lane.table_bytes,
             lane.ots,
-            if k + 1 == SERVICE_MODES.len() {
+            if k + 1 == SERVICE_LANES.len() {
                 ""
             } else {
                 ","
@@ -290,7 +291,7 @@ fn service_section() -> String {
         );
     }
     wait_until("all service sessions complete", &|| {
-        svc.metrics().sessions_completed == SERVICE_MODES.len() as u64
+        svc.metrics().sessions_completed == SERVICE_LANES.len() as u64
     });
     let m = svc.metrics();
     svc.shutdown();
@@ -389,16 +390,10 @@ fn ot_section() -> String {
 /// deterministic by construction, so the baseline pins the typed
 /// teardown taxonomy end to end.
 fn failures_section() -> String {
-    use arm2gc_proto::Message;
-    use std::net::TcpStream;
-
     let deadline = std::time::Duration::from_millis(200);
     let svc = GarblerService::bind(
         "127.0.0.1:0",
-        ServiceConfig::new()
-            .workers(2)
-            .io_timeout(Some(deadline))
-            .attach_timeout(Some(deadline)),
+        ServiceConfig::new().workers(2).io_timeout(Some(deadline)),
     )
     .expect("bind fault-scenario service");
     let addr = svc.local_addr();
@@ -431,23 +426,6 @@ fn failures_section() -> String {
     wait_for("timeout teardown", &|m| m.failed_timeout == 1);
     drop(silent);
 
-    // Attach expiry: a sharded request whose sub-streams never arrive.
-    let mut parked = TcpChannel::from_stream(TcpStream::connect(addr).expect("connect"))
-        .expect("parked channel");
-    parked
-        .send(
-            &Message::ServiceRequest {
-                shards: 2,
-                instances: 1,
-                ot_token: 0,
-                workload: "sum32:0".into(),
-            }
-            .encode(),
-        )
-        .expect("parked request");
-    let _ = parked.recv().expect("parked accept");
-    wait_for("attach expiry", &|m| m.rejected_attach_timeout == 1);
-
     let m = svc.metrics();
     svc.shutdown();
     let mut out = String::new();
@@ -462,12 +440,7 @@ fn failures_section() -> String {
          \"failed_peer_disconnect\": {}, \"failed_corrupt_frame\": {},",
         m.sessions_failed, m.failed_timeout, m.failed_peer_disconnect, m.failed_corrupt_frame
     );
-    let _ = writeln!(
-        out,
-        "      \"failed_shutdown\": {}, \"failed_other\": {}, \
-         \"rejected_attach_timeout\": {}",
-        m.failed_shutdown, m.failed_other, m.rejected_attach_timeout
-    );
+    let _ = writeln!(out, "      \"failed_other\": {}", m.failed_other);
     out.push_str("    }\n");
     out
 }

@@ -18,13 +18,12 @@
 //! | `9` | [`Message::ServiceRequest`] | shards `u8`, instances `u16`, OT resume token `u64`, workload utf-8 |
 //! | `10` | [`Message::ServiceAccept`] | session id `u64`, resumed `u8` |
 //! | `11` | [`Message::ServiceReject`] | reason utf-8 |
-//! | `12` | [`Message::ServiceAttach`] | session id `u64`, shard `u8` |
 //!
 //! Decoding is strict: unknown tags, truncated bodies, bad magic and
 //! inconsistent lengths all yield [`ProtoError::CorruptFrame`] (naming
 //! the offending tag) — never a panic, and never an allocation sized by
 //! attacker-controlled lengths beyond the frame already in hand. The
-//! service preamble frames (tags 9–12) deliberately do *not*
+//! service preamble frames (tags 9–11) deliberately do *not*
 //! range-check their shard/instance counts: the garbler service
 //! validates them against [`crate::config::ConfigError`] so a bogus
 //! request gets a typed [`Message::ServiceReject`] instead of a framing
@@ -77,7 +76,6 @@ pub(crate) const TAG_INSTANCES: u8 = 8;
 pub(crate) const TAG_SERVICE_REQUEST: u8 = 9;
 pub(crate) const TAG_SERVICE_ACCEPT: u8 = 10;
 pub(crate) const TAG_SERVICE_REJECT: u8 = 11;
-pub(crate) const TAG_SERVICE_ATTACH: u8 = 12;
 
 /// Which side of the protocol a session plays.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -211,15 +209,17 @@ pub enum Message {
     Instances(u16),
     /// Service preamble: an evaluator asks the multi-tenant garbler
     /// service for a session of the named workload with the given
-    /// table-stream shard count and instance (lane) count. Spoken as
-    /// the *first* frame on a fresh connection, before the [`Hello`]
-    /// handshake; direct two-party sessions never send it. The counts
-    /// are intentionally not range-checked here — the service rejects
-    /// bogus values with a typed [`Message::ServiceReject`].
+    /// instance (lane) count. Spoken as the *first* frame on a fresh
+    /// connection, before the [`Hello`] handshake; direct two-party
+    /// sessions never send it. The counts are intentionally not
+    /// range-checked here — the service rejects bogus values with a
+    /// typed [`Message::ServiceReject`].
     ///
     /// [`Hello`]: Message::Hello
     ServiceRequest {
-        /// Parallel table sub-streams the session should use.
+        /// Table sub-streams. A service session is one connection, so
+        /// the service accepts only `1`; the byte keeps the frame
+        /// layout of protocol v4.
         shards: u8,
         /// Lanes of a cross-instance batched session (1 = plain).
         instances: u16,
@@ -233,10 +233,9 @@ pub enum Message {
         /// Name of the workload to serve (service-defined registry).
         workload: String,
     },
-    /// Service preamble: the request was admitted; the returned session
-    /// id names the session in subsequent [`Message::ServiceAttach`]
-    /// frames. The garbler's [`Message::Hello`] follows on this
-    /// connection once all shard channels are attached.
+    /// Service preamble: the request was admitted under the returned
+    /// session id. The garbler's [`Message::Hello`] follows on the same
+    /// connection.
     ServiceAccept {
         /// Service-assigned session identifier.
         session: u64,
@@ -253,15 +252,6 @@ pub enum Message {
         /// Human-readable refusal reason (from
         /// [`ConfigError`]'s `Display` for configuration errors).
         reason: String,
-    },
-    /// Service preamble: binds a fresh connection to shard `shard` of
-    /// an accepted session's table stream. Sent once, as the first
-    /// frame on each extra per-shard connection.
-    ServiceAttach {
-        /// Session id from [`Message::ServiceAccept`].
-        session: u64,
-        /// Which sub-stream this connection carries.
-        shard: u8,
     },
 }
 
@@ -324,13 +314,6 @@ impl Message {
                 out
             }
             Message::ServiceReject { reason } => prefixed(TAG_SERVICE_REJECT, reason.as_bytes()),
-            Message::ServiceAttach { session, shard } => {
-                let mut out = Vec::with_capacity(10);
-                out.push(TAG_SERVICE_ATTACH);
-                out.extend_from_slice(&session.to_le_bytes());
-                out.push(*shard);
-                out
-            }
         }
     }
 
@@ -428,15 +411,6 @@ impl Message {
             TAG_SERVICE_REJECT => Ok(Message::ServiceReject {
                 reason: String::from_utf8(body.to_vec()).map_err(|_| "reject reason not utf-8")?,
             }),
-            TAG_SERVICE_ATTACH => {
-                if body.len() != 9 {
-                    return Err("service attach frame size");
-                }
-                Ok(Message::ServiceAttach {
-                    session: u64::from_le_bytes(body[0..8].try_into().expect("8 bytes")),
-                    shard: body[8],
-                })
-            }
             _ => Err("unknown frame tag"),
         }
     }
@@ -541,10 +515,6 @@ mod tests {
         roundtrip(Message::ServiceReject {
             reason: "shard count must be at least 1".into(),
         });
-        roundtrip(Message::ServiceAttach {
-            session: 42,
-            shard: 1,
-        });
     }
 
     #[test]
@@ -575,7 +545,7 @@ mod tests {
             // missing resumed flag (v3-sized accept)
             &[TAG_SERVICE_ACCEPT, 1, 2, 3, 4, 5, 6, 7, 8],
             &[TAG_SERVICE_REJECT, 0xc3, 0x28], // reason not utf-8
-            &[TAG_SERVICE_ATTACH, 1, 2, 3, 4, 5, 6, 7, 8], // missing shard byte
+            &[12, 1, 2, 3, 4, 5, 6, 7, 8, 0],  // retired tag 12 (shard attach)
         ];
         for raw in cases {
             assert!(

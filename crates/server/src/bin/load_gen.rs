@@ -1,12 +1,12 @@
 //! Load generator for the garbler service.
 //!
 //! Binds an in-process [`GarblerService`] and hammers it with `N`
-//! concurrent evaluator clients across a fixed mix of modes
-//! (`shards ∈ {1,2}` × `instances ∈ {1,8}`, alternating workload
-//! families). Every session's outputs and per-lane cost counters are
-//! checked byte-for-byte against a solo in-process run of the same
-//! workload; any divergence (or failed session) makes the process exit
-//! nonzero, so CI can smoke-run it.
+//! concurrent evaluator clients across a fixed mix of lane counts
+//! (`instances ∈ {1,8}`, alternating workload families). Every
+//! session's outputs and per-lane cost counters are checked
+//! byte-for-byte against a solo in-process run of the same workload;
+//! any divergence (or failed session) makes the process exit nonzero,
+//! so CI can smoke-run it.
 //!
 //! `--ot np-iknp` switches the whole fleet to the real Naor–Pinkas +
 //! IKNP stack (over the fast test group unless `--ot-group standard`),
@@ -28,8 +28,8 @@ use std::time::Instant;
 use arm2gc_core::{run_two_party_opts, OtBackend, OtConfig, SessionOptions};
 use arm2gc_server::{client, workload, GarblerService, RetryPolicy, ServiceConfig};
 
-/// The mode mix every fourth client cycles through.
-const MODES: [(usize, usize); 4] = [(1, 1), (2, 1), (1, 8), (2, 8)];
+/// The lane counts the clients cycle through.
+const LANES: [usize; 2] = [1, 8];
 
 struct Args {
     clients: usize,
@@ -100,11 +100,10 @@ fn parse_args() -> Result<Args, String> {
 
 /// One client's verdict: `Ok(lanes)` across its verified sessions.
 fn run_client(addr: std::net::SocketAddr, k: usize, args: &Args) -> Result<usize, String> {
-    let (shards, instances) = MODES[k % MODES.len()];
+    let instances = LANES[k % LANES.len()];
     let family = workload::FAMILIES[k % workload::FAMILIES.len()];
     let name = format!("{family}:{k}");
     let opts = SessionOptions::new()
-        .shards(shards)
         .instances(instances)
         .ot(args.ot)
         .ot_config(args.ot_config);
@@ -196,7 +195,7 @@ fn main() -> ExitCode {
     let addr = svc.local_addr();
     println!(
         "load_gen: {} clients x {} sessions over {} workers at {addr} \
-         (modes {MODES:?}, ot {:?})",
+         (lanes {LANES:?}, ot {:?})",
         args.clients, args.sessions, args.workers, args.ot
     );
 
@@ -252,14 +251,11 @@ fn main() -> ExitCode {
         m.sessions_accepted, m.sessions_completed, m.sessions_failed, m.sessions_rejected
     );
     println!(
-        "failures: {} timeout, {} disconnect, {} corrupt, {} shutdown, {} other, \
-         {} attach-expired, {} preamble-expired",
+        "failures: {} timeout, {} disconnect, {} corrupt, {} other, {} preamble-expired",
         m.failed_timeout,
         m.failed_peer_disconnect,
         m.failed_corrupt_frame,
-        m.failed_shutdown,
         m.failed_other,
-        m.rejected_attach_timeout,
         m.rejected_preamble_timeout
     );
     println!(

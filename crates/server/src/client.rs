@@ -6,8 +6,8 @@
 //! [`run_two_party_opts`](arm2gc_core::run_two_party_opts) run of the
 //! same workload produces, which is exactly how the load generator
 //! verifies the service. [`connect`] exposes the bare preamble
-//! (request and shard attachments) for harnesses that want to drive —
-//! or stall — the session themselves.
+//! (request and verdict) for harnesses that want to drive — or stall —
+//! the session themselves. A session is one TCP connection.
 //!
 //! Transient connection failures (refused, reset, timed out) can be
 //! absorbed with a deterministic capped-exponential [`RetryPolicy`]
@@ -215,10 +215,8 @@ pub struct Connection {
     /// Whether the service checked out a cached base-OT state for this
     /// session's token (always `false` for token 0).
     pub resumed: bool,
-    /// The main protocol channel.
+    /// The session's protocol channel.
     pub main: TcpChannel,
-    /// Shard sub-channels, in shard order (empty unless sharded).
-    pub shard_chs: Vec<TcpChannel>,
 }
 
 /// Client-side base-OT reuse handle: a token plus the receiver
@@ -247,19 +245,9 @@ impl OtResume {
     }
 }
 
-/// Connects one socket to the service and applies the session's io
-/// deadline from `opts` before any frame moves.
-fn connect_socket(addr: SocketAddr, opts: &SessionOptions) -> Result<TcpChannel, ClientError> {
-    let ch = TcpChannel::from_stream(TcpStream::connect(addr)?)?;
-    ch.set_read_timeout(opts.io_timeout)?;
-    ch.set_write_timeout(opts.io_timeout)?;
-    Ok(ch)
-}
-
-/// Performs the service preamble: sends `ServiceRequest`, awaits the
-/// verdict, and — for sharded sessions — opens and attaches one extra
-/// connection per shard. Any `io_timeout` in `opts` is applied to
-/// every socket before the first frame.
+/// Performs the service preamble: sends `ServiceRequest` and awaits
+/// the verdict. Any `io_timeout` in `opts` is applied to the socket
+/// before the first frame.
 ///
 /// # Errors
 /// [`ClientError::Config`] on locally invalid options,
@@ -287,7 +275,9 @@ pub fn connect_with_token(
     ot_token: u64,
 ) -> Result<Connection, ClientError> {
     opts.validate()?;
-    let mut main = connect_socket(addr, opts)?;
+    let mut main = TcpChannel::from_stream(TcpStream::connect(addr)?)?;
+    main.set_read_timeout(opts.io_timeout)?;
+    main.set_write_timeout(opts.io_timeout)?;
     main.send(
         &Message::ServiceRequest {
             shards: opts.shards as u8,
@@ -306,25 +296,10 @@ pub fn connect_with_token(
             )))
         }
     };
-    let mut shard_chs = Vec::new();
-    if opts.shards > 1 {
-        for shard in 0..opts.shards {
-            let mut ch = connect_socket(addr, opts)?;
-            ch.send(
-                &Message::ServiceAttach {
-                    session,
-                    shard: shard as u8,
-                }
-                .encode(),
-            )?;
-            shard_chs.push(ch);
-        }
-    }
     Ok(Connection {
         session,
         resumed,
         main,
-        shard_chs,
     })
 }
 
@@ -370,8 +345,8 @@ pub struct SessionRun {
     pub outcome: InstancedOutcome,
 }
 
-/// Connects, attaches shards, and drives the evaluator side of one
-/// session of `workload` end to end.
+/// Connects and drives the evaluator side of one session of
+/// `workload` end to end.
 ///
 /// # Errors
 /// Everything [`connect`] can raise, plus
@@ -434,18 +409,13 @@ pub fn drive_with_ot(
     opts: &SessionOptions,
     ot: &mut dyn OtReceiver,
 ) -> Result<SessionRun, ClientError> {
-    let shard_chs: Vec<Box<dyn Channel>> = conn
-        .shard_chs
-        .into_iter()
-        .map(|c| Box::new(c) as Box<dyn Channel>)
-        .collect();
     let outcome = drive_evaluator(
         &wl.circuit,
         &wl.bobs,
         &wl.publics,
         wl.cycles,
         &mut conn.main,
-        shard_chs,
+        Vec::new(),
         ot,
         opts,
     )

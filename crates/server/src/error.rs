@@ -33,12 +33,6 @@ pub enum SessionError {
         /// Tag byte of the undecodable frame.
         tag: u8,
     },
-    /// A sharded session's remaining `ServiceAttach` connections never
-    /// arrived within the attach deadline; the parked slot was freed.
-    AttachTimeout,
-    /// The service shut down while the session was still parked
-    /// awaiting shard attachments.
-    Shutdown,
     /// Any other socket-level failure, with the original error kind.
     Io(io::ErrorKind),
     /// The session's configuration failed validation after acceptance
@@ -62,8 +56,6 @@ impl fmt::Display for SessionError {
             SessionError::CorruptFrame { tag } => {
                 write!(f, "corrupt protocol frame (tag {tag})")
             }
-            SessionError::AttachTimeout => f.write_str("shard attach deadline elapsed"),
-            SessionError::Shutdown => f.write_str("service shut down"),
             SessionError::Io(kind) => write!(f, "session io failure: {kind}"),
             SessionError::Config(e) => write!(f, "invalid session configuration: {e}"),
             SessionError::Workload(name) => write!(f, "workload {name:?} not resolvable"),
@@ -81,9 +73,6 @@ impl SessionError {
             SessionError::Timeout => FailureReason::Timeout,
             SessionError::PeerDisconnect => FailureReason::PeerDisconnect,
             SessionError::CorruptFrame { .. } => FailureReason::CorruptFrame,
-            SessionError::Shutdown => FailureReason::Shutdown,
-            // Attach expiry is accounted by the reaper's dedicated
-            // counter; via this path it has no bucket of its own.
             _ => FailureReason::Other,
         }
     }
@@ -125,8 +114,6 @@ pub enum FailureReason {
     PeerDisconnect,
     /// Undecodable frame.
     CorruptFrame,
-    /// Service shut down underneath the session.
-    Shutdown,
     /// Everything else (io, config, workload, protocol violations).
     Other,
 }
@@ -185,7 +172,6 @@ mod tests {
             SessionError::CorruptFrame { tag: 7 }.reason(),
             FailureReason::CorruptFrame
         );
-        assert_eq!(SessionError::Shutdown.reason(), FailureReason::Shutdown);
         assert_eq!(
             SessionError::Workload("x".into()).reason(),
             FailureReason::Other

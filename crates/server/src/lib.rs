@@ -18,9 +18,10 @@
 //!   deadline tears down exactly that session with one typed
 //!   [`SessionError`], counted per reason in [`Metrics`]; co-tenants
 //!   are untouched and the service keeps serving.
-//! * **Deadlines end-to-end** — the preamble read, shard attachment
-//!   (a reaper expires parked bundles), per-session socket io, and a
-//!   drain window on graceful shutdown are all bounded.
+//! * **One connection per session** — the preamble and the whole
+//!   protocol share the socket the client opened.
+//! * **Deadlines end-to-end** — the preamble read, per-session socket
+//!   io, and a drain window on graceful shutdown are all bounded.
 //! * **Deterministic metrics** — the [`Metrics`] registry counts
 //!   events and queue high-water marks only, never clocks, so CI pins
 //!   service behaviour exactly; rates live in observers like the

@@ -7,8 +7,7 @@
 //! binary, which own the wall clock.
 //!
 //! Failures are accounted per reason: `sessions_failed` always equals
-//! the sum of the `failed_*` buckets plus `rejected_attach_timeout`
-//! (parked sessions the reaper expired), so the fault-matrix suite can
+//! the sum of the `failed_*` buckets, so the fault-matrix suite can
 //! assert exact books after every injected fault.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,9 +28,7 @@ pub struct Metrics {
     failed_timeout: AtomicU64,
     failed_peer_disconnect: AtomicU64,
     failed_corrupt_frame: AtomicU64,
-    failed_shutdown: AtomicU64,
     failed_other: AtomicU64,
-    rejected_attach_timeout: AtomicU64,
     rejected_preamble_timeout: AtomicU64,
     ot_base_setups: AtomicU64,
     ot_extended: AtomicU64,
@@ -57,11 +54,8 @@ pub struct MetricsSnapshot {
     pub sessions_active: u64,
     /// Sessions that ran to completion.
     pub sessions_completed: u64,
-    /// Sessions torn down after acceptance — by a mid-run failure, the
-    /// attach reaper, or shutdown. Always the sum of the `failed_*`
-    /// buckets plus [`rejected_attach_timeout`].
-    ///
-    /// [`rejected_attach_timeout`]: Self::rejected_attach_timeout
+    /// Sessions torn down after acceptance by a mid-run failure. Always
+    /// the sum of the `failed_*` buckets.
     pub sessions_failed: u64,
     /// Failed sessions whose socket deadline elapsed.
     pub failed_timeout: u64,
@@ -69,15 +63,9 @@ pub struct MetricsSnapshot {
     pub failed_peer_disconnect: u64,
     /// Failed sessions torn down by an undecodable frame.
     pub failed_corrupt_frame: u64,
-    /// Sessions (parked or running) torn down by service shutdown.
-    pub failed_shutdown: u64,
     /// Failed sessions outside the dedicated buckets (io, config,
     /// workload, session-level protocol violations).
     pub failed_other: u64,
-    /// Parked sharded sessions the reaper expired because their
-    /// remaining `ServiceAttach` connections never arrived in time.
-    /// Counted inside [`sessions_failed`](Self::sessions_failed).
-    pub rejected_attach_timeout: u64,
     /// Connections dropped because no complete preamble frame arrived
     /// within the preamble deadline. Counted inside
     /// [`sessions_rejected`](Self::sessions_rejected).
@@ -120,9 +108,7 @@ impl Metrics {
             failed_timeout: self.failed_timeout.load(Ordering::SeqCst),
             failed_peer_disconnect: self.failed_peer_disconnect.load(Ordering::SeqCst),
             failed_corrupt_frame: self.failed_corrupt_frame.load(Ordering::SeqCst),
-            failed_shutdown: self.failed_shutdown.load(Ordering::SeqCst),
             failed_other: self.failed_other.load(Ordering::SeqCst),
-            rejected_attach_timeout: self.rejected_attach_timeout.load(Ordering::SeqCst),
             rejected_preamble_timeout: self.rejected_preamble_timeout.load(Ordering::SeqCst),
             ot_base_setups: self.ot_base_setups.load(Ordering::SeqCst),
             ot_extended: self.ot_extended.load(Ordering::SeqCst),
@@ -177,24 +163,9 @@ impl Metrics {
             FailureReason::Timeout => &self.failed_timeout,
             FailureReason::PeerDisconnect => &self.failed_peer_disconnect,
             FailureReason::CorruptFrame => &self.failed_corrupt_frame,
-            FailureReason::Shutdown => &self.failed_shutdown,
             FailureReason::Other => &self.failed_other,
         };
         bucket.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// A parked sharded session expired awaiting attachments. It never
-    /// ran, so `sessions_active` is untouched.
-    pub(crate) fn attach_expired(&self) {
-        self.sessions_failed.fetch_add(1, Ordering::SeqCst);
-        self.rejected_attach_timeout.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// A parked sharded session was discarded by shutdown. It never
-    /// ran, so `sessions_active` is untouched.
-    pub(crate) fn parked_shutdown(&self) {
-        self.sessions_failed.fetch_add(1, Ordering::SeqCst);
-        self.failed_shutdown.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Books one session's OT activity: base setups paid and OTs
@@ -245,31 +216,21 @@ mod tests {
     #[test]
     fn failure_buckets_sum_to_total() {
         let m = Metrics::default();
-        for _ in 0..5 {
+        for _ in 0..4 {
             m.job_queued();
             m.job_started();
         }
         m.session_failed(FailureReason::Timeout);
         m.session_failed(FailureReason::PeerDisconnect);
         m.session_failed(FailureReason::CorruptFrame);
-        m.session_failed(FailureReason::Shutdown);
         m.session_failed(FailureReason::Other);
-        m.attach_expired();
-        m.parked_shutdown();
         m.preamble_timeout();
         let s = m.snapshot();
-        assert_eq!(s.sessions_failed, 7);
+        assert_eq!(s.sessions_failed, 4);
         assert_eq!(
-            s.failed_timeout
-                + s.failed_peer_disconnect
-                + s.failed_corrupt_frame
-                + s.failed_shutdown
-                + s.failed_other
-                + s.rejected_attach_timeout,
+            s.failed_timeout + s.failed_peer_disconnect + s.failed_corrupt_frame + s.failed_other,
             s.sessions_failed
         );
-        assert_eq!(s.failed_shutdown, 2, "running + parked shutdown");
-        assert_eq!(s.rejected_attach_timeout, 1);
         assert_eq!(s.sessions_rejected, 1);
         assert_eq!(s.rejected_preamble_timeout, 1);
         assert_eq!(s.sessions_active, 0);

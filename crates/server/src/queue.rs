@@ -4,10 +4,10 @@
 //! them. Writing straight to the socket would park the worker inside
 //! the kernel's send buffer with nothing to show for it; sharing one
 //! writer across sessions would let a single stalled evaluator starve
-//! everyone. [`QueuedChannel`] gives every session (and every shard
-//! sub-stream) its *own* writer thread fed by a bounded in-process
-//! queue: the garbling worker blocks only once **its own** queue is
-//! full — backpressure stays session-local by construction.
+//! everyone. [`QueuedChannel`] gives every session its *own* writer
+//! thread fed by a bounded in-process queue: the garbling worker blocks
+//! only once **its own** queue is full — backpressure stays
+//! session-local by construction.
 //!
 //! When the writer thread dies on a socket error, the error is parked
 //! in a shared slot and the queue is disconnected, so the next `send`

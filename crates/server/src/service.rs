@@ -1,7 +1,7 @@
 //! The multi-tenant garbler service.
 //!
 //! One [`GarblerService`] accepts TCP connections, performs the typed
-//! service preamble (tags 9–12 of the wire protocol), and multiplexes
+//! service preamble (tags 9–11 of the wire protocol), and multiplexes
 //! every accepted session over a bounded worker pool:
 //!
 //! ```text
@@ -13,29 +13,30 @@
 //!                                       ServiceReject    ▼
 //!             ┌──────────────────────────────────────────────────┐
 //!             │ worker pool (N workers, bounded job queue)       │
-//!             │  per session: QueuedChannel(s) → drive_garbler   │
+//!             │  per session: QueuedChannel → drive_garbler      │
 //!             └──────────────────────────────────────────────────┘
 //! ```
 //!
-//! * A session's shard sub-streams arrive as separate connections
-//!   carrying [`Message::ServiceAttach`]; the service holds the partial
-//!   bundle in a pending map and enqueues the job once every shard is
-//!   attached. A reaper thread expires parked bundles whose remaining
-//!   attachments miss the attach deadline, freeing their slot.
-//! * Each session writes through its own bounded [`QueuedChannel`]s, so
+//! * A session is one TCP connection: the preamble and the whole
+//!   protocol run over the socket the client opened. A request for more
+//!   than one table shard gets a typed [`Message::ServiceReject`].
+//! * Each session writes through its own bounded [`QueuedChannel`], so
 //!   a slow evaluator backpressures only its own worker — never the
 //!   accept loop, never another session.
 //! * Every torn-down session fails with one typed [`SessionError`] —
-//!   deadline, disconnect, corrupt frame (with its tag), attach expiry,
-//!   shutdown — kept in its [`SessionRecord`] and counted per reason in
-//!   [`Metrics`]; co-tenant sessions are untouched.
-//! * Deadlines are end-to-end: the preamble read, shard attachment,
-//!   per-session socket io (from [`ServiceConfig::io_timeout`]), and a
-//!   drain deadline on [`shutdown_drain`](GarblerService::shutdown_drain).
+//!   deadline, disconnect, corrupt frame (with its tag) — kept in its
+//!   [`SessionRecord`] and counted per reason in [`Metrics`]; co-tenant
+//!   sessions are untouched.
+//! * Deadlines are end-to-end: the preamble read, per-session socket io
+//!   (from [`ServiceConfig::io_timeout`]), and a drain deadline on
+//!   [`shutdown_drain`](GarblerService::shutdown_drain).
+//! * Base-OT reuse keeps one slot per client token in one map under one
+//!   lock. A session checks its token's cached state out in one
+//!   critical section and returns it in another, and only the token's
+//!   newest session may return. A reaper thread evicts cached states
+//!   past their deadline.
 //! * Every counter in the [`Metrics`] registry is deterministic (no
 //!   clocks), so CI pins service-level behaviour byte-for-byte.
-//!
-//! [`Message::ServiceAttach`]: arm2gc_proto::Message::ServiceAttach
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -49,13 +50,21 @@ use arm2gc_comm::{Channel, ChannelError, TcpChannel};
 use arm2gc_core::{drive_garbler, SessionOptions, SkipGateStats};
 use arm2gc_crypto::Prg;
 use arm2gc_ot::OtSender;
-use arm2gc_proto::{Message, OtBackend, OtConfig, OtSenderState, ResumableOtSender, StreamConfig};
+use arm2gc_proto::{Message, OtBackend, OtConfig, OtSenderState, ResumableOtSender};
 use threadpool::ThreadPool;
 
 use crate::error::SessionError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::QueuedChannel;
 use crate::workload;
+
+/// Most accepted sessions allowed to wait for a worker; beyond this,
+/// requests are rejected with a typed "server busy".
+const MAX_QUEUED: u64 = 256;
+
+/// Bound of each session's send queue (frames): how far a garbler may
+/// run ahead of a slow evaluator before blocking.
+const SEND_QUEUE_FRAMES: usize = 64;
 
 /// Tuning knobs of a [`GarblerService`].
 ///
@@ -66,13 +75,6 @@ use crate::workload;
 pub struct ServiceConfig {
     /// Worker threads garbling sessions concurrently.
     pub workers: usize,
-    /// Most accepted sessions allowed to wait for a worker; beyond
-    /// this, requests are rejected with a typed "server busy".
-    pub max_queued: usize,
-    /// Bound of each session's per-channel send queue (frames). The
-    /// knob that decides how far a garbler may run ahead of a slow
-    /// evaluator before blocking.
-    pub send_queue_frames: usize,
     /// OT stack every session uses (out-of-band configuration: clients
     /// must drive with the same backend).
     pub ot: OtBackend,
@@ -84,18 +86,11 @@ pub struct ServiceConfig {
     /// reaper evicts it (default 300 s). `None` caches forever — every
     /// abandoned token then holds its state until shutdown.
     pub ot_cache_timeout: Option<Duration>,
-    /// Garbler-side table-streaming configuration.
-    pub stream: StreamConfig,
     /// How long a fresh connection may take to produce its complete
     /// preamble frame before being dropped (default 10 s). `None`
     /// waits forever — a connect-and-stall client then pins one
     /// preamble thread, though never the accept loop.
     pub preamble_timeout: Option<Duration>,
-    /// How long a parked sharded session may wait for its remaining
-    /// `ServiceAttach` connections before the reaper expires it
-    /// (default 30 s). `None` parks forever — the pre-deadline
-    /// behaviour that leaked pending entries.
-    pub attach_timeout: Option<Duration>,
     /// Per-session socket read/write deadline applied to every session
     /// stream once it leaves the preamble (default `None`: block
     /// forever, the historical behaviour — a wedged-but-connected
@@ -107,23 +102,19 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         Self {
             workers: 4,
-            max_queued: 256,
-            send_queue_frames: 64,
             ot: OtBackend::default(),
             ot_config: OtConfig::default(),
             ot_cache_timeout: Some(Duration::from_secs(300)),
-            stream: StreamConfig::default(),
             preamble_timeout: Some(Duration::from_secs(10)),
-            attach_timeout: Some(Duration::from_secs(30)),
             io_timeout: None,
         }
     }
 }
 
 impl ServiceConfig {
-    /// The default configuration (4 workers, 256 queued sessions,
-    /// 64-frame send queues, insecure reference OT, 10 s preamble
-    /// deadline, 30 s attach deadline, no session io deadline).
+    /// The default configuration (4 workers, insecure reference OT,
+    /// 300 s OT cache deadline, 10 s preamble deadline, no session io
+    /// deadline).
     pub fn new() -> Self {
         Self::default()
     }
@@ -132,20 +123,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the accepted-but-waiting session bound.
-    #[must_use]
-    pub fn max_queued(mut self, max_queued: usize) -> Self {
-        self.max_queued = max_queued;
-        self
-    }
-
-    /// Sets the per-channel send-queue bound (frames).
-    #[must_use]
-    pub fn send_queue_frames(mut self, frames: usize) -> Self {
-        self.send_queue_frames = frames;
         self
     }
 
@@ -178,13 +155,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets (or disables, with `None`) the shard-attach deadline.
-    #[must_use]
-    pub fn attach_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.attach_timeout = timeout;
-        self
-    }
-
     /// Sets (or clears, with `None`) the per-session socket deadline.
     #[must_use]
     pub fn io_timeout(mut self, timeout: Option<Duration>) -> Self {
@@ -200,39 +170,39 @@ pub struct SessionRecord {
     pub session: u64,
     /// The workload name the client requested.
     pub workload: String,
-    /// Negotiated shard count.
-    pub shards: usize,
     /// Negotiated lane count.
     pub instances: usize,
     /// Per-lane cost counters on success, or the typed teardown reason.
     pub result: Result<Vec<SkipGateStats>, SessionError>,
 }
 
-/// A session accepted but still waiting for shard attachments.
-struct Pending {
-    workload: String,
-    shards: usize,
-    instances: usize,
-    main: TcpStream,
-    shard_streams: Vec<Option<TcpStream>>,
-    /// When the reaper may expire this bundle (`None`: never).
-    deadline: Option<Instant>,
-    /// The client's base-OT reuse token (0: none).
-    ot_token: u64,
-    /// Resume state checked out of the OT cache at accept time; rides
-    /// with the parked bundle and returns to the cache if the bundle
-    /// expires (it was never advanced).
-    ot_state: Option<OtSenderState>,
-}
-
-/// One cached IKNP extension state, keyed by (client token) in
-/// [`Shared::ot_cache`]. Checkout is exclusive: the entry is *removed*
-/// while its session runs, so a concurrent session reusing the token
-/// falls back to a fresh setup instead of forking the counter state.
+/// One cached IKNP extension state with its eviction deadline.
 struct OtCacheEntry {
     state: OtSenderState,
     /// When the reaper may evict this entry (`None`: never).
     deadline: Option<Instant>,
+}
+
+/// One client token's entry in [`Shared::ot_slots`]. It exists only
+/// while a state is cached or a session under the token is in flight.
+struct OtSlot {
+    /// The newest session that checked the token out: the only one
+    /// whose return is honoured. A slow teardown of an older session
+    /// must not replace a newer session's state, or the IKNP counters
+    /// would silently desync against the client's half.
+    newest: u64,
+    /// The parked sender state. Checkout takes it, so a concurrent
+    /// session on the same token finds the slot empty and pays a fresh
+    /// setup instead of forking the counter state.
+    cached: Option<OtCacheEntry>,
+}
+
+impl OtSlot {
+    fn overdue(&self, now: Instant) -> bool {
+        self.cached
+            .as_ref()
+            .is_some_and(|e| e.deadline.is_some_and(|d| d <= now))
+    }
 }
 
 /// Finished-session records the service keeps: the most recent ones.
@@ -245,20 +215,13 @@ struct Shared {
     metrics: Arc<Metrics>,
     /// The last [`RECORD_LOG`] finished sessions, oldest first.
     records: Mutex<VecDeque<SessionRecord>>,
-    pending: Mutex<HashMap<u64, Pending>>,
-    /// Base-OT reuse cache: client token → parked IKNP sender state.
-    ot_cache: Mutex<HashMap<u64, OtCacheEntry>>,
-    /// Per token, the newest session that checked the cache — the only
-    /// one whose state return is accepted. A slow teardown of an older
-    /// session must not clobber a newer session's banked state: the
-    /// IKNP counters would silently desync against the client's half.
-    ot_latest: Mutex<HashMap<u64, u64>>,
+    /// Base-OT reuse: client token → its slot. Checkout and return are
+    /// each one critical section on this lock.
+    ot_slots: Mutex<HashMap<u64, OtSlot>>,
     next_session: AtomicU64,
+    /// Set once the service stops accepting: the accept loop exits and
+    /// preambles still in flight are rejected.
     shutdown: AtomicBool,
-    /// Set while [`GarblerService::shutdown_drain`] runs: new requests
-    /// are rejected but attaches for already-parked sessions still
-    /// land.
-    draining: AtomicBool,
     pool: ThreadPool,
     /// Reaper parking brake: `lock` then flip to `true` and
     /// `notify` to stop the reaper promptly.
@@ -277,97 +240,65 @@ impl Shared {
         records.push_back(record);
     }
 
-    /// Expires every pending bundle past its deadline (or all of them,
-    /// when `expire_all` — shutdown). Returns the number expired.
-    fn expire_pending(&self, expire_all: bool, reason: SessionError) -> usize {
-        let now = Instant::now();
-        let expired: Vec<(u64, Pending)> = {
-            let mut pending = self.pending.lock().unwrap();
-            let ids: Vec<u64> = pending
-                .iter()
-                .filter(|(_, p)| expire_all || p.deadline.is_some_and(|d| d <= now))
-                .map(|(&id, _)| id)
-                .collect();
-            ids.into_iter()
-                .map(|id| (id, pending.remove(&id).expect("held lock")))
-                .collect()
-        };
-        let count = expired.len();
-        for (session, entry) in expired {
-            match reason {
-                SessionError::Shutdown => self.metrics.parked_shutdown(),
-                _ => self.metrics.attach_expired(),
-            }
-            // The bundle never ran, so its checked-out OT state was
-            // never advanced — hand it back to the cache.
-            self.return_ot_state(entry.ot_token, session, entry.ot_state);
-            // Tell the waiting client why before the sockets drop.
-            if let Ok(mut ch) = TcpChannel::from_stream(entry.main) {
-                let _ = ch.send(
-                    &Message::ServiceReject {
-                        reason: reason.to_string(),
-                    }
-                    .encode(),
-                );
-            }
-            self.record(SessionRecord {
-                session,
-                workload: entry.workload,
-                shards: entry.shards,
-                instances: entry.instances,
-                result: Err(reason.clone()),
-            });
-        }
-        count
-    }
-
-    /// Removes and returns the cached OT state for `token` (exclusive
-    /// checkout; expired entries are not handed out), and records
-    /// `session` as the token's newest tenant — from here on, only its
-    /// state return is accepted.
+    /// Makes `session` the newest tenant of `token` and takes the
+    /// token's cached state, unless it is overdue (then it is evicted).
     fn checkout_ot(&self, token: u64, session: u64) -> Option<OtSenderState> {
-        self.ot_latest.lock().unwrap().insert(token, session);
-        let mut cache = self.ot_cache.lock().unwrap();
-        let entry = cache.remove(&token)?;
-        if entry.deadline.is_some_and(|d| d <= Instant::now()) {
-            // Overdue but not yet reaped: evict instead of resuming.
-            drop(cache);
+        let now = Instant::now();
+        let mut slots = self
+            .ot_slots
+            .lock()
+            .expect("no thread panics holding the OT slots");
+        let slot = slots.entry(token).or_insert(OtSlot {
+            newest: session,
+            cached: None,
+        });
+        slot.newest = session;
+        let overdue = slot.overdue(now);
+        let entry = slot.cached.take()?;
+        drop(slots);
+        if overdue {
             self.metrics.ot_evicted(1);
             return None;
         }
         Some(entry.state)
     }
 
-    /// Parks `state` (if any) back in the cache under `token` with a
-    /// refreshed eviction deadline — but only from the token's newest
-    /// session. A stale return (an older same-token session whose
-    /// teardown outlived a newer accept) is dropped on the floor:
-    /// caching it would desync the next resume against the client's
-    /// banked receiver counters.
+    /// Ends `session`'s tenancy of `token`: caches `state` with a fresh
+    /// eviction deadline, or removes the slot when there is no state to
+    /// keep (the session failed, or had none to give back). A return from
+    /// any session but the token's newest is dropped: caching it would
+    /// desync the next resume against the client's receiver state.
     fn return_ot_state(&self, token: u64, session: u64, state: Option<OtSenderState>) {
-        let Some(state) = state else { return };
-        if token == 0 {
-            return;
-        }
-        if self.ot_latest.lock().unwrap().get(&token) != Some(&session) {
-            return;
-        }
-        let deadline = self.config.ot_cache_timeout.map(|t| Instant::now() + t);
-        self.ot_cache
+        let mut slots = self
+            .ot_slots
             .lock()
-            .unwrap()
-            .insert(token, OtCacheEntry { state, deadline });
+            .expect("no thread panics holding the OT slots");
+        let Some(slot) = slots.get_mut(&token).filter(|s| s.newest == session) else {
+            return;
+        };
+        match state {
+            Some(state) => {
+                let deadline = self.config.ot_cache_timeout.map(|t| Instant::now() + t);
+                slot.cached = Some(OtCacheEntry { state, deadline });
+            }
+            None => {
+                slots.remove(&token);
+            }
+        }
     }
 
-    /// Evicts every cached OT state past its deadline. Returns the
-    /// number evicted.
+    /// Removes every slot whose cached state is past its deadline.
+    /// Returns the number evicted.
     fn evict_ot_cache(&self) -> usize {
         let now = Instant::now();
         let evicted = {
-            let mut cache = self.ot_cache.lock().unwrap();
-            let before = cache.len();
-            cache.retain(|_, e| !e.deadline.is_some_and(|d| d <= now));
-            before - cache.len()
+            let mut slots = self
+                .ot_slots
+                .lock()
+                .expect("no thread panics holding the OT slots");
+            let before = slots.len();
+            slots.retain(|_, slot| !slot.overdue(now));
+            before - slots.len()
         };
         if evicted > 0 {
             self.metrics.ot_evicted(evicted as u64);
@@ -378,8 +309,8 @@ impl Shared {
 
 /// A running multi-tenant garbler service.
 ///
-/// Binds a listener, spawns the accept loop and the attach reaper, and
-/// garbles every accepted session on the worker pool until
+/// Binds a listener, spawns the accept loop and the OT-cache reaper,
+/// and garbles every accepted session on the worker pool until
 /// [`shutdown`] / [`shutdown_drain`]. The server plays Alice: each
 /// session's inputs come from the requested deterministic
 /// [`workload`].
@@ -406,12 +337,9 @@ impl GarblerService {
             config,
             metrics: Arc::new(Metrics::default()),
             records: Mutex::new(VecDeque::new()),
-            pending: Mutex::new(HashMap::new()),
-            ot_cache: Mutex::new(HashMap::new()),
-            ot_latest: Mutex::new(HashMap::new()),
+            ot_slots: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
             pool: ThreadPool::new(config.workers.max(1)),
             reaper_stop: Mutex::new(false),
             reaper_wake: Condvar::new(),
@@ -454,28 +382,22 @@ impl GarblerService {
     }
 
     /// Immediate shutdown: [`shutdown_drain`](Self::shutdown_drain)
-    /// with a zero drain window. Parked sessions are discarded with a
-    /// typed [`SessionError::Shutdown`]; running sessions keep their
-    /// (detached) workers until they finish on their own.
+    /// with a zero drain window. Running sessions keep their (detached)
+    /// workers until they finish on their own.
     pub fn shutdown(self) {
         self.shutdown_drain(Duration::ZERO);
     }
 
-    /// Graceful shutdown: stops accepting, discards parked sessions
-    /// with a typed [`SessionError::Shutdown`], then waits up to
-    /// `drain` for active and queued sessions to finish. Returns `true`
-    /// when everything drained inside the window; on `false`, the
-    /// stragglers keep their detached workers (they may still complete,
-    /// but nobody is left to ask).
+    /// Graceful shutdown: stops accepting, then waits up to `drain` for
+    /// active and queued sessions to finish. Returns `true` when
+    /// everything drained inside the window; on `false`, the stragglers
+    /// keep their detached workers (they may still complete, but nobody
+    /// is left to ask).
     pub fn shutdown_drain(mut self, drain: Duration) -> bool {
-        // New preambles are rejected from here on.
-        self.shared.draining.store(true, Ordering::SeqCst);
         self.stop_accepting();
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
-        // Parked bundles can never complete once attaches stop arriving.
-        self.shared.expire_pending(true, SessionError::Shutdown);
         self.stop_reaper();
         let deadline = Instant::now() + drain;
         loop {
@@ -537,7 +459,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Expires overdue parked sessions every tick until told to stop.
+/// Evicts overdue cached OT states every tick until told to stop.
 fn reaper_loop(shared: &Arc<Shared>) {
     let tick = Duration::from_millis(25);
     let mut stop = shared.reaper_stop.lock().unwrap();
@@ -548,7 +470,6 @@ fn reaper_loop(shared: &Arc<Shared>) {
             return;
         }
         drop(stop);
-        shared.expire_pending(false, SessionError::AttachTimeout);
         shared.evict_ot_cache();
         stop = shared.reaper_stop.lock().unwrap();
     }
@@ -587,9 +508,6 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         }) => handle_request(
             shared, stream, &mut pre, shards, instances, ot_token, workload,
         ),
-        Ok(Message::ServiceAttach { session, shard }) => {
-            handle_attach(shared, stream, &mut pre, session, shard);
-        }
         _ => reject(shared, &mut pre, "malformed service preamble".into()),
     }
 }
@@ -608,12 +526,19 @@ fn handle_request(
     ot_token: u64,
     workload: String,
 ) {
-    if shared.draining.load(Ordering::SeqCst) {
+    if shared.shutdown.load(Ordering::SeqCst) {
         return reject(shared, pre, "service shutting down".into());
     }
-    let check = SessionOptions::new()
-        .shards(shards as usize)
-        .instances(instances as usize);
+    if shards != 1 {
+        return reject(
+            shared,
+            pre,
+            format!(
+                "{shards} table shards requested: a service session is one connection, one shard"
+            ),
+        );
+    }
+    let check = SessionOptions::new().instances(instances as usize);
     if let Err(e) = check.validate() {
         return reject(shared, pre, e.to_string());
     }
@@ -621,7 +546,7 @@ fn handle_request(
         return reject(shared, pre, format!("unknown workload {workload:?}"));
     }
     let queued = shared.metrics.snapshot().job_queue_depth;
-    if queued >= shared.config.max_queued as u64 {
+    if queued >= MAX_QUEUED {
         return reject(
             shared,
             pre,
@@ -630,124 +555,23 @@ fn handle_request(
     }
     let session = shared.next_session.fetch_add(1, Ordering::SeqCst) + 1;
     // Checkout happens after every reject gate, so a rejected request
-    // never pulls a cached state out of circulation. Exclusive: a
-    // concurrent session on the same token finds the slot empty and
-    // pays a fresh setup instead of forking the counter state.
+    // never pulls a cached state out of circulation.
     let ot_state = if ot_token != 0 && shared.config.ot == OtBackend::NaorPinkasIknp {
         shared.checkout_ot(ot_token, session)
     } else {
         None
     };
     let resumed = ot_state.is_some();
-    let shard_count = shards as usize;
-    if shard_count > 1 {
-        // Park until every shard sub-stream attaches (or the reaper
-        // expires the bundle). Insert before sending Accept so an
-        // eager client's attach can't miss.
-        shared.pending.lock().unwrap().insert(
-            session,
-            Pending {
-                workload,
-                shards: shard_count,
-                instances: instances as usize,
-                main: stream,
-                shard_streams: (0..shard_count).map(|_| None).collect(),
-                deadline: shared.config.attach_timeout.map(|t| Instant::now() + t),
-                ot_token,
-                ot_state,
-            },
-        );
-        if pre
-            .send(&Message::ServiceAccept { session, resumed }.encode())
-            .is_err()
-        {
-            if let Some(entry) = shared.pending.lock().unwrap().remove(&session) {
-                shared.return_ot_state(entry.ot_token, session, entry.ot_state);
-            }
-            return;
-        }
-        shared.metrics.session_accepted();
-    } else {
-        if pre
-            .send(&Message::ServiceAccept { session, resumed }.encode())
-            .is_err()
-        {
-            // The client never saw the accept; its next request should
-            // still find the cached state.
-            shared.return_ot_state(ot_token, session, ot_state);
-            return;
-        }
-        shared.metrics.session_accepted();
-        enqueue(
-            shared,
-            session,
-            workload,
-            1,
-            instances as usize,
-            stream,
-            Vec::new(),
-            ot_token,
-            ot_state,
-        );
+    if pre
+        .send(&Message::ServiceAccept { session, resumed }.encode())
+        .is_err()
+    {
+        // The client never saw the accept; its next request should
+        // still find the cached state.
+        shared.return_ot_state(ot_token, session, ot_state);
+        return;
     }
-}
-
-fn handle_attach(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    pre: &mut TcpChannel,
-    session: u64,
-    shard: u8,
-) {
-    let ready = {
-        let mut pending = shared.pending.lock().unwrap();
-        let Some(entry) = pending.get_mut(&session) else {
-            drop(pending);
-            return reject(shared, pre, format!("unknown session {session}"));
-        };
-        let slot = shard as usize;
-        if slot >= entry.shards {
-            drop(pending);
-            return reject(shared, pre, format!("shard {shard} out of range"));
-        }
-        if entry.shard_streams[slot].is_some() {
-            drop(pending);
-            return reject(shared, pre, format!("shard {shard} already attached"));
-        }
-        entry.shard_streams[slot] = Some(stream);
-        if entry.shard_streams.iter().all(Option::is_some) {
-            pending.remove(&session)
-        } else {
-            None
-        }
-    };
-    if let Some(entry) = ready {
-        enqueue(
-            shared,
-            session,
-            entry.workload,
-            entry.shards,
-            entry.instances,
-            entry.main,
-            entry.shard_streams.into_iter().flatten().collect(),
-            entry.ot_token,
-            entry.ot_state,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn enqueue(
-    shared: &Arc<Shared>,
-    session: u64,
-    workload: String,
-    shards: usize,
-    instances: usize,
-    main: TcpStream,
-    shard_streams: Vec<TcpStream>,
-    ot_token: u64,
-    ot_state: Option<OtSenderState>,
-) {
+    shared.metrics.session_accepted();
     shared.metrics.job_queued();
     let job_shared = Arc::clone(shared);
     shared.pool.execute(move || {
@@ -755,30 +579,24 @@ fn enqueue(
             &job_shared,
             session,
             workload,
-            shards,
-            instances,
-            main,
-            shard_streams,
+            instances as usize,
+            stream,
             ot_token,
             ot_state,
         );
     });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_session(
     shared: &Arc<Shared>,
     session: u64,
     workload: String,
-    shards: usize,
     instances: usize,
-    main: TcpStream,
-    shard_streams: Vec<TcpStream>,
+    stream: TcpStream,
     ot_token: u64,
     ot_state: Option<OtSenderState>,
 ) {
     shared.metrics.job_started();
-    let cap = shared.config.send_queue_frames;
     let io_timeout = shared.config.io_timeout;
     let mut prg = Prg::from_entropy();
     // The OT endpoint lives outside the session closure so its
@@ -797,29 +615,17 @@ fn run_session(
         let wl = workload::resolve(&workload, instances)
             .ok_or_else(|| SessionError::Workload(workload.clone()))?;
         let opts = SessionOptions::new()
-            .shards(shards)
             .instances(instances)
             .ot(shared.config.ot)
             .ot_config(shared.config.ot_config)
-            .stream(shared.config.stream)
             .io_timeout(io_timeout);
-        // Apply the session deadline to every stream — unconditionally,
-        // so the preamble deadline left on the main socket is replaced,
-        // not inherited.
-        for s in std::iter::once(&main).chain(shard_streams.iter()) {
-            s.set_read_timeout(io_timeout)
-                .and_then(|()| s.set_write_timeout(io_timeout))
-                .map_err(|e| SessionError::Io(e.kind()))?;
-        }
-        let mut main_ch = QueuedChannel::new(main, cap, Arc::clone(&shared.metrics))
+        // Apply the session deadline unconditionally, so the preamble
+        // deadline left on the socket is replaced, not inherited.
+        stream
+            .set_read_timeout(io_timeout)
+            .and_then(|()| stream.set_write_timeout(io_timeout))
             .map_err(|e| SessionError::Io(e.kind()))?;
-        let shard_chs = shard_streams
-            .into_iter()
-            .map(|s| {
-                QueuedChannel::new(s, cap, Arc::clone(&shared.metrics))
-                    .map(|c| Box::new(c) as Box<dyn Channel>)
-            })
-            .collect::<io::Result<Vec<_>>>()
+        let mut ch = QueuedChannel::new(stream, SEND_QUEUE_FRAMES, Arc::clone(&shared.metrics))
             .map_err(|e| SessionError::Io(e.kind()))?;
         let mut insecure;
         let ot: &mut dyn OtSender = match np_ref {
@@ -834,8 +640,8 @@ fn run_session(
             &wl.alices,
             &wl.publics,
             wl.cycles,
-            &mut main_ch,
-            shard_chs,
+            &mut ch,
+            Vec::new(),
             ot,
             &mut prg,
             &opts,
@@ -844,9 +650,12 @@ fn run_session(
     })();
     if let Some(snd) = np_sender {
         shared.metrics.ot_session(snd.base_setups(), snd.extended());
-        if result.is_ok() {
-            shared.return_ot_state(ot_token, session, snd.into_state());
-        }
+        let state = if result.is_ok() {
+            snd.into_state()
+        } else {
+            None
+        };
+        shared.return_ot_state(ot_token, session, state);
     }
     match &result {
         Ok(stats) => {
@@ -854,14 +663,13 @@ fn run_session(
             let bytes: u64 = stats.iter().map(|s| s.table_bytes).sum();
             shared.metrics.session_completed(tables, bytes);
         }
-        // Teardown: the session's channels (and their writer threads)
-        // drop here, closing its sockets; nothing else is touched.
+        // Teardown: the session's channel (and its writer thread)
+        // drops here, closing its socket; nothing else is touched.
         Err(e) => shared.metrics.session_failed(e.reason()),
     }
     shared.record(SessionRecord {
         session,
         workload,
-        shards,
         instances,
         result,
     });
@@ -879,7 +687,6 @@ mod tests {
             svc.shared.record(SessionRecord {
                 session,
                 workload: "sum32:0".into(),
-                shards: 1,
                 instances: 1,
                 result: Ok(Vec::new()),
             });
@@ -888,6 +695,53 @@ mod tests {
         assert_eq!(records.len(), RECORD_LOG);
         assert_eq!(records[0].session, 10);
         assert_eq!(records[RECORD_LOG - 1].session, RECORD_LOG as u64 + 9);
+        svc.shutdown();
+    }
+
+    /// A token's slot lives only while a state is cached or a session
+    /// under the token is in flight: evicted states and failed sessions
+    /// leave the map empty, however many tokens came by.
+    #[test]
+    fn ot_slots_go_when_states_are_evicted_or_sessions_fail() {
+        let svc = GarblerService::bind(
+            "127.0.0.1:0",
+            ServiceConfig::new()
+                .workers(2)
+                .ot(OtBackend::NaorPinkasIknp)
+                .ot_config(OtConfig::TEST)
+                .ot_cache_timeout(Some(Duration::from_millis(50))),
+        )
+        .expect("bind loopback service");
+        let addr = svc.local_addr();
+        let opts = SessionOptions::new()
+            .ot(OtBackend::NaorPinkasIknp)
+            .ot_config(OtConfig::TEST);
+        let wait_until = |what: &str, cond: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !cond() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                thread::sleep(Duration::from_millis(5));
+            }
+        };
+        // Three tokens bank a state each; the reaper evicts all three.
+        for token in 1..=3 {
+            let mut resume = crate::client::OtResume::new(token);
+            crate::client::run_session_resumed(addr, "sum32:1", &opts, &mut resume)
+                .expect("session");
+        }
+        wait_until("states evicted", &|| svc.metrics().ot_cache_evicted == 3);
+        // Two more tokens fail: each client leaves right after its
+        // preamble.
+        for token in 4..=5 {
+            drop(
+                crate::client::connect_with_token(addr, "sum32:1", &opts, token).expect("preamble"),
+            );
+        }
+        wait_until("sessions failed", &|| svc.metrics().sessions_failed == 2);
+        assert!(
+            svc.shared.ot_slots.lock().unwrap().is_empty(),
+            "slots outlived their tokens"
+        );
         svc.shutdown();
     }
 }

@@ -1,5 +1,5 @@
-//! The fault matrix: every injection point × {shards 1, 2} ×
-//! {instances 1, 8}, over real loopback TCP.
+//! The fault matrix: every injection point × {instances 1, 8}, over
+//! real loopback TCP.
 //!
 //! Each cell binds a fresh service, runs one session with a scripted
 //! [`FaultPlan`] against it, and runs two clean co-tenant sessions of
@@ -14,18 +14,16 @@
 //! 4. **Exact books** — accepted/completed/failed and the per-reason
 //!    failure buckets account for every session, no more, no less.
 //!
-//! Alongside the matrix: regression tests for the parked-session leak
-//! (attach deadline frees the slot), graceful drain shutdown, and the
-//! client's deterministic retry policy.
+//! Alongside the matrix: regression tests for graceful drain shutdown
+//! and the client's deterministic retry policy.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use arm2gc_comm::{Channel, FaultChannel, FaultKind, FaultPlan, TcpChannel};
+use arm2gc_comm::{FaultChannel, FaultKind, FaultPlan};
 use arm2gc_core::{run_two_party_opts, InstancedOutcome, SessionOptions};
 use arm2gc_crypto::Prg;
-use arm2gc_proto::Message;
 use arm2gc_server::{
     client, workload, ClientError, FailureReason, GarblerService, RetryPolicy, ServiceConfig,
     SessionError,
@@ -122,11 +120,6 @@ fn run_faulted_session(
     let opts = *opts;
     std::thread::spawn(move || {
         let mut main = FaultChannel::new(conn.main, plan);
-        let shard_chs: Vec<Box<dyn Channel>> = conn
-            .shard_chs
-            .into_iter()
-            .map(|c| Box::new(c) as Box<dyn Channel>)
-            .collect();
         let mut prg = Prg::from_entropy();
         let mut ot = opts.ot.receiver(opts.ot_config, &mut prg);
         let _ = arm2gc_core::drive_evaluator(
@@ -135,26 +128,25 @@ fn run_faulted_session(
             &wl.publics,
             wl.cycles,
             &mut main,
-            shard_chs,
+            Vec::new(),
             ot.as_mut(),
             &opts,
         );
     })
 }
 
-/// The per-mode solo baselines, computed once and shared by every cell
-/// of that mode.
+/// The per-lane-count solo baselines, computed once and shared by every
+/// cell with that lane count.
 fn solo_baseline(
-    cache: &mut HashMap<(usize, usize), InstancedOutcome>,
+    cache: &mut HashMap<usize, InstancedOutcome>,
     name: &str,
-    shards: usize,
     instances: usize,
 ) -> InstancedOutcome {
     cache
-        .entry((shards, instances))
+        .entry(instances)
         .or_insert_with(|| {
             let wl = workload::resolve(name, instances).expect("known workload");
-            let opts = SessionOptions::new().shards(shards).instances(instances);
+            let opts = SessionOptions::new().instances(instances);
             let (_, solo_b) = run_two_party_opts(
                 &wl.circuit,
                 &wl.alices,
@@ -170,28 +162,23 @@ fn solo_baseline(
 
 /// One matrix cell: fault one session, verify typed teardown, clean
 /// co-tenants, and exact accounting.
-fn run_cell(
-    inject: Inject,
-    shards: usize,
-    instances: usize,
-    baselines: &mut HashMap<(usize, usize), InstancedOutcome>,
-) {
-    let cell = format!("{inject:?} x {shards} shards x {instances} lanes");
+fn run_cell(inject: Inject, instances: usize, baselines: &mut HashMap<usize, InstancedOutcome>) {
+    let cell = format!("{inject:?} x {instances} lanes");
     let svc = GarblerService::bind(
         "127.0.0.1:0",
         ServiceConfig::new().workers(2).io_timeout(Some(IO_TIMEOUT)),
     )
     .expect("bind service");
     let addr = svc.local_addr();
-    let opts = SessionOptions::new().shards(shards).instances(instances);
-    let clean_name = format!("sum32:{}", shards * 10 + instances);
+    let opts = SessionOptions::new().instances(instances);
+    let clean_name = format!("sum32:{}", 10 + instances);
 
     // Fire the fault; seed fixed so a failing cell replays exactly.
     let faulted = run_faulted_session(addr, &clean_name, &opts, inject.plan(0xfau64));
 
     // Clean co-tenants run while the faulted session is live (or
     // failing) — containment means they never notice.
-    let want = solo_baseline(baselines, &clean_name, shards, instances);
+    let want = solo_baseline(baselines, &clean_name, instances);
     for k in 0..2 {
         let run = client::run_session(addr, &clean_name, &opts)
             .unwrap_or_else(|e| panic!("{cell}: co-tenant {k} failed: {e}"));
@@ -222,14 +209,12 @@ fn run_cell(
         (FailureReason::Timeout, m.failed_timeout),
         (FailureReason::PeerDisconnect, m.failed_peer_disconnect),
         (FailureReason::CorruptFrame, m.failed_corrupt_frame),
-        (FailureReason::Shutdown, m.failed_shutdown),
         (FailureReason::Other, m.failed_other),
     ];
     for (reason, count) in buckets {
         let want = u64::from(reason == inject.bucket());
         assert_eq!(count, want, "{cell}: bucket {reason:?}");
     }
-    assert_eq!(m.rejected_attach_timeout, 0, "{cell}: attach bucket");
 
     // The faulted record names the exact typed reason.
     let records = svc.records();
@@ -242,9 +227,8 @@ fn run_cell(
         "{cell}: typed reason"
     );
     assert_eq!(
-        (failed[0].shards, failed[0].instances),
-        (shards, instances),
-        "{cell}: failed record mode"
+        failed[0].instances, instances,
+        "{cell}: failed record lanes"
     );
     svc.shutdown();
 }
@@ -253,7 +237,7 @@ fn run_cell(
 fn fault_matrix_single_shard_single_lane() {
     let mut baselines = HashMap::new();
     for inject in Inject::ALL {
-        run_cell(inject, 1, 1, &mut baselines);
+        run_cell(inject, 1, &mut baselines);
     }
 }
 
@@ -261,129 +245,24 @@ fn fault_matrix_single_shard_single_lane() {
 fn fault_matrix_single_shard_batched() {
     let mut baselines = HashMap::new();
     for inject in Inject::ALL {
-        run_cell(inject, 1, 8, &mut baselines);
+        run_cell(inject, 8, &mut baselines);
     }
 }
 
+/// Graceful shutdown drains active sessions inside the window, then
+/// refuses new ones.
 #[test]
-fn fault_matrix_sharded_single_lane() {
-    let mut baselines = HashMap::new();
-    for inject in Inject::ALL {
-        run_cell(inject, 2, 1, &mut baselines);
-    }
-}
-
-#[test]
-fn fault_matrix_sharded_batched() {
-    let mut baselines = HashMap::new();
-    for inject in Inject::ALL {
-        run_cell(inject, 2, 8, &mut baselines);
-    }
-}
-
-/// Regression: a sharded session whose attachments never arrive used to
-/// park forever, leaking its pending slot. Now the reaper expires it at
-/// the attach deadline — typed record, dedicated counter, freed slot —
-/// and the waiting client is told why.
-#[test]
-fn parked_sessions_expire_at_the_attach_deadline() {
-    let svc = GarblerService::bind(
-        "127.0.0.1:0",
-        ServiceConfig::new()
-            .workers(2)
-            .attach_timeout(Some(Duration::from_millis(150))),
-    )
-    .expect("bind service");
-    let addr = svc.local_addr();
-
-    // Three sharded sessions that request, get accepted, then never
-    // attach their shard sub-streams.
-    let mut parked = Vec::new();
-    for _ in 0..3 {
-        let mut ch =
-            TcpChannel::from_stream(TcpStream::connect(addr).expect("connect")).expect("channel");
-        ch.send(
-            &Message::ServiceRequest {
-                shards: 2,
-                instances: 1,
-                ot_token: 0,
-                workload: "sum32:1".into(),
-            }
-            .encode(),
-        )
-        .expect("request");
-        match Message::decode(&ch.recv().expect("verdict")).expect("decode") {
-            Message::ServiceAccept { .. } => {}
-            other => panic!("expected accept, got {other:?}"),
-        }
-        parked.push(ch);
-    }
-
-    wait_until("reaper expires all parked sessions", || {
-        svc.metrics().rejected_attach_timeout == 3
-    });
-    let m = svc.metrics();
-    assert_eq!(m.sessions_accepted, 3);
-    assert_eq!(m.sessions_failed, 3);
-    assert_eq!(m.rejected_attach_timeout, 3);
-    assert_eq!(m.sessions_active, 0, "parked sessions never ran");
-
-    // The waiting clients are told why before their sockets close.
-    for ch in &mut parked {
-        match Message::decode(&ch.recv().expect("reject frame")).expect("decode") {
-            Message::ServiceReject { reason } => {
-                assert!(reason.contains("attach deadline"), "reason: {reason}");
-            }
-            other => panic!("expected reject, got {other:?}"),
-        }
-    }
-
-    // Every expired record is typed, and the slots really are free: a
-    // complete sharded session is served normally afterwards.
-    for r in svc.records() {
-        assert_eq!(r.result.unwrap_err(), SessionError::AttachTimeout);
-    }
-    let opts = SessionOptions::new().shards(2);
-    let run = client::run_session(addr, "sum32:1", &opts).expect("slot freed");
-    let wl = workload::resolve("sum32:1", 1).expect("known workload");
-    assert_eq!(run.outcome.lanes[0].outputs.concat(), wl.expected[0]);
-    wait_until("clean session recorded", || {
-        svc.metrics().sessions_completed == 1
-    });
-    svc.shutdown();
-}
-
-/// Graceful shutdown drains active sessions inside the window and
-/// discards parked ones with a typed `Shutdown` record.
-#[test]
-fn shutdown_drains_active_sessions_and_discards_parked_ones() {
+fn shutdown_drains_active_sessions() {
     let svc =
         GarblerService::bind("127.0.0.1:0", ServiceConfig::new().workers(2)).expect("bind service");
     let addr = svc.local_addr();
-
-    // One parked sharded session (never attaches; attach deadline is
-    // the long default, so only shutdown can reap it).
-    let mut parked =
-        TcpChannel::from_stream(TcpStream::connect(addr).expect("connect")).expect("channel");
-    parked
-        .send(
-            &Message::ServiceRequest {
-                shards: 2,
-                instances: 1,
-                ot_token: 0,
-                workload: "sum32:1".into(),
-            }
-            .encode(),
-        )
-        .expect("request");
-    let _ = parked.recv().expect("accepted");
 
     // One live session: preamble done, evaluator deliberately held, so
     // its garbler job is active when the drain starts.
     let opts = SessionOptions::new();
     let stalled = client::connect(addr, "compare32:3", &opts).expect("live preamble");
     wait_until("live session active", || svc.metrics().sessions_active >= 1);
-    assert_eq!(svc.metrics().sessions_accepted, 2);
+    assert_eq!(svc.metrics().sessions_accepted, 1);
 
     // Drain in a thread (it blocks on the active session), then drive
     // the held session to completion inside the window.
@@ -393,15 +272,6 @@ fn shutdown_drains_active_sessions_and_discards_parked_ones() {
     assert_eq!(run.outcome.lanes[0].outputs.concat(), wl.expected[0]);
     let drained = drain.join().expect("drain thread");
     assert!(drained, "active session finished inside the drain window");
-
-    // The parked session was told and typed. (The service is consumed;
-    // its books were read through the drain return + client result.)
-    match Message::decode(&parked.recv().expect("reject frame")).expect("decode") {
-        Message::ServiceReject { reason } => {
-            assert!(reason.contains("shut down"), "reason: {reason}");
-        }
-        other => panic!("expected reject, got {other:?}"),
-    }
 
     // New connections are refused outright.
     let err =

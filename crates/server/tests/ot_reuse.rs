@@ -4,9 +4,10 @@
 //! exactly one Naor–Pinkas base-OT setup (pinned via the deterministic
 //! `ot_base_setups` counter), produce outputs byte-identical to
 //! fresh-setup runs, and an evicted or foreign token transparently
-//! falls back to a fresh setup. Hostile bytes at the OT seam tear down
-//! exactly that session with a typed reason — the service keeps
-//! serving.
+//! falls back to a fresh setup. Back-to-back sessions on one token never
+//! resume a state the client does not hold. Hostile bytes at the OT
+//! seam tear down exactly that session with a typed reason — the
+//! service keeps serving.
 
 use std::time::{Duration, Instant};
 
@@ -271,4 +272,56 @@ fn resume_desync_is_a_typed_permanent_error() {
         SessionError::Protocol("zero group element").reason(),
         FailureReason::Other
     );
+}
+
+/// Back-to-back resumed sessions on two tokens, every output checked
+/// against the cleartext model. Each client reconnects as soon as its
+/// evaluator finishes, so its next checkout races the garbler's
+/// teardown of the previous session. A stale state cached after a newer
+/// checkout would be resumed against the client's newer receiver state:
+/// semi-honest IKNP cannot detect that mismatch, so it would show only
+/// as wrong outputs.
+#[test]
+fn back_to_back_resumes_never_decode_wrong_outputs() {
+    const TOKENS: u64 = 2;
+    const SESSIONS: u64 = 200;
+    let svc = bind_np_service(ServiceConfig::new().workers(2));
+    let addr = svc.local_addr();
+    let opts = np_opts();
+    let failures: Vec<String> = std::thread::scope(|s| {
+        let clients: Vec<_> = (1..=TOKENS)
+            .map(|token| {
+                let opts = &opts;
+                s.spawn(move || {
+                    let mut resume = client::OtResume::new(token);
+                    let mut failures = Vec::new();
+                    for i in 0..SESSIONS {
+                        let family = workload::FAMILIES[(i % 2) as usize];
+                        let name = format!("{family}:{}", token * 1000 + i);
+                        let wl = workload::resolve(&name, 1).expect("known workload");
+                        match client::run_session_resumed(addr, &name, opts, &mut resume) {
+                            Ok(run) if run.outcome.lanes[0].outputs.concat() == wl.expected[0] => {}
+                            Ok(_) => failures.push(format!("token {token} {name}: wrong output")),
+                            Err(e) => failures.push(format!("token {token} {name}: {e}")),
+                        }
+                    }
+                    failures
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    assert!(
+        failures.is_empty(),
+        "{} of {} sessions failed: {failures:?}",
+        failures.len(),
+        TOKENS * SESSIONS
+    );
+    wait_until("sessions recorded", || {
+        svc.metrics().sessions_completed == TOKENS * SESSIONS
+    });
+    svc.shutdown();
 }

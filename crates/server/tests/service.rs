@@ -24,11 +24,10 @@ fn mixed_mode_sessions_match_solo_runs() {
     let svc =
         GarblerService::bind("127.0.0.1:0", ServiceConfig::new().workers(2)).expect("bind service");
     let addr = svc.local_addr();
-    let modes = [(1usize, 1usize), (2, 1), (1, 8), (2, 8)];
-    for (k, &(shards, instances)) in modes.iter().enumerate() {
+    for (k, instances) in [1, 8].into_iter().enumerate() {
         let family = workload::FAMILIES[k % workload::FAMILIES.len()];
         let name = format!("{family}:{k}");
-        let opts = SessionOptions::new().shards(shards).instances(instances);
+        let opts = SessionOptions::new().instances(instances);
         let run = client::run_session(addr, &name, &opts).expect("service session");
         let wl = workload::resolve(&name, instances).expect("known workload");
         let (solo_a, solo_b) = run_two_party_opts(
@@ -54,17 +53,17 @@ fn mixed_mode_sessions_match_solo_runs() {
         wait_until("session recorded", || svc.records().len() == k + 1);
         let record = &svc.records()[k];
         assert_eq!(record.workload, name);
-        assert_eq!((record.shards, record.instances), (shards, instances));
+        assert_eq!(record.instances, instances);
         let stats = record.result.as_ref().expect("session succeeded");
         let solo_stats: Vec<_> = solo_a.lanes.iter().map(|l| l.stats).collect();
         assert_eq!(*stats, solo_stats, "{name}: service vs solo garbler stats");
     }
     wait_until("all sessions complete", || {
-        svc.metrics().sessions_completed == 4
+        svc.metrics().sessions_completed == 2
     });
     let m = svc.metrics();
-    assert_eq!(m.sessions_accepted, 4);
-    assert_eq!(m.sessions_completed, 4);
+    assert_eq!(m.sessions_accepted, 2);
+    assert_eq!(m.sessions_completed, 2);
     assert_eq!(m.sessions_failed, 0);
     assert_eq!(m.sessions_active, 0);
     assert!(m.tables_sent > 0);
@@ -191,12 +190,17 @@ fn invalid_requests_get_typed_rejections() {
     };
 
     assert!(request(0, 1, "compare32:1").contains("shard"));
+    // A session is one connection: more shards would need more.
+    assert!(request(2, 1, "compare32:1").contains("shard"));
     assert!(request(1, 0, "compare32:1").contains("instance"));
     assert!(request(1, 1, "aes512:1").contains("unknown workload"));
     assert!(reject_reason(b"\x00nonsense".to_vec()).contains("malformed"));
+    // Tag 12 once attached a shard connection; it is no frame now.
+    let attach = [12, 1, 0, 0, 0, 0, 0, 0, 0, 1].to_vec();
+    assert!(reject_reason(attach).contains("malformed"));
 
     let m = svc.metrics();
-    assert_eq!(m.sessions_rejected, 4);
+    assert_eq!(m.sessions_rejected, 6);
     assert_eq!(m.sessions_accepted, 0);
 
     // The client validates locally too — a zero shard count never even
