@@ -4,16 +4,17 @@
 //!
 //! Usage: `bench_ci [--shards N] [--out PATH] [--check BASELINE]`
 //!
-//! * `--shards N` — run both engines over an N-way sharded table stream
-//!   (the report is shard-invariant, so CI runs sharded against the
-//!   unsharded baseline to enforce exactly that);
+//! * `--shards N` — run both engines with their table frames striped
+//!   over N shard channels, `1..=255` (the report is shard-invariant, so
+//!   CI runs sharded against the unsharded baseline to enforce exactly
+//!   that); any other value is a usage error (exit status 2);
 //! * `--out PATH` — write the JSON report to `PATH` (also printed when
 //!   neither `--out` nor `--check` is given);
 //! * `--check BASELINE` — compare against `BASELINE` and exit non-zero
 //!   listing every drifted line.
 
 use arm2gc_bench::ci;
-use arm2gc_core::ShardConfig;
+use arm2gc_core::SessionOptions;
 
 fn arg_after(flag: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -23,12 +24,27 @@ fn arg_after(flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// The `--shards` count, or the usage error it earns.
+fn shards() -> Result<usize, String> {
+    let Some(arg) = arg_after("--shards") else {
+        return Ok(1);
+    };
+    let n = arg
+        .parse()
+        .map_err(|_| format!("--shards takes a count, got {arg:?}"))?;
+    SessionOptions::new()
+        .shards(n)
+        .validate()
+        .map_err(|e| format!("--shards {n}: {e}"))?;
+    Ok(n)
+}
+
 fn main() {
-    let shards = ShardConfig::new(
-        arg_after("--shards")
-            .map(|s| s.parse().expect("--shards takes a positive integer"))
-            .unwrap_or(1),
-    );
+    let shards = shards().unwrap_or_else(|e| {
+        eprintln!("bench_ci: {e}");
+        eprintln!("usage: bench_ci [--shards N] [--out PATH] [--check BASELINE]");
+        std::process::exit(2);
+    });
     let report = ci::report(shards);
 
     let out = arg_after("--out");
@@ -43,10 +59,7 @@ fn main() {
                 .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
             let drift = ci::diff(&baseline, &report);
             if drift.is_empty() {
-                println!(
-                    "bench_ci: OK — cost counts match {baseline_path} (shards={})",
-                    shards.shards
-                );
+                println!("bench_ci: OK — cost counts match {baseline_path} (shards={shards})");
             } else {
                 eprintln!(
                     "bench_ci: FAIL — cost counts drifted from {baseline_path} \

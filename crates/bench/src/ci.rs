@@ -59,9 +59,7 @@ use std::fmt::Write as _;
 
 use arm2gc_circuit::LayerSchedule;
 use arm2gc_comm::Channel;
-use arm2gc_core::{
-    run_two_party_opts, EngineKind, OtBackend, OtConfig, SessionOptions, ShardConfig,
-};
+use arm2gc_core::{run_two_party_opts, EngineKind, OtBackend, OtConfig, SessionOptions};
 use arm2gc_cpu::asm::assemble;
 use arm2gc_cpu::machine::{CpuConfig, GcMachine};
 use arm2gc_cpu::programs;
@@ -88,7 +86,11 @@ fn occupancy(w: &WavefrontStats) -> String {
 ///
 /// The returned string is complete JSON, newline-terminated, with a
 /// stable field order — suitable for byte-exact diffing.
-pub fn report(shards: ShardConfig) -> String {
+///
+/// # Panics
+/// Panics if `shards` is outside `1..=255`; validate it first with
+/// [`SessionOptions::validate`].
+pub fn report(shards: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
@@ -97,7 +99,7 @@ pub fn report(shards: ShardConfig) -> String {
     );
     out.push_str("  \"circuits\": [\n");
     let circuits = table1_circuits(true);
-    let opts = SessionOptions::new().shards(shards.shards);
+    let opts = SessionOptions::new().shards(shards);
     for (i, bc) in circuits.iter().enumerate() {
         let skip_run = run_session(bc, &opts);
         let base_run = run_session(bc, &opts.engine(EngineKind::Baseline));

@@ -3,13 +3,12 @@
 //! before the `bench-gate` CI job ever runs.
 
 use arm2gc_bench::ci;
-use arm2gc_core::ShardConfig;
 
 const BASELINE: &str = include_str!("../baselines/BENCH_ci.json");
 
 #[test]
 fn checked_in_baseline_is_current() {
-    let report = ci::report(ShardConfig::single());
+    let report = ci::report(1);
     let drift = ci::diff(BASELINE, &report);
     assert!(
         drift.is_empty(),
@@ -63,8 +62,5 @@ fn baseline_pins_instanced_matmul_amortization() {
 fn report_is_shard_invariant() {
     // The report omits the shard count on purpose: running the gate
     // sharded must produce byte-identical JSON.
-    assert_eq!(
-        ci::report(ShardConfig::single()),
-        ci::report(ShardConfig::new(3))
-    );
+    assert_eq!(ci::report(1), ci::report(3));
 }

@@ -4,7 +4,7 @@
 
 use arm2gc_bench::runner::{baseline_stats, run_stats, skipgate_stats};
 use arm2gc_circuit::bench_circuits;
-use arm2gc_core::{EngineKind, OtBackend, OtConfig, SessionOptions, StreamConfig};
+use arm2gc_core::{EngineKind, OtBackend, OtConfig, SessionOptions};
 use arm2gc_cpu::asm::assemble;
 use arm2gc_cpu::machine::{CpuConfig, GcMachine};
 use arm2gc_cpu::programs;
@@ -28,8 +28,7 @@ fn baseline_circuit_over_naor_pinkas_iknp() {
         &SessionOptions::new()
             .engine(EngineKind::Baseline)
             .ot(OtBackend::NaorPinkasIknp)
-            .ot_config(OtConfig::TEST)
-            .stream(StreamConfig::lockstep()),
+            .ot_config(OtConfig::TEST),
     );
     assert_eq!(insecure, real);
 }

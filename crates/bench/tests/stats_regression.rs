@@ -4,10 +4,9 @@
 //! The expected values below were captured from the pre-session-layer
 //! engines on every seed Table 1 benchmark circuit; table counts,
 //! `table_bytes`, OT counts and cycle counts must stay *exactly* these,
-//! whatever the framing, chunking or OT backend underneath.
+//! whatever the framing or OT backend underneath.
 
-use arm2gc_bench::runner::{baseline_stats, run_stats, skipgate_stats, table1_circuits};
-use arm2gc_core::{EngineKind, SessionOptions, StreamConfig};
+use arm2gc_bench::runner::{baseline_stats, skipgate_stats, table1_circuits};
 
 /// (name, tables, table_bytes, ots, cycles, skipped, public, pass, free_xor)
 #[allow(clippy::type_complexity)]
@@ -85,27 +84,5 @@ fn baseline_stats_match_pre_refactor_values() {
         assert_eq!(s.table_bytes, row.2, "{name}: table_bytes");
         assert_eq!(s.ots, row.3, "{name}: ots");
         assert_eq!(s.cycles_run, row.4, "{name}: cycles_run");
-    }
-}
-
-/// Chunking is transport-only: lockstep and chunked flushing must yield
-/// byte-identical cost stats.
-#[test]
-fn stream_chunking_does_not_change_stats() {
-    for bc in &table1_circuits(true)[..5] {
-        let name = bc.circuit.name().to_string();
-        let baseline = SessionOptions::new().engine(EngineKind::Baseline);
-        let lockstep = run_stats(bc, &baseline.stream(StreamConfig::lockstep()));
-        let chunked = run_stats(bc, &baseline.stream(StreamConfig::chunked(1024)));
-        let default = baseline_stats(bc);
-        assert_eq!(lockstep, chunked, "{name}: lockstep vs chunked");
-        assert_eq!(lockstep, default, "{name}: lockstep vs default");
-
-        let skip_lockstep = run_stats(bc, &SessionOptions::new().stream(StreamConfig::lockstep()));
-        let skip_chunked = run_stats(
-            bc,
-            &SessionOptions::new().stream(StreamConfig::chunked(1024)),
-        );
-        assert_eq!(skip_lockstep, skip_chunked, "{name}: skipgate streaming");
     }
 }

@@ -119,7 +119,7 @@ fn transcript(
     let publics: Vec<PartyData> = lanes.iter().map(|l| l.2.clone()).collect();
     let (ca, mut cb) = duplex();
     let (mut ca, main_log) = Recording::new(ca);
-    let (g_shards, e_shards) = shard_duplexes(opts.shard_config().expect("shard config"));
+    let (g_shards, e_shards) = shard_duplexes(opts.shards);
     let mut logs = vec![main_log];
     let g_shards: Vec<Box<dyn Channel>> = g_shards
         .into_iter()
@@ -207,6 +207,19 @@ fn lane0(tables: &[Vec<u8>]) -> Vec<Vec<u8>> {
     tables.iter().step_by(2).cloned().collect()
 }
 
+/// The frames of a stream striped over two shard channels, dealt back
+/// in turn: frame `f` travelled on shard `f mod 2`.
+fn unstripe(shard0: &[Vec<u8>], shard1: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let dealt = shard1.len() <= shard0.len() && shard0.len() <= shard1.len() + 1;
+    assert!(dealt, "frames dealt unevenly");
+    let mut frames = Vec::new();
+    for (i, f) in shard0.iter().enumerate() {
+        frames.push(f.clone());
+        frames.extend(shard1.get(i).cloned());
+    }
+    frames
+}
+
 /// One [`transcript`] lane per Table 1 circuit's canonical inputs.
 fn canonical_lane(bc: &BenchCircuit) -> (PartyData, PartyData, PartyData) {
     (bc.alice.clone(), bc.bob.clone(), bc.public.clone())
@@ -216,17 +229,13 @@ fn canonical_lane(bc: &BenchCircuit) -> (PartyData, PartyData, PartyData) {
 /// byte-identical tables to a single-lane one. Two identical lanes
 /// share every decision, so lane 0 of a two-lane session must send
 /// exactly the one-lane session's tables, in wire order, with identical
-/// PRG seeds. At 2 shards each cycle's tables are split across the
-/// sub-channels by position, so lane 0's share of a channel differs
-/// between lane counts; there each session must send the same tables as
-/// its unsharded run, the main channel none of them.
+/// PRG seeds. At 2 shards the unsharded run's frames are dealt
+/// round-robin over the shard channels, so dealing them back in turn
+/// must rebuild its table stream exactly, the main channel carrying
+/// none of it.
 #[test]
 fn layered_transcript_is_byte_identical() {
     const N: usize = 2;
-    let sorted = |mut t: Vec<Vec<u8>>| {
-        t.sort_unstable();
-        t
-    };
     let circuits = table1_circuits(true);
     let aes = circuits.iter().filter(|bc| bc.circuit.name() == "aes_128");
     for bc in circuits[..7].iter().chain(aes) {
@@ -257,10 +266,9 @@ fn layered_transcript_is_byte_identical() {
                 tables(&frames[0]).is_empty(),
                 "{name}: tables left the main channel"
             );
-            let shard_tables = frames[1..].iter().flat_map(|f| tables(f)).collect();
             assert_eq!(
-                sorted(shard_tables),
-                sorted(tx),
+                tables(&unstripe(&frames[1], &frames[2])),
+                tx,
                 "{name}: {} lanes at 2 shards send other tables",
                 lanes.len()
             );

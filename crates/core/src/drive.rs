@@ -1,7 +1,7 @@
 //! The two session drivers: [`drive_garbler`] and [`drive_evaluator`].
 //!
 //! One [`SessionOptions`] value selects everything a session can vary —
-//! engine, shard count, lane count, OT backend, streaming. Both drivers
+//! engine, shard count, lane count, OT backend. Both drivers
 //! validate the configuration *first*: a zero shard or lane count is a
 //! typed [`ConfigError`](crate::ConfigError) carried as
 //! [`ProtocolError::Config`], raised before any protocol state exists.
@@ -34,12 +34,15 @@ use crate::party::{Evaluator, Garbler};
 /// [`ConfigError::BaselineInstanced`](crate::ConfigError::BaselineInstanced) otherwise),
 /// [`EngineKind::SkipGate`](crate::EngineKind::SkipGate) only what the
 /// shared decision pass keeps. Every lane count walks the netlist,
-/// streaming tables as they are hashed.
+/// streaming tables as they are hashed. `shard_chs` holds one channel
+/// per shard when `opts.shards > 1`, and none otherwise; the table
+/// frames are dealt round-robin over them.
 ///
 /// # Errors
 /// [`ProtocolError::Config`] when `opts` fails validation or the lane
-/// arrays disagree with `opts.instances`; otherwise propagates channel
-/// and OT failures.
+/// arrays disagree with `opts.instances`; [`ProtocolError::Malformed`]
+/// when `shard_chs` does not match `opts.shards`; otherwise propagates
+/// channel and OT failures.
 #[allow(clippy::too_many_arguments)]
 pub fn drive_garbler(
     circuit: &Circuit,
@@ -103,8 +106,7 @@ pub fn run_two_party_opts(
     opts: &SessionOptions,
 ) -> (InstancedOutcome, InstancedOutcome) {
     let (mut ca, mut cb) = duplex();
-    let shards = opts.shard_config().expect("shard config");
-    let (g_shards, e_shards) = shard_duplexes(shards);
+    let (g_shards, e_shards) = shard_duplexes(opts.shards);
     crossbeam::thread::scope(|s| {
         let garbler = s.spawn(move |_| {
             let mut prg = Prg::from_entropy();

@@ -26,16 +26,16 @@
 //! through one wavefront batcher over the struct-of-arrays label store.
 //! Tables stream out as they are hashed, gate-major and lane-minor, so
 //! the evaluator overlaps with the garbler and a one-lane session is the
-//! plain netlist walk. Each cycle's table count comes from the shared
-//! plan, so both parties know its partition over the [`ShardConfig`]
-//! sub-channels without coordination.
+//! plain netlist walk. The session layer frames them; with shard
+//! channels it deals whole frames round-robin over them, so the walk
+//! never sees a shard.
 
 use arm2gc_circuit::sim::PartyData;
 use arm2gc_circuit::{Circuit, DffInit, Op, OutputMode, Role, WireId};
 use arm2gc_comm::{duplex, Channel};
 use arm2gc_crypto::Label;
 use arm2gc_garble::{GarbledTable, WavefrontStats};
-use arm2gc_proto::{ConfigError, ProtoError as ProtocolError, ShardConfig};
+use arm2gc_proto::{ConfigError, ProtoError as ProtocolError};
 
 use crate::decide::{CycleDecisions, DecideContext, DecisionCounts, GateDecision};
 use crate::options::{EngineKind, SessionOptions};
@@ -555,7 +555,6 @@ pub(crate) fn run_session<P: Party>(
     opts: &SessionOptions,
 ) -> Result<InstancedOutcome, ProtocolError> {
     opts.validate()?;
-    let shards = opts.shard_config()?;
     for got in [own.len(), publics.len()] {
         if got != opts.instances {
             let expected = opts.instances;
@@ -565,7 +564,7 @@ pub(crate) fn run_session<P: Party>(
     let n = own.len();
     let policy = Policy::new(circuit, opts);
     let plan = InputPlan::new(circuit, cycles, matches!(policy, Policy::Baseline(_)));
-    let mut party = P::establish(ends, opts.stream, shards, n, circuit.wire_count())?;
+    let mut party = P::establish(ends, opts.shards, n, circuit.wire_count())?;
     let drawn = party.deliver(&plan, own, publics)?;
 
     let mut labels = vec![Label::ZERO; circuit.wire_count() * n];
@@ -583,15 +582,13 @@ pub(crate) fn run_session<P: Party>(
         if !lanes.iter().any(|l| l.live) {
             break;
         }
-        let (mut tables, mut live) = (0, 0);
+        let mut live = 0;
         for lane in lanes.iter_mut().filter(|l| l.live) {
             plan.apply(&drawn, &mut labels, lane, Some(cycle));
             let public = &publics[lane.index];
             policy.decide(circuit, lane, cycle, public, cycle + 1 == cycles);
-            tables += lane.dec.counts.garbled as usize;
             live += 1;
         }
-        party.begin_cycle(tables);
         moving_union(&lanes, &mut gates, &mut scratch);
         walk(&mut party, circuit, &gates, &mut lanes, &mut labels)?;
         party.end_cycle(&mut labels, (circuit.gates().len() * live) as u64)?;
@@ -625,17 +622,18 @@ pub(crate) fn run_session<P: Party>(
     Ok(InstancedOutcome { lanes, batching })
 }
 
-/// Connected shard-channel bundles for an in-process sharded run: one
-/// [`duplex`] pair per shard (empty vectors when unsharded), garbler
-/// ends first. Harnesses and tests building their own two-party runs
-/// use this to mirror [`run_two_party_opts`](crate::drive::run_two_party_opts)'s
-/// channel setup.
+/// Connected shard-channel bundles for an in-process run over `shards`
+/// table stripes: one [`duplex`] pair per shard (empty vectors when
+/// `shards` is 1), garbler ends first. Harnesses and tests building
+/// their own two-party runs use this to mirror
+/// [`run_two_party_opts`](crate::drive::run_two_party_opts)'s channel
+/// setup.
 #[allow(clippy::type_complexity)]
-pub fn shard_duplexes(shards: ShardConfig) -> (Vec<Box<dyn Channel>>, Vec<Box<dyn Channel>>) {
+pub fn shard_duplexes(shards: usize) -> (Vec<Box<dyn Channel>>, Vec<Box<dyn Channel>>) {
     let mut garbler: Vec<Box<dyn Channel>> = Vec::new();
     let mut evaluator: Vec<Box<dyn Channel>> = Vec::new();
-    if shards.is_sharded() {
-        for _ in 0..shards.shards {
+    if shards > 1 {
+        for _ in 0..shards {
             let (g, e) = duplex();
             garbler.push(Box::new(g));
             evaluator.push(Box::new(e));
@@ -691,7 +689,6 @@ mod tests {
     /// on the main channel and every shard sub-channel.
     fn session(bc: &BenchCircuit, shards: usize) -> (SkipGateOutcome, Vec<Vec<Vec<u8>>>) {
         let opts = SessionOptions::new().shards(shards);
-        let shards = opts.shard_config().expect("shard count");
         let (ca, mut cb) = duplex();
         let mut logs = Vec::new();
         let mut ca = recording(ca, &mut logs);

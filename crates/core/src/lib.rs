@@ -79,6 +79,4 @@ pub use state::WireVal;
 pub use tag::{SecretTag, TagAllocator};
 
 pub use arm2gc_garble::WavefrontStats;
-pub use arm2gc_proto::{
-    ConfigError, OtBackend, OtConfig, ProtoError as ProtocolError, ShardConfig, StreamConfig,
-};
+pub use arm2gc_proto::{ConfigError, OtBackend, OtConfig, ProtoError as ProtocolError};

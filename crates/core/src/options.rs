@@ -10,7 +10,8 @@
 //! | Removed entry point | Form with [`SessionOptions`] |
 //! |---|---|
 //! | single-lane SkipGate garbler/evaluator | `drive_garbler(…, &SessionOptions::new())` / `drive_evaluator(…)` |
-//! | … with streaming, sharding or dead-gate options | `… .stream(s)` `.shards(n)` `.filter_dead_gates(b)` |
+//! | … with sharding or dead-gate options | `… .shards(n)` `.filter_dead_gates(b)` |
+//! | … with a streaming (chunking) option | none: one 64 KiB chunk for every session |
 //! | instanced garbler/evaluator | `… .instances(n)` |
 //! | classic baseline garbler/evaluator | `… .engine(EngineKind::Baseline)` |
 //! | in-process two-party harnesses | [`run_two_party_opts`](crate::drive::run_two_party_opts) |
@@ -27,7 +28,7 @@
 //! assert!(SessionOptions::new().shards(0).validate().is_err());
 //! ```
 
-use arm2gc_proto::{ConfigError, OtBackend, OtConfig, ShardConfig, StreamConfig};
+use arm2gc_proto::{ConfigError, OtBackend, OtConfig, MAX_SHARDS};
 
 use crate::engine::SkipGateOptions;
 
@@ -50,19 +51,17 @@ pub enum EngineKind {
 /// Build with [`SessionOptions::new`] plus the chained setters; the
 /// struct is `#[non_exhaustive]` so new knobs can land without breaking
 /// downstream builds. Counts (`shards`, `instances`) are plain integers
-/// here — they are validated into typed errors by [`validate`] /
-/// [`shard_config`], which every driver calls before any protocol state
-/// exists.
+/// here — they are validated into typed errors by [`validate`], which
+/// every driver calls before any protocol state exists.
 ///
 /// [`validate`]: Self::validate
-/// [`shard_config`]: Self::shard_config
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug)]
 pub struct SessionOptions {
     /// Which engine garbles ([`EngineKind::SkipGate`] by default).
     pub engine: EngineKind,
-    /// Parallel table-stream sub-channels (1 = the legacy single
-    /// stream). Validated into a [`ShardConfig`] at drive time.
+    /// Shard channels the table frames are striped over (1 = the main
+    /// channel alone). Validated at drive time.
     pub shards: usize,
     /// Independent circuit instances (lanes) batched through one
     /// session. `1` is a plain single-instance run; more interleaves
@@ -76,8 +75,6 @@ pub struct SessionOptions {
     /// ([`OtConfig::STANDARD`]); tests opt into [`OtConfig::TEST`].
     /// Ignored by [`OtBackend::Insecure`].
     pub ot_config: OtConfig,
-    /// Garbler-side table-streaming (chunking) configuration.
-    pub stream: StreamConfig,
     /// SkipGate decision-engine options (unused by the baseline).
     pub skipgate: SkipGateOptions,
     /// Socket read/write deadline for transports that support one
@@ -97,7 +94,6 @@ impl Default for SessionOptions {
             instances: 1,
             ot: OtBackend::default(),
             ot_config: OtConfig::default(),
-            stream: StreamConfig::default(),
             skipgate: SkipGateOptions::default(),
             io_timeout: None,
         }
@@ -105,8 +101,8 @@ impl Default for SessionOptions {
 }
 
 impl SessionOptions {
-    /// A single-instance, unsharded SkipGate session with default OT
-    /// and streaming — the starting point for the chained setters.
+    /// A single-instance, unsharded SkipGate session with default OT —
+    /// the starting point for the chained setters.
     pub fn new() -> Self {
         Self::default()
     }
@@ -147,13 +143,6 @@ impl SessionOptions {
         self
     }
 
-    /// Sets the garbler-side table-streaming configuration.
-    #[must_use]
-    pub fn stream(mut self, stream: StreamConfig) -> Self {
-        self.stream = stream;
-        self
-    }
-
     /// Toggles SkipGate's dead-gate filtering (Alg. 4 line 18); only
     /// the ablation benchmark turns it off.
     #[must_use]
@@ -182,7 +171,11 @@ impl SessionOptions {
     /// [`ConfigError::BaselineInstanced`] when the baseline engine is
     /// paired with more than one lane.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.shard_config()?;
+        match self.shards {
+            0 => return Err(ConfigError::ZeroShards),
+            n if n > MAX_SHARDS => return Err(ConfigError::TooManyShards(n)),
+            _ => {}
+        }
         match self.instances {
             0 => return Err(ConfigError::ZeroInstances),
             n if n > u16::MAX as usize => return Err(ConfigError::TooManyInstances(n)),
@@ -192,15 +185,6 @@ impl SessionOptions {
             return Err(ConfigError::BaselineInstanced);
         }
         Ok(())
-    }
-
-    /// The validated [`ShardConfig`] this session opens channels with.
-    ///
-    /// # Errors
-    /// [`ConfigError::ZeroShards`] / [`ConfigError::TooManyShards`]
-    /// when the count is outside `1..=255`.
-    pub fn shard_config(&self) -> Result<ShardConfig, ConfigError> {
-        ShardConfig::try_new(self.shards)
     }
 }
 

@@ -18,7 +18,7 @@ use arm2gc_garble::{
     WavefrontStats,
 };
 use arm2gc_ot::{OtReceiver, OtSender};
-use arm2gc_proto::{EvaluatorSession, GarblerSession, ProtoError, ShardConfig, StreamConfig};
+use arm2gc_proto::{EvaluatorSession, GarblerSession, ProtoError};
 
 use crate::engine::InputPlan;
 
@@ -52,11 +52,11 @@ pub(crate) trait Party: Sized {
     type Ends;
 
     /// Opens a session of `lanes` lanes (handshake, lane announcement)
-    /// and sizes its batcher for `wires` wires in every lane.
+    /// over `shards` table stripes and sizes its batcher for `wires`
+    /// wires in every lane.
     fn establish(
         ends: Self::Ends,
-        stream: StreamConfig,
-        shards: ShardConfig,
+        shards: usize,
         lanes: usize,
         wires: usize,
     ) -> Result<Self, ProtoError>;
@@ -69,9 +69,6 @@ pub(crate) trait Party: Sized {
         own: &[PartyData],
         publics: &[PartyData],
     ) -> Result<Vec<Label>, ProtoError>;
-
-    /// Starts a cycle garbling `tables` gates over every live lane.
-    fn begin_cycle(&mut self, tables: usize);
 
     /// Finishes a cycle that visited `visits` gates: flushes the last
     /// wavefront.
@@ -92,6 +89,15 @@ pub(crate) trait Party: Sized {
     fn finish(&mut self, colours: &[bool]) -> Result<(Vec<bool>, WavefrontStats), ProtoError>;
 }
 
+/// A session of `shards` stripes needs one channel per shard, or none
+/// when `shards` is 1 (its tables ride the main channel).
+fn check_shard_channels(shards: usize, chs: &[Box<dyn Channel>]) -> Result<(), ProtoError> {
+    if chs.len() != if shards > 1 { shards } else { 0 } {
+        return Err(ProtoError::Malformed("shard channel count mismatch"));
+    }
+    Ok(())
+}
+
 /// Alice: draws the zero-labels, garbles and streams the tables.
 pub(crate) struct Garbler<'a> {
     session: GarblerSession<'a>,
@@ -109,14 +115,12 @@ impl<'a> Party for Garbler<'a> {
 
     fn establish(
         (ch, shard_chs, ot, prg): Self::Ends,
-        stream: StreamConfig,
-        shards: ShardConfig,
+        shards: usize,
         lanes: usize,
         wires: usize,
     ) -> Result<Self, ProtoError> {
-        let n = lanes as u16;
-        let session =
-            GarblerSession::establish_instanced(ch, shard_chs, ot, prg, stream, shards, n)?;
+        check_shard_channels(shards, &shard_chs)?;
+        let session = GarblerSession::establish_instanced(ch, shard_chs, ot, prg, lanes as u16)?;
         let hg = HalfGateGarbler::new(session.delta());
         let wf = GarbleWavefront::new(wires * lanes);
         Ok(Self { session, hg, wf })
@@ -146,10 +150,6 @@ impl<'a> Party for Garbler<'a> {
         self.session.send_direct_labels(&direct)?;
         self.session.ot_send(&ot_pairs)?;
         Ok(zeros)
-    }
-
-    fn begin_cycle(&mut self, tables: usize) {
-        self.session.begin_cycle(tables);
     }
 
     fn end_cycle(&mut self, labels: &mut [Label], visits: u64) -> Result<(), ProtoError> {
@@ -195,13 +195,13 @@ impl<'a> Party for Evaluator<'a> {
 
     fn establish(
         (ch, shard_chs, ot): Self::Ends,
-        _stream: StreamConfig,
-        shards: ShardConfig,
+        shards: usize,
         lanes: usize,
         wires: usize,
     ) -> Result<Self, ProtoError> {
+        check_shard_channels(shards, &shard_chs)?;
         let (align, n) = (GarbledTable::BYTES, lanes as u16);
-        let session = EvaluatorSession::establish_instanced(ch, shard_chs, ot, align, shards, n)?;
+        let session = EvaluatorSession::establish_instanced(ch, shard_chs, ot, align, n)?;
         let he = HalfGateEvaluator::new();
         let wf = EvalWavefront::new(wires * lanes);
         Ok(Self { session, he, wf })
@@ -241,10 +241,6 @@ impl<'a> Party for Evaluator<'a> {
             labels.push(next.expect("label counts checked"));
         });
         Ok(labels)
-    }
-
-    fn begin_cycle(&mut self, tables: usize) {
-        self.session.begin_cycle(tables);
     }
 
     fn end_cycle(&mut self, labels: &mut [Label], _visits: u64) -> Result<(), ProtoError> {

@@ -1,13 +1,19 @@
 //! A misbehaving peer must surface as a clean [`ProtocolError`], never a
 //! panic: the evaluator is driven against hand-crafted bad frames under
 //! every engine and walk — the baseline, SkipGate on one lane and
-//! SkipGate on two lanes.
+//! SkipGate on two lanes. A shard channel that dies mid-stream must
+//! fail both parties the same way.
 
+use std::slice;
+
+use arm2gc_circuit::bench_circuits;
 use arm2gc_circuit::sim::PartyData;
 use arm2gc_circuit::{Circuit, CircuitBuilder, Role};
-use arm2gc_comm::{duplex, Channel, MemChannel};
-use arm2gc_core::{drive_evaluator, EngineKind, ProtocolError, SessionOptions};
-use arm2gc_crypto::Label;
+use arm2gc_comm::{duplex, Channel, FaultChannel, FaultKind, FaultPlan, MemChannel};
+use arm2gc_core::{
+    drive_evaluator, drive_garbler, shard_duplexes, EngineKind, ProtocolError, SessionOptions,
+};
+use arm2gc_crypto::{Label, Prg};
 use arm2gc_ot::InsecureOt;
 use arm2gc_proto::{Message, SessionRole, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 
@@ -204,5 +210,55 @@ fn newer_peer_version_is_compatible() {
             ch.send(&Message::DirectLabels(vec![]).encode())
                 .expect("empty labels");
         },
+    );
+}
+
+/// Shard 1 disconnects at its first frame, the stream's second: the
+/// garbler's flush onto it returns a channel error, and the evaluator,
+/// pulling that frame next, sees its channel close.
+#[test]
+fn dead_shard_channel_fails_both_parties_typed() {
+    // 7,200 tables: frames of 2,048 tables go to shards 0, 1, 0, 1.
+    let bc = bench_circuits::aes128([7; 16], [9; 16]);
+    let opts = SessionOptions::new().shards(2);
+    let (mut ca, mut cb) = duplex();
+    let (mut g_shards, e_shards) = shard_duplexes(2);
+    let dead = FaultPlan::new(1).on_send(0, FaultKind::Disconnect);
+    let shard1 = g_shards.pop().expect("shard 1");
+    g_shards.push(Box::new(FaultChannel::new(shard1, dead)));
+    let (alice, bob) = std::thread::scope(|s| {
+        let garbler = s.spawn(|| {
+            let mut prg = Prg::from_seed([1; 16]);
+            drive_garbler(
+                &bc.circuit,
+                slice::from_ref(&bc.alice),
+                slice::from_ref(&bc.public),
+                bc.cycles,
+                &mut ca,
+                g_shards,
+                &mut InsecureOt,
+                &mut prg,
+                &opts,
+            )
+        });
+        let bob = drive_evaluator(
+            &bc.circuit,
+            slice::from_ref(&bc.bob),
+            slice::from_ref(&bc.public),
+            bc.cycles,
+            &mut cb,
+            e_shards,
+            &mut InsecureOt,
+            &opts,
+        );
+        (garbler.join().expect("garbler must not panic"), bob)
+    });
+    assert!(
+        matches!(alice, Err(ProtocolError::Channel(_))),
+        "garbler: {alice:?}"
+    );
+    assert!(
+        matches!(bob, Err(ProtocolError::Channel(_))),
+        "evaluator: {bob:?}"
     );
 }

@@ -242,7 +242,7 @@ impl GcMachine {
     /// | Instead of | Use |
     /// |---|---|
     /// | a default single-lane run | `run(…, &SessionOptions::new())` |
-    /// | another OT stack, streaming or sharding | `… .ot(…)` `.stream(…)` `.shards(n)` |
+    /// | another OT stack or sharding | `… .ot(…)` `.shards(n)` |
     /// | N lanes in one session | `… .instances(n)` |
     ///
     /// # Panics

@@ -14,7 +14,9 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::shard::ShardConfig;
+/// The largest shard count a session stripes its tables over: a
+/// `TableShard` frame names its shard in one byte.
+pub const MAX_SHARDS: usize = 255;
 
 /// A session configuration rejected at build time.
 #[non_exhaustive]
@@ -23,8 +25,8 @@ pub enum ConfigError {
     /// The shard count was zero (a table stream needs at least one
     /// sub-stream).
     ZeroShards,
-    /// The shard count exceeded [`ShardConfig::MAX_SHARDS`] (shard ids
-    /// travel as one byte).
+    /// The shard count exceeded [`MAX_SHARDS`] (shard ids travel as
+    /// one byte).
     TooManyShards(usize),
     /// The instance (lane) count was zero.
     ZeroInstances,
@@ -48,11 +50,9 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::ZeroShards => write!(f, "shard count must be at least 1"),
-            ConfigError::TooManyShards(n) => write!(
-                f,
-                "shard count {n} exceeds the maximum of {}",
-                ShardConfig::MAX_SHARDS
-            ),
+            ConfigError::TooManyShards(n) => {
+                write!(f, "shard count {n} exceeds the maximum of {MAX_SHARDS}")
+            }
             ConfigError::ZeroInstances => write!(f, "instance count must be at least 1"),
             ConfigError::TooManyInstances(n) => {
                 write!(f, "instance count {n} exceeds the maximum of {}", u16::MAX)

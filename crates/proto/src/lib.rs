@@ -10,14 +10,14 @@
 //!   little-endian framing and a strict round-trip-tested codec;
 //! * [`session`] — [`GarblerSession`] / [`EvaluatorSession`], owning the
 //!   channel, PRG/Δ, OT endpoint and cost counters, with **pipelined
-//!   table streaming**: the garbler's buffered sink flushes in
-//!   configurable chunks ([`StreamConfig`]) while the evaluator pulls
-//!   tables on demand, so garbling runs ahead of evaluation instead of
-//!   rendezvousing once per clock cycle;
-//! * [`shard`] — [`ShardConfig`] / [`ShardPlan`], partitioning each
-//!   cycle's table stream into contiguous per-shard ranges that travel
-//!   over parallel sub-streams (per-shard worker threads on the garbler
-//!   side, lazily pulled sub-sources on the evaluator side);
+//!   table streaming**: the garbler's buffered sink sends a frame per
+//!   [`TABLE_CHUNK_BYTES`](session::TABLE_CHUNK_BYTES) of tables while the evaluator pulls tables on
+//!   demand, so garbling runs ahead of evaluation instead of
+//!   rendezvousing once per clock cycle. Given shard channels, a session
+//!   deals the same whole frames round-robin over them, frame `f` on
+//!   shard `f mod n`; both parties stay single-threaded;
+//! * [`config`] — [`ConfigError`], the typed rejection of a session
+//!   configuration, and [`MAX_SHARDS`];
 //! * [`endpoint`] — [`OtBackend`], pluggable selection between the
 //!   insecure reference OT and the real Naor–Pinkas + IKNP stack;
 //! * [`bits`] — the bit-packing helpers the codec and engines share.
@@ -35,13 +35,11 @@ pub mod bits;
 pub mod config;
 pub mod endpoint;
 pub mod session;
-pub mod shard;
 pub mod wire;
 
-pub use config::ConfigError;
+pub use config::{ConfigError, MAX_SHARDS};
 pub use endpoint::{
     OtBackend, OtConfig, OtReceiverState, OtSenderState, ResumableOtReceiver, ResumableOtSender,
 };
-pub use session::{EvaluatorSession, GarblerSession, OtTunnel, SessionStats, StreamConfig};
-pub use shard::{ShardConfig, ShardPlan};
+pub use session::{EvaluatorSession, GarblerSession, OtTunnel, SessionStats};
 pub use wire::{Message, ProtoError, SessionRole, MAGIC, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};

@@ -10,80 +10,48 @@
 //! * input-label delivery — direct labels one way, OT (tunnelled through
 //!   typed [`Message::OtPayload`] frames) the other,
 //! * **pipelined table streaming**: the garbler pushes tables into a
-//!   buffered sink that flushes in [`StreamConfig`]-sized chunks, while
-//!   the evaluator *pulls* tables on demand, so garbling of cycle `t+1`
-//!   overlaps evaluation of cycle `t` instead of rendezvousing once per
-//!   cycle,
-//! * **sharded parallel streaming** ([`ShardConfig`]): each cycle's
-//!   tables are partitioned into contiguous ranges and each range rides
-//!   its own sub-stream — a dedicated worker thread on the garbler side
-//!   buffers, frames and sends it (overlapping serialisation and wire
-//!   I/O with garbling, which itself stays in topological order because
-//!   half-gate output labels are hash-derived and feed downstream
-//!   gates), while the evaluator pulls from each sub-stream lazily and
-//!   reassembles tables in gate order,
+//!   buffered sink that sends a frame once [`TABLE_CHUNK_BYTES`] are
+//!   buffered, and at a cycle boundary every [`CYCLE_FLUSH_VISITS`] gate
+//!   visits, while the evaluator *pulls* tables on demand, so garbling
+//!   of cycle `t+1` overlaps evaluation of cycle `t` instead of
+//!   rendezvousing once per cycle,
+//! * **striping** over shard channels: a session handed `n` shard
+//!   channels sends the same whole frames, dealt round-robin — frame `f`
+//!   travels as a [`Message::TableShard`] on shard `f mod n` — and the
+//!   evaluator pulls frame `f` from that shard. Frames are sent in the
+//!   order they are consumed, so a garbler blocked on a full socket only
+//!   waits for the evaluator to read frames already sent: one thread per
+//!   party cannot deadlock, however large a cycle,
 //! * the output-revelation exchange (decode colours vs. values).
 
 use arm2gc_comm::{Channel, ChannelError};
 use arm2gc_crypto::{Delta, Label, Prg};
 use arm2gc_ot::{OtError, OtReceiver, OtSender};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use crate::shard::{ShardConfig, ShardPlan};
+use crate::config::MAX_SHARDS;
 use crate::wire::{
     Message, ProtoError, SessionRole, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, TAG_OT_PAYLOAD,
     TAG_TABLES, TAG_TABLE_SHARD,
 };
 
-/// How the garbler's table sink batches tables onto the wire.
-///
-/// A chunked stream flushes on two triggers: whenever more than
-/// `chunk_bytes` table bytes are buffered, and at a cycle boundary once
-/// [`CYCLE_FLUSH_VISITS`] gate visits have passed since the last
-/// boundary flush (see [`GarblerSession::end_cycle`]). The second keeps
-/// the evaluator busy on circuits whose many cycles garble few tables
-/// each, where a whole session's tables fit in one chunk. Both triggers
-/// read public counts only, so frame boundaries — and the transcript —
-/// are the same on every run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StreamConfig {
-    /// Flush whenever at least this many table bytes are buffered.
-    /// `None` reproduces the legacy lockstep behaviour: one flush at
-    /// every cycle boundary, regardless of size.
-    pub chunk_bytes: Option<usize>,
-}
+/// Table bytes the garbler buffers before it sends them as one frame:
+/// 64 KiB (2048 half-gate tables), large enough to amortise per-frame
+/// overhead, small enough that the evaluator starts while the garbler
+/// is still working.
+pub const TABLE_CHUNK_BYTES: usize = 64 * 1024;
 
-/// Gate visits (gates × active lanes, summed over cycles) after which a
-/// chunked stream flushes its buffered tables at the next cycle
-/// boundary. 2²⁰ visits are about seven cycles of the garbled CPU
-/// (163,628 gates), some 19 ms of decision pass, so the evaluator never
-/// waits long for work, while small circuits (a 7-gate comparator for
-/// 16,384 cycles is 114,688 visits) never reach it and keep their
-/// size-chunked frames.
+/// Gate visits (gates × active lanes, summed over cycles) after which
+/// the garbler sends its buffered tables at the next cycle boundary,
+/// short of [`TABLE_CHUNK_BYTES`]. This keeps the evaluator busy on
+/// circuits whose many cycles garble few tables each, where a whole
+/// session's tables fit in one chunk. 2²⁰ visits are about seven cycles
+/// of the garbled CPU (163,628 gates), some 19 ms of decision pass, so
+/// the evaluator never waits long for work, while small circuits (a
+/// 7-gate comparator for 16,384 cycles is 114,688 visits) never reach
+/// it and keep their size-chunked frames. Both triggers read public
+/// counts only, so frame boundaries — and the transcript — are the same
+/// on every run.
 pub const CYCLE_FLUSH_VISITS: u64 = 1 << 20;
-
-impl StreamConfig {
-    /// Legacy per-cycle flushing (one `Tables` frame per clock cycle).
-    pub const fn lockstep() -> Self {
-        Self { chunk_bytes: None }
-    }
-
-    /// Flush in chunks of at least `bytes` table bytes.
-    pub const fn chunked(bytes: usize) -> Self {
-        Self {
-            chunk_bytes: Some(bytes),
-        }
-    }
-}
-
-impl Default for StreamConfig {
-    /// 64 KiB chunks (2048 half-gate tables): large enough to amortise
-    /// per-frame overhead, small enough that the evaluator starts while
-    /// the garbler is still working.
-    fn default() -> Self {
-        Self::chunked(64 * 1024)
-    }
-}
 
 /// Cost counters a session accumulates; engines fold these into their
 /// public stats structs.
@@ -191,105 +159,63 @@ fn handshake(ch: &mut dyn Channel, role: SessionRole) -> Result<u16, ProtoError>
     }
 }
 
-/// Commands the garbler's main thread feeds a shard worker.
-enum ShardCmd {
-    /// One garbled table's bytes, to buffer and eventually send.
-    Bytes(Vec<u8>),
-    /// Flush the buffer now (lockstep cycle boundary).
-    Flush,
+/// The channels a session's table frames travel on, and the number of
+/// frames that have gone so far.
+///
+/// With no shard channels every frame is a [`Message::Tables`] on the
+/// main channel. With `n` shard channels the same frames are dealt
+/// round-robin: frame `f` is a [`Message::TableShard`] for shard
+/// `f mod n`, on that shard's channel.
+struct TableStripes {
+    shards: Vec<Box<dyn Channel>>,
+    frames: usize,
 }
 
-/// A per-shard sender thread plus its command queue. Dropping the
-/// sender makes the worker flush its tail and exit.
-struct ShardWorker {
-    tx: Option<Sender<ShardCmd>>,
-    handle: Option<std::thread::JoinHandle<Result<(), ChannelError>>>,
-}
+impl TableStripes {
+    /// Stripes over `shards`: none (the main channel alone) or 2 to
+    /// [`MAX_SHARDS`] channels. A single shard channel is a caller's
+    /// mismatch, since a one-shard stream rides the main channel.
+    fn new(shards: Vec<Box<dyn Channel>>) -> Result<Self, ProtoError> {
+        if shards.len() == 1 || shards.len() > MAX_SHARDS {
+            return Err(ProtoError::Malformed("shard channel count mismatch"));
+        }
+        Ok(Self { shards, frames: 0 })
+    }
 
-impl ShardWorker {
-    /// Spawns the worker owning `ch`; it assembles `TableShard` frames
-    /// for `shard`, flushing by `chunk` bytes (`None` = only on `Flush`
-    /// commands and at shutdown).
-    fn spawn(shard: u8, mut ch: Box<dyn Channel>, chunk: Option<usize>) -> Self {
-        let (tx, rx): (Sender<ShardCmd>, Receiver<ShardCmd>) = unbounded();
-        let handle = std::thread::spawn(move || {
-            // Pre-framed `TableShard` message under construction.
-            let mut buf = vec![TAG_TABLE_SHARD, shard];
-            const HDR: usize = 2;
-            let mut flush = |buf: &mut Vec<u8>| -> Result<(), ChannelError> {
-                if buf.len() > HDR {
-                    ch.send(buf)?;
-                    buf.truncate(HDR);
-                }
-                Ok(())
-            };
-            loop {
-                match rx.recv() {
-                    Ok(ShardCmd::Bytes(b)) => {
-                        buf.extend_from_slice(&b);
-                        if chunk.is_some_and(|c| buf.len() - HDR > c) {
-                            flush(&mut buf)?;
-                        }
-                    }
-                    Ok(ShardCmd::Flush) => flush(&mut buf)?,
-                    // Sender dropped: orderly shutdown, flush the tail.
-                    Err(_) => return flush(&mut buf),
-                }
-            }
-        });
-        Self {
-            tx: Some(tx),
-            handle: Some(handle),
+    /// The shard id the next frame carries; `None` on the main channel.
+    fn shard(&self) -> Option<u8> {
+        (!self.shards.is_empty()).then(|| (self.frames % self.shards.len()) as u8)
+    }
+
+    /// Bytes of a frame header: the tag, plus the shard id if striped.
+    fn header_len(&self) -> usize {
+        1 + usize::from(!self.shards.is_empty())
+    }
+
+    /// Clears `buf` to the header of the next frame.
+    fn start_frame(&self, buf: &mut Vec<u8>) {
+        buf.clear();
+        match self.shard() {
+            None => buf.push(TAG_TABLES),
+            Some(k) => buf.extend_from_slice(&[TAG_TABLE_SHARD, k]),
         }
     }
 
-    fn push(&self, cmd: ShardCmd) -> Result<(), ProtoError> {
-        self.tx
-            .as_ref()
-            .ok_or(ProtoError::Channel(ChannelError::Closed))?
-            .send(cmd)
-            .map_err(|_| ProtoError::Channel(ChannelError::Closed))
-    }
-
-    /// Signals shutdown (drops the queue) and joins, surfacing send
-    /// failures the worker hit.
-    fn finish(&mut self) -> Result<(), ProtoError> {
-        drop(self.tx.take());
-        match self.handle.take() {
-            Some(h) => match h.join() {
-                Ok(res) => res.map_err(ProtoError::Channel),
-                Err(_) => Err(ProtoError::Malformed("shard worker panicked")),
-            },
-            None => Ok(()),
+    /// The channel the next frame travels on; counts that frame as gone.
+    fn advance<'c>(&'c mut self, main: &'c mut dyn Channel) -> &'c mut dyn Channel {
+        let frame = self.frames;
+        self.frames += 1;
+        match self.shards.len() {
+            0 => main,
+            n => self.shards[frame % n].as_mut(),
         }
     }
-}
-
-/// The garbler's table transport: the legacy single inline stream, or
-/// one worker per shard.
-enum GarblerTables {
-    /// Pre-framed `Tables` message under construction: `[TAG_TABLES]`
-    /// followed by buffered table bytes, sent as-is on flush.
-    Inline { buf: Vec<u8> },
-    /// Sharded: per-shard worker threads plus the current cycle's
-    /// partition and position. Because shard ranges are contiguous,
-    /// tables for the current shard accumulate in `pending` and are
-    /// handed to the worker in chunk-sized batches (or at a shard
-    /// switch / cycle end), not one channel send per table.
-    Sharded {
-        workers: Vec<ShardWorker>,
-        plan: ShardPlan,
-        next_index: usize,
-        current: usize,
-        pending: Vec<u8>,
-    },
 }
 
 /// Alice's side of a protocol run.
 ///
 /// Owns the channel, the PRG, the global free-XOR offset Δ (drawn at
-/// establishment), the OT sender and the table transport (buffered sink
-/// or per-shard workers).
+/// establishment), the OT sender and the buffered table sink.
 pub struct GarblerSession<'a> {
     ch: &'a mut dyn Channel,
     ot: &'a mut dyn OtSender,
@@ -297,8 +223,9 @@ pub struct GarblerSession<'a> {
     delta: Delta,
     version: u16,
     instances: u16,
-    stream: StreamConfig,
-    tables: GarblerTables,
+    stripes: TableStripes,
+    /// The next table frame: its header, then the buffered tables.
+    buf: Vec<u8>,
     /// Gate visits since the last cycle-boundary flush.
     visits_since_flush: u64,
     /// `stats.garbled_tables` at the last cycle-boundary flush.
@@ -315,21 +242,17 @@ impl<'a> GarblerSession<'a> {
         ch: &'a mut dyn Channel,
         ot: &'a mut dyn OtSender,
         prg: &'a mut Prg,
-        stream: StreamConfig,
     ) -> Result<Self, ProtoError> {
-        Self::establish_instanced(ch, Vec::new(), ot, prg, stream, ShardConfig::single(), 1)
+        Self::establish_instanced(ch, Vec::new(), ot, prg, 1)
     }
 
-    /// [`GarblerSession::establish`] with a sharded table stream, for
-    /// a session garbling `instances` independent runs of the same
-    /// circuit.
+    /// [`GarblerSession::establish`] for a session garbling `instances`
+    /// independent runs of the same circuit, its table frames striped
+    /// over `shard_chs`.
     ///
-    /// Each of the `shards.shards` sub-streams gets a dedicated channel
-    /// from `shard_chs` and a worker thread that frames and sends its
-    /// share of every cycle's tables. With `shards == 1` the transport
-    /// is the inline stream (byte-identical to an unsharded session)
-    /// and `shard_chs` must be empty; engines must then still call
-    /// [`GarblerSession::begin_cycle`], which is a no-op.
+    /// With no shard channels the tables ride the main channel as
+    /// `Tables` frames. With two or more, the same frames are dealt
+    /// round-robin over them as `TableShard` frames.
     ///
     /// When `instances > 1` the garbler announces the count in a
     /// [`Message::Instances`] frame right after the handshake
@@ -339,22 +262,22 @@ impl<'a> GarblerSession<'a> {
     ///
     /// # Errors
     /// Channel failures, a peer with an incompatible version or the
-    /// wrong role, a `shard_chs` count not matching `shards`, a zero
-    /// instance count or (when `instances > 1`) a peer whose negotiated
-    /// version predates instanced sessions.
+    /// wrong role, one shard channel or more than [`MAX_SHARDS`], a
+    /// zero instance count or (when `instances > 1`) a peer whose
+    /// negotiated version predates instanced sessions.
     pub fn establish_instanced(
         ch: &'a mut dyn Channel,
         shard_chs: Vec<Box<dyn Channel>>,
         ot: &'a mut dyn OtSender,
         prg: &'a mut Prg,
-        stream: StreamConfig,
-        shards: ShardConfig,
         instances: u16,
     ) -> Result<Self, ProtoError> {
         if instances == 0 {
             return Err(ProtoError::Malformed("zero instance count"));
         }
-        let tables = garbler_tables(shard_chs, stream, shards)?;
+        let stripes = TableStripes::new(shard_chs)?;
+        let mut buf = Vec::new();
+        stripes.start_frame(&mut buf);
         let version = handshake(ch, SessionRole::Garbler)?;
         if instances > 1 {
             if version < 2 {
@@ -370,8 +293,8 @@ impl<'a> GarblerSession<'a> {
             delta,
             version,
             instances,
-            stream,
-            tables,
+            stripes,
+            buf,
             visits_since_flush: 0,
             tables_at_flush: 0,
             stats: SessionStats::default(),
@@ -424,169 +347,60 @@ impl<'a> GarblerSession<'a> {
         Ok(())
     }
 
-    /// Announces the number of tables the coming cycle will produce.
-    ///
-    /// In a sharded session this fixes the cycle's contiguous partition
-    /// (both parties derive the same one from public knowledge); in an
-    /// unsharded session it is a no-op. Engines call it once per clock
-    /// cycle, before the first [`GarblerSession::push_table`].
-    pub fn begin_cycle(&mut self, tables: usize) {
-        if let GarblerTables::Sharded {
-            workers,
-            plan,
-            next_index,
-            current,
-            ..
-        } = &mut self.tables
-        {
-            *plan = ShardPlan::new(tables, workers.len());
-            *next_index = 0;
-            *current = 0;
-        }
-    }
-
-    /// Buffers one garbled table, flushing when the configured chunk
-    /// size is reached. In a sharded session the table is handed to the
-    /// worker owning the current gate range instead.
+    /// Buffers one garbled table, sending the frame once
+    /// [`TABLE_CHUNK_BYTES`] are buffered.
     ///
     /// # Errors
-    /// Channel failures on flush, or (sharded) a push beyond the count
-    /// announced via [`GarblerSession::begin_cycle`].
+    /// Channel failures on flush.
     pub fn push_table(&mut self, table: &[u8]) -> Result<(), ProtoError> {
         self.stats.garbled_tables += 1;
         self.stats.table_bytes += table.len() as u64;
-        match &mut self.tables {
-            GarblerTables::Inline { buf } => {
-                buf.extend_from_slice(table);
-                if self
-                    .stream
-                    .chunk_bytes
-                    .is_some_and(|chunk| buf.len() > chunk)
-                {
-                    flush_inline(self.ch, buf)?;
-                }
-                Ok(())
-            }
-            GarblerTables::Sharded {
-                workers,
-                plan,
-                next_index,
-                current,
-                pending,
-            } => {
-                if *next_index >= plan.tables() {
-                    return Err(ProtoError::Malformed(
-                        "table outside the cycle's shard plan",
-                    ));
-                }
-                let shard = plan.shard_of(*next_index, *current);
-                if shard != *current && !pending.is_empty() {
-                    workers[*current].push(ShardCmd::Bytes(std::mem::take(pending)))?;
-                }
-                *current = shard;
-                *next_index += 1;
-                pending.extend_from_slice(table);
-                if self
-                    .stream
-                    .chunk_bytes
-                    .is_some_and(|chunk| pending.len() > chunk)
-                {
-                    workers[*current].push(ShardCmd::Bytes(std::mem::take(pending)))?;
-                }
-                Ok(())
-            }
+        self.buf.extend_from_slice(table);
+        if self.buf.len() - self.stripes.header_len() >= TABLE_CHUNK_BYTES {
+            self.flush_tables()?;
         }
+        Ok(())
     }
 
     /// Marks a clock-cycle boundary after a cycle of `visits` gate
     /// visits (the netlist's gate count times the lanes still running).
     ///
-    /// A lockstep stream flushes the cycle's tables here (on every
-    /// shard). A chunked stream flushes here once at least
-    /// [`CYCLE_FLUSH_VISITS`] visits have passed since its last
-    /// boundary flush and a table was pushed in between; a sharded
-    /// session then sends `Flush` to every worker. Size-triggered
-    /// flushes in [`push_table`](Self::push_table) do not reset the
-    /// count. A sharded session also hands the current shard's locally
-    /// batched tables to its worker here, so `pending` never spans a
-    /// cycle boundary.
+    /// Sends the buffered tables once at least [`CYCLE_FLUSH_VISITS`]
+    /// visits have passed since the last boundary flush and a table was
+    /// pushed in between. Size-triggered flushes in
+    /// [`push_table`](Self::push_table) do not reset the count.
     ///
     /// # Errors
     /// Channel failures on flush.
     pub fn end_cycle(&mut self, visits: u64) -> Result<(), ProtoError> {
         self.visits_since_flush += visits;
-        let flush = match self.stream.chunk_bytes {
-            None => true,
-            Some(_) => {
-                self.visits_since_flush >= CYCLE_FLUSH_VISITS
-                    && self.stats.garbled_tables > self.tables_at_flush
-            }
-        };
-        match &mut self.tables {
-            GarblerTables::Inline { buf } => {
-                if flush {
-                    flush_inline(self.ch, buf)?;
-                }
-            }
-            GarblerTables::Sharded {
-                workers,
-                current,
-                pending,
-                ..
-            } => {
-                if !pending.is_empty() {
-                    workers[*current].push(ShardCmd::Bytes(std::mem::take(pending)))?;
-                }
-                if flush {
-                    for w in workers {
-                        w.push(ShardCmd::Flush)?;
-                    }
-                }
-            }
-        }
-        if flush {
+        if self.visits_since_flush >= CYCLE_FLUSH_VISITS
+            && self.stats.garbled_tables > self.tables_at_flush
+        {
+            self.flush_tables()?;
             self.visits_since_flush = 0;
             self.tables_at_flush = self.stats.garbled_tables;
         }
         Ok(())
     }
 
-    /// Flushes whatever table transport is active; sharded workers are
-    /// shut down and joined (they flush their tails on the way out).
-    fn finish_table_stream(&mut self) -> Result<(), ProtoError> {
-        match &mut self.tables {
-            GarblerTables::Inline { buf } => flush_inline(self.ch, buf),
-            GarblerTables::Sharded {
-                workers,
-                current,
-                pending,
-                ..
-            } => {
-                let mut res = if pending.is_empty() {
-                    Ok(())
-                } else {
-                    workers[*current].push(ShardCmd::Bytes(std::mem::take(pending)))
-                };
-                for w in workers {
-                    let r = w.finish();
-                    if res.is_ok() {
-                        res = r;
-                    }
-                }
-                res
-            }
+    /// Sends the buffered tables, if any, as the next frame.
+    fn flush_tables(&mut self) -> Result<(), ProtoError> {
+        if self.buf.len() > self.stripes.header_len() {
+            self.stripes.advance(self.ch).send(&self.buf)?;
+            self.stripes.start_frame(&mut self.buf);
         }
+        Ok(())
     }
 
     /// Sends the decode (colour) bits, receives the evaluator's revealed
-    /// values. Flushes any still-buffered tables first (joining shard
-    /// workers), so this can never deadlock against an evaluator still
-    /// pulling tables.
+    /// values. Flushes any still-buffered tables first, so this can
+    /// never deadlock against an evaluator still pulling tables.
     ///
     /// # Errors
     /// Channel failures, or an `Outputs` frame of the wrong length.
     pub fn reveal_outputs(&mut self, decode_bits: &[bool]) -> Result<Vec<bool>, ProtoError> {
-        self.finish_table_stream()?;
+        self.flush_tables()?;
         send_msg(self.ch, &Message::DecodeBits(decode_bits.to_vec()))?;
         match recv_msg(self.ch)? {
             Message::Outputs(values) if values.len() == decode_bits.len() => Ok(values),
@@ -601,151 +415,20 @@ impl<'a> GarblerSession<'a> {
     }
 }
 
-/// Builds the garbler's table transport, validating the shard setup.
-fn garbler_tables(
-    shard_chs: Vec<Box<dyn Channel>>,
-    stream: StreamConfig,
-    shards: ShardConfig,
-) -> Result<GarblerTables, ProtoError> {
-    validate_shards(shards, shard_chs.len())?;
-    if !shards.is_sharded() {
-        return Ok(GarblerTables::Inline {
-            buf: vec![TAG_TABLES],
-        });
-    }
-    let workers = shard_chs
-        .into_iter()
-        .enumerate()
-        .map(|(k, ch)| ShardWorker::spawn(k as u8, ch, stream.chunk_bytes))
-        .collect();
-    Ok(GarblerTables::Sharded {
-        workers,
-        plan: ShardPlan::new(0, shards.shards),
-        next_index: 0,
-        current: 0,
-        pending: Vec::new(),
-    })
-}
-
-/// A sharded session needs exactly one dedicated channel per shard; an
-/// unsharded one rides the main channel and must not be handed any.
-fn validate_shards(shards: ShardConfig, channels: usize) -> Result<(), ProtoError> {
-    if shards.shards == 0 || shards.shards > ShardConfig::MAX_SHARDS {
-        return Err(ProtoError::Malformed("shard count out of range"));
-    }
-    let expected = if shards.is_sharded() {
-        shards.shards
-    } else {
-        0
-    };
-    if channels != expected {
-        return Err(ProtoError::Malformed("shard channel count mismatch"));
-    }
-    Ok(())
-}
-
-/// Sends a pre-framed `Tables` buffer and resets it to just the tag.
-fn flush_inline(ch: &mut dyn Channel, buf: &mut Vec<u8>) -> Result<(), ProtoError> {
-    if buf.len() > 1 {
-        ch.send(buf)?;
-        buf.truncate(1);
-    }
-    Ok(())
-}
-
 impl std::fmt::Debug for GarblerSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let shards = match &self.tables {
-            GarblerTables::Inline { .. } => 1,
-            GarblerTables::Sharded { workers, .. } => workers.len(),
-        };
         f.debug_struct("GarblerSession")
-            .field("stream", &self.stream)
-            .field("shards", &shards)
+            .field("shards", &self.stripes.shards.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
 
-/// One shard's pull-based sub-stream on the evaluator side: its own
-/// channel, expected shard id and reassembly buffer.
-struct ShardSource {
-    ch: Box<dyn Channel>,
-    shard: u8,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl ShardSource {
-    fn drained(&self) -> bool {
-        self.buf.len() == self.pos
-    }
-}
-
-/// The shared pull loop of every table sub-stream: tops `buf` up to
-/// `len` unconsumed bytes, receiving frames from `ch` as needed and
-/// compacting the consumed prefix first. `shard` selects the frame
-/// layout: `None` accepts legacy `Tables` frames, `Some(id)` accepts
-/// `TableShard` frames for exactly that shard. Frame bodies are
-/// appended straight into the buffer instead of materialising a
-/// [`Message`] copy (hot path), and validated to hold a whole number
-/// of `align`-byte tables (0 disables the check).
-fn pull_tables(
-    ch: &mut dyn Channel,
-    buf: &mut Vec<u8>,
-    pos: &mut usize,
-    len: usize,
-    align: usize,
-    shard: Option<u8>,
-) -> Result<(), ProtoError> {
-    while buf.len() - *pos < len {
-        if *pos > 0 {
-            buf.drain(..*pos);
-            *pos = 0;
-        }
-        let raw = ch.recv()?;
-        let tables = match (shard, raw.split_first()) {
-            (None, Some((&TAG_TABLES, body))) => body,
-            (Some(want), Some((&TAG_TABLE_SHARD, body))) => {
-                let (&got, tables) = body
-                    .split_first()
-                    .ok_or(ProtoError::Malformed("table shard frame too short"))?;
-                if got != want {
-                    return Err(ProtoError::Malformed("table shard id mismatch"));
-                }
-                tables
-            }
-            (None, _) => return Err(ProtoError::Malformed("expected tables frame")),
-            (Some(_), _) => return Err(ProtoError::Malformed("expected table shard frame")),
-        };
-        if align != 0 && tables.len() % align != 0 {
-            return Err(ProtoError::Malformed("table stream"));
-        }
-        buf.extend_from_slice(tables);
-    }
-    Ok(())
-}
-
-/// The evaluator's table transport: the legacy single inline stream, or
-/// one pull source per shard.
-enum EvaluatorTables {
-    Inline {
-        buf: Vec<u8>,
-        pos: usize,
-    },
-    Sharded {
-        subs: Vec<ShardSource>,
-        plan: ShardPlan,
-        next_index: usize,
-        current: usize,
-    },
-}
-
 /// Bob's side of a protocol run.
 ///
 /// Owns the channel, the OT receiver and a pull-based table source fed
-/// by the garbler's chunked `Tables` frames (or, sharded, one source
-/// per `TableShard` sub-stream, reassembled in gate order).
+/// by the garbler's table frames, from the main channel or, striped,
+/// from each shard channel in turn.
 pub struct EvaluatorSession<'a> {
     ch: &'a mut dyn Channel,
     ot: &'a mut dyn OtReceiver,
@@ -754,7 +437,10 @@ pub struct EvaluatorSession<'a> {
     table_align: usize,
     version: u16,
     instances: u16,
-    tables: EvaluatorTables,
+    stripes: TableStripes,
+    /// Received table bytes; `buf[pos..]` are not yet pulled.
+    buf: Vec<u8>,
+    pos: usize,
     stats: SessionStats,
 }
 
@@ -772,24 +458,22 @@ impl<'a> EvaluatorSession<'a> {
         ot: &'a mut dyn OtReceiver,
         table_align: usize,
     ) -> Result<Self, ProtoError> {
-        Self::establish_instanced(ch, Vec::new(), ot, table_align, ShardConfig::single(), 1)
+        Self::establish_instanced(ch, Vec::new(), ot, table_align, 1)
     }
 
-    /// [`EvaluatorSession::establish`] with a sharded table stream, for
-    /// a session of `instances` runs; the mirror of
-    /// [`GarblerSession::establish_instanced`].
+    /// [`EvaluatorSession::establish`] for a session of `instances`
+    /// runs whose table frames are striped over `shard_chs`; the mirror
+    /// of [`GarblerSession::establish_instanced`].
     ///
-    /// Tables are pulled lazily from each shard's channel and
-    /// reassembled in gate order using the partition both parties
-    /// derive per cycle. Both parties configure the instance count out
-    /// of band (like the shard count); when it is greater than one the
-    /// garbler's [`Message::Instances`] announcement is received and
-    /// checked against it.
+    /// Both parties configure the instance count out of band (like the
+    /// shard count); when it is greater than one the garbler's
+    /// [`Message::Instances`] announcement is received and checked
+    /// against it.
     ///
     /// # Errors
     /// Channel failures, a peer with an incompatible version or the
-    /// wrong role, a `shard_chs` count not matching `shards`, a zero
-    /// instance count, a peer whose negotiated version predates
+    /// wrong role, one shard channel or more than [`MAX_SHARDS`], a
+    /// zero instance count, a peer whose negotiated version predates
     /// instanced sessions, or an announcement not matching the
     /// configured count.
     pub fn establish_instanced(
@@ -797,35 +481,12 @@ impl<'a> EvaluatorSession<'a> {
         shard_chs: Vec<Box<dyn Channel>>,
         ot: &'a mut dyn OtReceiver,
         table_align: usize,
-        shards: ShardConfig,
         instances: u16,
     ) -> Result<Self, ProtoError> {
         if instances == 0 {
             return Err(ProtoError::Malformed("zero instance count"));
         }
-        validate_shards(shards, shard_chs.len())?;
-        let tables = if shards.is_sharded() {
-            EvaluatorTables::Sharded {
-                subs: shard_chs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, ch)| ShardSource {
-                        ch,
-                        shard: k as u8,
-                        buf: Vec::new(),
-                        pos: 0,
-                    })
-                    .collect(),
-                plan: ShardPlan::new(0, shards.shards),
-                next_index: 0,
-                current: 0,
-            }
-        } else {
-            EvaluatorTables::Inline {
-                buf: Vec::new(),
-                pos: 0,
-            }
-        };
+        let stripes = TableStripes::new(shard_chs)?;
         let version = handshake(ch, SessionRole::Evaluator)?;
         if instances > 1 {
             if version < 2 {
@@ -845,7 +506,9 @@ impl<'a> EvaluatorSession<'a> {
             table_align,
             version,
             instances,
-            tables,
+            stripes,
+            buf: Vec::new(),
+            pos: 0,
             stats: SessionStats::default(),
         })
     }
@@ -860,22 +523,6 @@ impl<'a> EvaluatorSession<'a> {
     /// established via [`EvaluatorSession::establish_instanced`]).
     pub fn instances(&self) -> u16 {
         self.instances
-    }
-
-    /// Announces the number of tables the coming cycle will consume;
-    /// the mirror of [`GarblerSession::begin_cycle`]. No-op unsharded.
-    pub fn begin_cycle(&mut self, tables: usize) {
-        if let EvaluatorTables::Sharded {
-            subs,
-            plan,
-            next_index,
-            current,
-        } = &mut self.tables
-        {
-            *plan = ShardPlan::new(tables, subs.len());
-            *next_index = 0;
-            *current = 0;
-        }
     }
 
     /// Receives the direct input labels.
@@ -907,67 +554,59 @@ impl<'a> EvaluatorSession<'a> {
     }
 
     /// Pulls the next `len` bytes of garbled table from the stream,
-    /// receiving further table frames as needed. In a sharded session
-    /// the pull is routed to the sub-stream carrying the current gate
-    /// range.
+    /// receiving further table frames as needed.
     ///
     /// # Errors
-    /// Channel failures, an unexpected frame, a frame that is not a
-    /// whole number of tables, or (sharded) a pull beyond the count
-    /// announced via [`EvaluatorSession::begin_cycle`].
+    /// Channel failures, an unexpected frame, a frame from the wrong
+    /// shard, or a frame that is not a whole number of tables.
     pub fn next_table(&mut self, len: usize) -> Result<&[u8], ProtoError> {
         self.stats.garbled_tables += 1;
         self.stats.table_bytes += len as u64;
-        // Route to the buffer/channel/frame-layout of the active
-        // sub-stream; the pull loop itself ([`pull_tables`]) is shared.
-        let align = self.table_align;
-        match &mut self.tables {
-            EvaluatorTables::Inline { buf, pos } => {
-                pull_tables(&mut *self.ch, buf, pos, len, align, None)?;
-                let start = *pos;
-                *pos += len;
-                Ok(&buf[start..start + len])
-            }
-            EvaluatorTables::Sharded {
-                subs,
-                plan,
-                next_index,
-                current,
-            } => {
-                if *next_index >= plan.tables() {
-                    return Err(ProtoError::Malformed(
-                        "table pull outside the cycle's shard plan",
-                    ));
-                }
-                *current = plan.shard_of(*next_index, *current);
-                *next_index += 1;
-                let sub = &mut subs[*current];
-                pull_tables(
-                    &mut *sub.ch,
-                    &mut sub.buf,
-                    &mut sub.pos,
-                    len,
-                    align,
-                    Some(sub.shard),
-                )?;
-                let start = sub.pos;
-                sub.pos += len;
-                Ok(&sub.buf[start..start + len])
-            }
+        while self.buf.len() - self.pos < len {
+            self.pull_frame()?;
         }
+        let start = self.pos;
+        self.pos += len;
+        Ok(&self.buf[start..start + len])
     }
 
-    /// Asserts the table stream (every sub-stream, if sharded) was fully
-    /// consumed.
+    /// Receives the next table frame from the channel it travels on and
+    /// appends its tables to the buffer, dropping the pulled prefix
+    /// first. The body goes straight into the buffer instead of through
+    /// a [`Message`] copy (hot path), once its tag, shard id and
+    /// `table_align` multiple are checked.
+    fn pull_frame(&mut self) -> Result<(), ProtoError> {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        let shard = self.stripes.shard();
+        let raw = self.stripes.advance(self.ch).recv()?;
+        let tables = match (shard, raw.split_first()) {
+            (None, Some((&TAG_TABLES, body))) => body,
+            (Some(want), Some((&TAG_TABLE_SHARD, body))) => {
+                let (&got, tables) = body
+                    .split_first()
+                    .ok_or(ProtoError::Malformed("table shard frame too short"))?;
+                if got != want {
+                    return Err(ProtoError::Malformed("table shard id mismatch"));
+                }
+                tables
+            }
+            (None, _) => return Err(ProtoError::Malformed("expected tables frame")),
+            (Some(_), _) => return Err(ProtoError::Malformed("expected table shard frame")),
+        };
+        if self.table_align != 0 && tables.len() % self.table_align != 0 {
+            return Err(ProtoError::Malformed("table stream"));
+        }
+        self.buf.extend_from_slice(tables);
+        Ok(())
+    }
+
+    /// Asserts the table stream was fully consumed.
     ///
     /// # Errors
     /// [`ProtoError::Malformed`] when buffered table bytes remain.
     pub fn finish_tables(&self) -> Result<(), ProtoError> {
-        let drained = match &self.tables {
-            EvaluatorTables::Inline { buf, pos } => buf.len() == *pos,
-            EvaluatorTables::Sharded { subs, .. } => subs.iter().all(ShardSource::drained),
-        };
-        if !drained {
+        if self.buf.len() != self.pos {
             return Err(ProtoError::Malformed("extra tables"));
         }
         Ok(())
@@ -1001,13 +640,9 @@ impl<'a> EvaluatorSession<'a> {
 
 impl std::fmt::Debug for EvaluatorSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let shards = match &self.tables {
-            EvaluatorTables::Inline { .. } => 1,
-            EvaluatorTables::Sharded { subs, .. } => subs.len(),
-        };
         f.debug_struct("EvaluatorSession")
             .field("table_align", &self.table_align)
-            .field("shards", &shards)
+            .field("shards", &self.stripes.shards.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -1037,12 +672,11 @@ mod tests {
 
     #[test]
     fn handshake_and_streaming_roundtrip() {
-        let chunk = StreamConfig::chunked(64);
         let (sent, got) = pair_up(
             |ch| {
                 let mut ot = InsecureOt;
                 let mut prg = Prg::from_seed([1; 16]);
-                let mut s = GarblerSession::establish(ch, &mut ot, &mut prg, chunk).expect("g");
+                let mut s = GarblerSession::establish(ch, &mut ot, &mut prg).expect("g");
                 let mut sent = Vec::new();
                 for cycle in 0..10u8 {
                     for t in 0..3u8 {
@@ -1076,42 +710,39 @@ mod tests {
 
     #[test]
     fn lockstep_flushes_per_cycle_and_chunked_batches() {
-        for (cfg, expect_table_frames) in [
-            (StreamConfig::lockstep(), 4u64),    // one frame per non-empty cycle
-            (StreamConfig::chunked(1 << 20), 1), // everything in the final flush
-        ] {
-            let (frames, ()) = pair_up(
-                move |ch| {
-                    let (counted, stats) = arm2gc_comm::CountingChannel::new(&mut *ch);
-                    let mut counted = counted;
-                    let mut ot = InsecureOt;
-                    let mut prg = Prg::from_seed([2; 16]);
-                    let mut s =
-                        GarblerSession::establish(&mut counted, &mut ot, &mut prg, cfg).expect("g");
-                    for _ in 0..4 {
-                        s.push_table(&[7u8; 32]).expect("push");
-                        s.end_cycle(7).expect("end");
-                    }
-                    s.reveal_outputs(&[]).expect("reveal");
-                    // hello + table frames + decode bits.
-                    stats.sent_msgs() - 2
-                },
-                |ch| {
-                    let mut ot = InsecureOt;
-                    let mut s = EvaluatorSession::establish(ch, &mut ot, 32).expect("e");
-                    for _ in 0..4 {
-                        s.next_table(32).expect("pull");
-                    }
-                    s.reveal_outputs(&[]).expect("reveal");
-                },
-            );
-            assert_eq!(frames, expect_table_frames);
-        }
+        // Four one-table cycles of 7 gate visits: everything goes out in
+        // the final flush.
+        let (frames, ()) = pair_up(
+            move |ch| {
+                let (counted, stats) = arm2gc_comm::CountingChannel::new(&mut *ch);
+                let mut counted = counted;
+                let mut ot = InsecureOt;
+                let mut prg = Prg::from_seed([2; 16]);
+                let mut s = GarblerSession::establish(&mut counted, &mut ot, &mut prg).expect("g");
+                for _ in 0..4 {
+                    s.push_table(&[7u8; 32]).expect("push");
+                    s.end_cycle(7).expect("end");
+                }
+                s.reveal_outputs(&[]).expect("reveal");
+                // hello + table frames + decode bits.
+                stats.sent_msgs() - 2
+            },
+            |ch| {
+                let mut ot = InsecureOt;
+                let mut s = EvaluatorSession::establish(ch, &mut ot, 32).expect("e");
+                for _ in 0..4 {
+                    s.next_table(32).expect("pull");
+                }
+                s.reveal_outputs(&[]).expect("reveal");
+            },
+        );
+        assert_eq!(frames, 1);
     }
 
-    /// Runs a chunked session over `cycles` of `(tables, visits)` with
-    /// chunks too large to fill, and returns the table-frame sizes (in
-    /// tables) the garbler sent, summed over every shard channel.
+    /// Runs a session over `cycles` of `(tables, visits)` with fewer
+    /// tables than a chunk, and returns the table-frame sizes (in
+    /// tables) the garbler sent: the main channel's, then each shard
+    /// channel's.
     fn cycle_flush_frames(cycles: &[(usize, u64)], shards: usize) -> Vec<usize> {
         let cycles = cycles.to_vec();
         let plan = cycles.clone();
@@ -1120,7 +751,6 @@ mod tests {
         } else {
             (Vec::new(), Vec::new())
         };
-        let sharding = ShardConfig::new(shards);
         let (frames, ()) = pair_up(
             move |ch| {
                 let mut rec = Recording::new(ch);
@@ -1134,18 +764,10 @@ mod tests {
                     .unzip();
                 let mut ot = InsecureOt;
                 let mut prg = Prg::from_seed([4; 16]);
-                let mut s = GarblerSession::establish_instanced(
-                    &mut rec,
-                    shard_chs,
-                    &mut ot,
-                    &mut prg,
-                    StreamConfig::chunked(1 << 20),
-                    sharding,
-                    1,
-                )
-                .expect("g");
+                let mut s =
+                    GarblerSession::establish_instanced(&mut rec, shard_chs, &mut ot, &mut prg, 1)
+                        .expect("g");
                 for &(tables, visits) in &cycles {
-                    s.begin_cycle(tables);
                     for _ in 0..tables {
                         s.push_table(&[7u8; 32]).expect("push");
                     }
@@ -1168,10 +790,8 @@ mod tests {
             move |ch| {
                 let mut ot = InsecureOt;
                 let mut s =
-                    EvaluatorSession::establish_instanced(ch, e_shards, &mut ot, 32, sharding, 1)
-                        .expect("e");
+                    EvaluatorSession::establish_instanced(ch, e_shards, &mut ot, 32, 1).expect("e");
                 for &(tables, _) in &plan {
-                    s.begin_cycle(tables);
                     for _ in 0..tables {
                         s.next_table(32).expect("pull");
                     }
@@ -1192,9 +812,8 @@ mod tests {
             vec![3, 3],
             "the tail goes out with the final flush"
         );
-        // Sharded: a boundary flush reaches every worker, so each of the
-        // two shards sends one frame per flush.
-        assert_eq!(cycle_flush_frames(&[(2, HALF); 4], 2), vec![2; 4]);
+        // Striped: the same two frames, one on each of the two shards.
+        assert_eq!(cycle_flush_frames(&[(2, HALF); 4], 2), vec![4, 4]);
         // Fewer than 2^20 visits in all: only the final flush.
         assert_eq!(
             cycle_flush_frames(&[(1, CYCLE_FLUSH_VISITS / 8); 7], 1),
@@ -1227,9 +846,7 @@ mod tests {
             move |ch| {
                 let mut ot = InsecureOt;
                 let mut prg = Prg::from_seed([4; 16]);
-                let mut s =
-                    GarblerSession::establish(ch, &mut ot, &mut prg, StreamConfig::default())
-                        .expect("g");
+                let mut s = GarblerSession::establish(ch, &mut ot, &mut prg).expect("g");
                 s.ot_send(&pairs2).expect("ot send");
                 s.ot_send(&[]).expect("empty ot is a no-op");
                 s.reveal_outputs(&[]).expect("reveal");
@@ -1302,28 +919,14 @@ mod tests {
             let g = s.spawn(move || {
                 let mut ot = InsecureOt;
                 let mut prg = Prg::from_seed([5; 16]);
-                let sess = GarblerSession::establish_instanced(
-                    &mut ca,
-                    Vec::new(),
-                    &mut ot,
-                    &mut prg,
-                    StreamConfig::default(),
-                    ShardConfig::single(),
-                    4,
-                )
-                .expect("garbler");
+                let sess =
+                    GarblerSession::establish_instanced(&mut ca, Vec::new(), &mut ot, &mut prg, 4)
+                        .expect("garbler");
                 assert_eq!(sess.instances(), 4);
             });
             let mut ot = InsecureOt;
-            let sess = EvaluatorSession::establish_instanced(
-                &mut cb,
-                Vec::new(),
-                &mut ot,
-                32,
-                ShardConfig::single(),
-                4,
-            )
-            .expect("evaluator");
+            let sess = EvaluatorSession::establish_instanced(&mut cb, Vec::new(), &mut ot, 32, 4)
+                .expect("evaluator");
             assert_eq!(sess.instances(), 4);
             g.join().expect("garbler thread");
         });
@@ -1342,15 +945,8 @@ mod tests {
         .expect("hello");
         ca.send(&Message::Instances(3).encode()).expect("instances");
         let mut ot = InsecureOt;
-        let err = EvaluatorSession::establish_instanced(
-            &mut cb,
-            Vec::new(),
-            &mut ot,
-            32,
-            ShardConfig::single(),
-            4,
-        )
-        .expect_err("must reject");
+        let err = EvaluatorSession::establish_instanced(&mut cb, Vec::new(), &mut ot, 32, 4)
+            .expect_err("must reject");
         assert!(matches!(
             err,
             ProtoError::Malformed("instance count mismatch")
@@ -1370,15 +966,8 @@ mod tests {
         )
         .expect("hello");
         let mut ot = InsecureOt;
-        let err = EvaluatorSession::establish_instanced(
-            &mut cb,
-            Vec::new(),
-            &mut ot,
-            32,
-            ShardConfig::single(),
-            2,
-        )
-        .expect_err("must reject");
+        let err = EvaluatorSession::establish_instanced(&mut cb, Vec::new(), &mut ot, 32, 2)
+            .expect_err("must reject");
         assert!(matches!(
             err,
             ProtoError::Malformed("instanced session needs protocol v2")
@@ -1390,16 +979,8 @@ mod tests {
         let (mut ca, _cb) = duplex();
         let mut ot = InsecureOt;
         let mut prg = Prg::from_seed([6; 16]);
-        let err = GarblerSession::establish_instanced(
-            &mut ca,
-            Vec::new(),
-            &mut ot,
-            &mut prg,
-            StreamConfig::default(),
-            ShardConfig::single(),
-            0,
-        )
-        .expect_err("must reject");
+        let err = GarblerSession::establish_instanced(&mut ca, Vec::new(), &mut ot, &mut prg, 0)
+            .expect_err("must reject");
         assert!(matches!(err, ProtoError::Malformed("zero instance count")));
     }
 
@@ -1437,69 +1018,65 @@ mod tests {
 
     #[test]
     fn sharded_streaming_reassembles_in_gate_order() {
-        // Cycles with zero tables, fewer tables than shards, and more:
-        // every partition shape the plan can produce.
-        const COUNTS: [usize; 6] = [5, 0, 1, 2, 7, 3];
-        for cfg in [StreamConfig::lockstep(), StreamConfig::chunked(48)] {
-            let shards = 3;
-            let (mut ca, mut cb) = duplex();
-            let (g_shards, e_shards) = shard_duplexes(shards);
-            std::thread::scope(|s| {
-                let g = s.spawn(move || {
-                    let mut ot = InsecureOt;
-                    let mut prg = Prg::from_seed([9; 16]);
-                    let mut sess = GarblerSession::establish_instanced(
-                        &mut ca,
-                        g_shards,
-                        &mut ot,
-                        &mut prg,
-                        cfg,
-                        ShardConfig::new(shards),
-                        1,
-                    )
-                    .expect("garbler");
-                    let mut sent = Vec::new();
-                    let mut v = 0u8;
-                    for &n in &COUNTS {
-                        sess.begin_cycle(n);
-                        for _ in 0..n {
-                            v = v.wrapping_add(1);
-                            let table = [v; 32];
-                            sess.push_table(&table).expect("push");
-                            sent.push(table.to_vec());
-                        }
-                        sess.end_cycle(7).expect("end");
-                    }
-                    sess.reveal_outputs(&[]).expect("reveal");
-                    (sent, sess.stats())
-                });
+        // Cycles with zero tables, fewer tables than shards and more,
+        // each sent at its boundary, then one cycle a table past a whole
+        // chunk: frames of every size, dealt over three shards.
+        const CHUNK: usize = TABLE_CHUNK_BYTES / 32;
+        const COUNTS: [usize; 7] = [5, 0, 1, 2, 7, 3, CHUNK + 1];
+        let shards = 3;
+        let (mut ca, mut cb) = duplex();
+        let (g_shards, e_shards) = shard_duplexes(shards);
+        let (g_shards, logs): (Vec<Box<dyn Channel>>, Vec<_>) = g_shards
+            .into_iter()
+            .map(|ch| {
+                let rec = Recording::new(ch);
+                let log = Arc::clone(&rec.sent);
+                (Box::new(rec) as Box<dyn Channel>, log)
+            })
+            .unzip();
+        std::thread::scope(|s| {
+            let g = s.spawn(move || {
                 let mut ot = InsecureOt;
-                let mut sess = EvaluatorSession::establish_instanced(
-                    &mut cb,
-                    e_shards,
-                    &mut ot,
-                    32,
-                    ShardConfig::new(shards),
-                    1,
-                )
-                .expect("evaluator");
-                let mut got = Vec::new();
+                let mut prg = Prg::from_seed([9; 16]);
+                let mut sess =
+                    GarblerSession::establish_instanced(&mut ca, g_shards, &mut ot, &mut prg, 1)
+                        .expect("garbler");
+                let mut sent = Vec::new();
+                let mut v = 0u8;
                 for &n in &COUNTS {
-                    sess.begin_cycle(n);
                     for _ in 0..n {
-                        got.push(sess.next_table(32).expect("pull").to_vec());
+                        v = v.wrapping_add(1);
+                        let table = [v; 32];
+                        sess.push_table(&table).expect("push");
+                        sent.push(table.to_vec());
                     }
+                    sess.end_cycle(CYCLE_FLUSH_VISITS).expect("end");
                 }
                 sess.reveal_outputs(&[]).expect("reveal");
-                let (sent, g_stats) = g.join().expect("garbler thread");
-                assert_eq!(sent, got, "tables reassembled out of order");
-                assert_eq!(g_stats, sess.stats());
+                (sent, sess.stats())
             });
+            let mut ot = InsecureOt;
+            let mut sess = EvaluatorSession::establish_instanced(&mut cb, e_shards, &mut ot, 32, 1)
+                .expect("evaluator");
+            let mut got = Vec::new();
+            for _ in 0..COUNTS.iter().sum::<usize>() {
+                got.push(sess.next_table(32).expect("pull").to_vec());
+            }
+            sess.reveal_outputs(&[]).expect("reveal");
+            let (sent, g_stats) = g.join().expect("garbler thread");
+            assert_eq!(sent, got, "tables reassembled out of order");
+            assert_eq!(g_stats, sess.stats());
+        });
+        // Seven frames, frame f on shard f mod 3, each naming its shard.
+        for (k, log) in logs.iter().enumerate() {
+            let frames = log.lock().expect("frame log");
+            assert_eq!(frames.len(), if k == 0 { 3 } else { 2 }, "shard {k}");
+            assert!(frames.iter().all(|f| f[..2] == [TAG_TABLE_SHARD, k as u8]));
         }
     }
 
     /// Channel wrapper recording every frame the garbler sends; the log
-    /// is shared so a shard worker thread can own the channel.
+    /// is shared so it can be read after a session took the channel.
     struct Recording<C> {
         inner: C,
         sent: Arc<Mutex<Vec<Vec<u8>>>>,
@@ -1531,99 +1108,81 @@ mod tests {
 
     #[test]
     fn single_shard_stream_is_byte_identical_to_legacy() {
-        // The exact frame sequences the pre-sharding implementation put
-        // on the wire for 2 cycles × 3 32-byte tables, pinned as bytes.
-        let table = |i: u8| [i; 32];
-        let frame = |ts: &[u8]| {
+        // The exact frames the unsharded stream puts on the wire, pinned
+        // as bytes: a size flush at a whole chunk mid-cycle, a boundary
+        // flush once the cycles reach CYCLE_FLUSH_VISITS, and the tail
+        // in the final flush.
+        const CHUNK: usize = TABLE_CHUNK_BYTES / 32;
+        const CYCLES: [(usize, u64); 3] = [(CHUNK + 1, 7), (3, CYCLE_FLUSH_VISITS), (2, 7)];
+        let table = |i: usize| [(i % 251) as u8; 32];
+        let frame = |ts: std::ops::Range<usize>| {
             let mut f = vec![TAG_TABLES];
-            for &i in ts {
+            for i in ts {
                 f.extend_from_slice(&table(i));
             }
             f
         };
-        for (cfg, table_frames) in [
-            // Lockstep: one frame per cycle.
-            (
-                StreamConfig::lockstep(),
-                vec![frame(&[1, 2, 3]), frame(&[4, 5, 6])],
-            ),
-            // 64-byte chunks: flush whenever the buffer exceeds 64 bytes,
-            // irrespective of cycle boundaries.
-            (
-                StreamConfig::chunked(64),
-                vec![frame(&[1, 2]), frame(&[3, 4]), frame(&[5, 6])],
-            ),
-        ] {
-            let (frames, ()) = pair_up(
-                move |ch| {
-                    let mut rec = Recording::new(ch);
-                    let mut ot = InsecureOt;
-                    let mut prg = Prg::from_seed([3; 16]);
-                    let mut sess = GarblerSession::establish(&mut rec, &mut ot, &mut prg, cfg)
-                        .expect("garbler");
-                    for cycle in 0..2u8 {
-                        sess.begin_cycle(3);
-                        for t in 0..3u8 {
-                            sess.push_table(&table(cycle * 3 + t + 1)).expect("push");
-                        }
-                        sess.end_cycle(7).expect("end");
+        let (frames, ()) = pair_up(
+            move |ch| {
+                let mut rec = Recording::new(ch);
+                let mut ot = InsecureOt;
+                let mut prg = Prg::from_seed([3; 16]);
+                let mut sess =
+                    GarblerSession::establish(&mut rec, &mut ot, &mut prg).expect("garbler");
+                let mut i = 0;
+                for (tables, visits) in CYCLES {
+                    for _ in 0..tables {
+                        sess.push_table(&table(i)).expect("push");
+                        i += 1;
                     }
-                    sess.reveal_outputs(&[]).expect("reveal");
-                    rec.frames()
-                },
-                |ch| {
-                    let mut ot = InsecureOt;
-                    let mut sess = EvaluatorSession::establish(ch, &mut ot, 32).expect("e");
-                    for _ in 0..6 {
-                        sess.next_table(32).expect("pull");
-                    }
-                    sess.reveal_outputs(&[]).expect("reveal");
-                },
-            );
-            let mut expected = vec![Message::Hello {
+                    sess.end_cycle(visits).expect("end");
+                }
+                sess.reveal_outputs(&[]).expect("reveal");
+                rec.frames()
+            },
+            |ch| {
+                let mut ot = InsecureOt;
+                let mut sess = EvaluatorSession::establish(ch, &mut ot, 32).expect("e");
+                for _ in 0..CHUNK + 6 {
+                    sess.next_table(32).expect("pull");
+                }
+                sess.reveal_outputs(&[]).expect("reveal");
+            },
+        );
+        let expected = vec![
+            Message::Hello {
                 version: PROTOCOL_VERSION,
                 role: SessionRole::Garbler,
             }
-            .encode()];
-            expected.extend(table_frames);
-            expected.push(Message::DecodeBits(vec![]).encode());
-            assert_eq!(frames, expected, "shards=1 wire bytes changed");
-        }
+            .encode(),
+            frame(0..CHUNK),
+            frame(CHUNK..CHUNK + 4),
+            frame(CHUNK + 4..CHUNK + 6),
+            Message::DecodeBits(vec![]).encode(),
+        ];
+        assert!(frames == expected, "shards=1 wire bytes changed");
     }
 
     #[test]
     fn shard_channel_count_mismatch_is_rejected() {
+        // One shard channel: a one-shard stream rides the main channel.
         let (mut ca, _cb) = duplex();
         let (g_shards, _e_shards) = shard_duplexes(1);
         let mut ot = InsecureOt;
         let mut prg = Prg::from_seed([1; 16]);
-        let err = GarblerSession::establish_instanced(
-            &mut ca,
-            g_shards,
-            &mut ot,
-            &mut prg,
-            StreamConfig::default(),
-            ShardConfig::new(2),
-            1,
-        )
-        .expect_err("one channel for two shards");
+        let err = GarblerSession::establish_instanced(&mut ca, g_shards, &mut ot, &mut prg, 1)
+            .expect_err("one shard channel");
         assert!(matches!(
             err,
             ProtoError::Malformed("shard channel count mismatch")
         ));
 
+        // More shards than a one-byte shard id can name.
         let (mut cb, _ca) = duplex();
-        let (e_shards, _g_shards) = shard_duplexes(2);
+        let (e_shards, _g_shards) = shard_duplexes(MAX_SHARDS + 1);
         let mut ot = InsecureOt;
-        let err = EvaluatorSession::establish_instanced(
-            &mut cb,
-            e_shards,
-            &mut ot,
-            32,
-            ShardConfig::single(),
-            1,
-        )
-        .expect_err("channels for an unsharded session");
+        let err = EvaluatorSession::establish_instanced(&mut cb, e_shards, &mut ot, 32, 1)
+            .expect_err("too many shard channels");
         assert!(matches!(
             err,
             ProtoError::Malformed("shard channel count mismatch")
@@ -1657,16 +1216,8 @@ mod tests {
                     .expect("misrouted frame");
             });
             let mut ot = InsecureOt;
-            let mut sess = EvaluatorSession::establish_instanced(
-                &mut cb,
-                e_shards,
-                &mut ot,
-                32,
-                ShardConfig::new(2),
-                1,
-            )
-            .expect("evaluator");
-            sess.begin_cycle(2);
+            let mut sess = EvaluatorSession::establish_instanced(&mut cb, e_shards, &mut ot, 32, 1)
+                .expect("evaluator");
             let err = sess.next_table(32).expect_err("wrong shard id");
             assert!(matches!(
                 err,

@@ -13,11 +13,18 @@
 //! | `4` | [`Message::Tables`] | garbled-table bytes, back to back |
 //! | `5` | [`Message::DecodeBits`] | bit count `u32`, packed bits |
 //! | `6` | [`Message::Outputs`] | bit count `u32`, packed bits |
-//! | `7` | [`Message::TableShard`] | shard id `u8`, garbled-table bytes |
 //! | `8` | [`Message::Instances`] | instance count `u16` |
 //! | `9` | [`Message::ServiceRequest`] | shards `u8`, instances `u16`, OT resume token `u64`, workload utf-8 |
 //! | `10` | [`Message::ServiceAccept`] | session id `u64`, resumed `u8` |
 //! | `11` | [`Message::ServiceReject`] | reason utf-8 |
+//! | `13` | [`Message::TableShard`] | shard id `u8`, garbled-table bytes |
+//!
+//! Tags 7 and 12 are retired and decode as unknown. Tag 7 carried a
+//! table shard when each shard held a contiguous slice of every cycle's
+//! tables; a `TableShard` now carries one whole frame of the striped
+//! stream, so a peer of the old layout fails on its first shard frame
+//! instead of decoding wrong outputs. Tag 12 attached a shard socket to
+//! a service session.
 //!
 //! Decoding is strict: unknown tags, truncated bodies, bad magic and
 //! inconsistent lengths all yield [`ProtoError::CorruptFrame`] (naming
@@ -71,11 +78,11 @@ pub(crate) const TAG_OT_PAYLOAD: u8 = 3;
 pub(crate) const TAG_TABLES: u8 = 4;
 pub(crate) const TAG_DECODE_BITS: u8 = 5;
 pub(crate) const TAG_OUTPUTS: u8 = 6;
-pub(crate) const TAG_TABLE_SHARD: u8 = 7;
 pub(crate) const TAG_INSTANCES: u8 = 8;
 pub(crate) const TAG_SERVICE_REQUEST: u8 = 9;
 pub(crate) const TAG_SERVICE_ACCEPT: u8 = 10;
 pub(crate) const TAG_SERVICE_REJECT: u8 = 11;
+pub(crate) const TAG_TABLE_SHARD: u8 = 13;
 
 /// Which side of the protocol a session plays.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -194,10 +201,11 @@ pub enum Message {
     DecodeBits(Vec<bool>),
     /// Revealed output values, mirrored back by the evaluator.
     Outputs(Vec<bool>),
-    /// A batch of garbled-table bytes belonging to one shard of a
-    /// sharded table stream (see [`crate::shard::ShardConfig`]).
+    /// One frame of a table stream striped over shard channels: frame
+    /// `f` of the stream travels on shard `f mod n` (see
+    /// [`crate::session`]).
     TableShard {
-        /// Which sub-stream this batch belongs to.
+        /// The shard channel this frame travels on.
         shard: u8,
         /// Garbled-table bytes, back to back.
         tables: Vec<u8>,
@@ -546,6 +554,7 @@ mod tests {
             &[TAG_SERVICE_ACCEPT, 1, 2, 3, 4, 5, 6, 7, 8],
             &[TAG_SERVICE_REJECT, 0xc3, 0x28], // reason not utf-8
             &[12, 1, 2, 3, 4, 5, 6, 7, 8, 0],  // retired tag 12 (shard attach)
+            &[7, 0, 1, 2, 3],                  // retired tag 7 (per-cycle table shard)
         ];
         for raw in cases {
             assert!(
@@ -581,6 +590,16 @@ mod tests {
                 what: "unknown frame tag"
             })
         ));
+        // Retired tags are unknown, never read as their old layout.
+        for tag in [7, 12] {
+            assert!(matches!(
+                Message::decode(&[tag, 0, 1]),
+                Err(ProtoError::CorruptFrame {
+                    what: "unknown frame tag",
+                    ..
+                })
+            ));
+        }
         // An empty frame has no tag to attribute.
         assert!(matches!(
             Message::decode(&[]),

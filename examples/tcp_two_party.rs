@@ -7,9 +7,9 @@
 //! the SkipGate protocol over [`TcpChannel`] — versioned session
 //! handshake, real Naor–Pinkas + IKNP OT, chunked table streaming. With
 //! `--shards N` (the orchestrated default is 2) the garbled-table
-//! stream is sharded: the evaluator opens one extra socket per shard
-//! and each shard's slice of every cycle's tables travels over its own
-//! connection, sent by a dedicated garbler-side worker thread. Both
+//! stream is striped: the evaluator opens one extra socket per shard
+//! and the garbler deals its table frames round-robin over them, frame
+//! `f` on shard `f mod N`, from the one thread that garbles. Both
 //! processes independently check the result against the cleartext
 //! circuit simulator.
 //!

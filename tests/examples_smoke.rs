@@ -71,12 +71,14 @@ fn tcp_two_party_runs_instanced_lanes() {
             "--",
             "--instances",
             "3",
+            "--shards",
+            "3",
         ])
         .output()
         .expect("spawn cargo");
     assert!(
         out.status.success(),
-        "tcp_two_party --instances 3 exited nonzero:\n{}",
+        "tcp_two_party --instances 3 --shards 3 exited nonzero:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
